@@ -1,6 +1,6 @@
 """Dual disentangled variational autoencoders for implicit-feedback recommendation."""
 
-from .data import DatasetSplit, InteractionMatrix, ingest, make_batches, neighbor_sets, split
+from .data import DatasetSplit, InteractionMatrix, ingest, make_batches, split
 from .errors import (CheckpointError, ConfigError, ContractError, DataError,
                      DomainError, DualVaeError, NumericError, ShapeError)
 from .evaluation import evaluate_ranking, ndcg_at_n, recall_at_n
@@ -17,5 +17,5 @@ __all__ = [
     "ModelParams", "NumericError", "Parameter", "RngState", "ShapeError", "Snapshot",
     "Tape", "Tensor", "TrainConfig", "aspect_recovery_score", "evaluate_ranking",
     "fit", "generate", "ingest", "load_checkpoint", "make_batches", "ndcg_at_n",
-    "neighbor_sets", "recall_at_n", "save_checkpoint", "split",
+    "recall_at_n", "save_checkpoint", "split",
 ]

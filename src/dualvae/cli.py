@@ -213,24 +213,10 @@ def cmd_evaluate(args) -> int:
     _, split = _load_dataset(run_cfg)
     _check_dataset(ckpt, split.train)
     cutoffs = run_cfg["eval", "cutoffs"]
-    if args.no_mask:
-        import numpy as np
-
-        held = split.train
-        users = [u for u in range(held.num_users) if len(held.user_items[u])]
-        scores = evaluation.score_all(ckpt.params, ckpt.snapshot, users, masks=[])
-        ranked = evaluation.top_n(scores, max(cutoffs))
-        result = {"n_users": len(users)}
-        for n in cutoffs:
-            result[f"recall@{n}"] = float(np.mean(
-                [evaluation.recall_at_n(ranked[k], held.user_items[u], n)
-                 for k, u in enumerate(users)]))
-            result[f"ndcg@{n}"] = float(np.mean(
-                [evaluation.ndcg_at_n(ranked[k], held.user_items[u], n)
-                 for k, u in enumerate(users)]))
-    else:
-        result = evaluation.evaluate_ranking(ckpt.params, ckpt.snapshot, split,
-                                             target=args.target, cutoffs=cutoffs)
+    # --no-mask ranks the train split itself, with nothing masked
+    target = "train" if args.no_mask else args.target
+    result = evaluation.evaluate_ranking(ckpt.params, ckpt.snapshot, split,
+                                         target=target, cutoffs=cutoffs)
     for n in cutoffs:
         print(f"recall\t{n}\t{result[f'recall@{n}']:.6f}\t{result['n_users']}")
     for n in cutoffs:

@@ -2,8 +2,8 @@
 
 Builds the sparse user-item interaction matrix from delimited text, applies
 iterative k-core filtering, produces per-user train/validation/test splits
-and per-side minibatches, and exposes the train-split neighbor sets used by
-the contrastive constraint.
+and per-side minibatches. Pairs are held as integer arrays (CSR for each
+side), so every step is an array operation rather than a per-pair loop.
 """
 
 from __future__ import annotations
@@ -28,16 +28,44 @@ def _is_number(tok: str) -> bool:
         return False
 
 
+class Csr:
+    """Rows of one side in CSR form: ``rows[k]`` is the sorted, read-only
+    array ``indices[indptr[k]:indptr[k + 1]]``."""
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, n_rows: int):
+        # pairs sorted by row, then by column
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
+        self.indices = cols
+        cols.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, k) -> np.ndarray:
+        if not 0 <= k < len(self):
+            raise IndexError(f"row {k} out of range")
+        return self.indices[self.indptr[k]: self.indptr[k + 1]]
+
+    def gather(self, rows):
+        """Each entry of the given rows: its position in ``rows``, its column."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts, lens = self.indptr[rows], np.diff(self.indptr)[rows]
+        flat = np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+        return np.repeat(np.arange(len(rows)), lens), self.indices[flat]
+
+
 class InteractionMatrix:
     """Binary user-item interactions held as paired row and column views.
 
-    ``user_items[u]`` is the sorted array of item indices user ``u`` touched;
-    ``item_users[i]`` the sorted array of users that touched item ``i``. The
-    two views always encode the same pair set. Original string ids are kept
-    so results can be reported in the input vocabulary.
+    ``user_items`` is the CSR of the matrix and ``item_users`` that of its
+    transpose: ``user_items[u]`` is the sorted array of item indices user
+    ``u`` touched, ``item_users[i]`` the sorted array of users that touched
+    item ``i``. The two views always encode the same pair set. Original
+    string ids are kept so results can be reported in the input vocabulary.
     """
 
-    def __init__(self, num_users, num_items, pairs, user_ids=None, item_ids=None):
+    def __init__(self, num_users, num_items, users, items, user_ids=None, item_ids=None):
+        """``users`` and ``items``: pair coordinates, in any order, repeats allowed."""
         self.num_users = int(num_users)
         self.num_items = int(num_items)
         self.user_ids = list(user_ids) if user_ids is not None else [str(u) for u in range(num_users)]
@@ -45,45 +73,45 @@ class InteractionMatrix:
         if len(self.user_ids) != self.num_users or len(self.item_ids) != self.num_items:
             raise DataError("id map sizes disagree with matrix dimensions")
 
-        uniq = sorted(set((int(u), int(i)) for u, i in pairs))
-        for u, i in uniq:
-            if not (0 <= u < self.num_users and 0 <= i < self.num_items):
-                raise DataError(f"pair ({u}, {i}) out of range")
-        by_user = [[] for _ in range(self.num_users)]
-        by_item = [[] for _ in range(self.num_items)]
-        for u, i in uniq:
-            by_user[u].append(i)
-            by_item[i].append(u)
-        self.user_items = [np.asarray(v, dtype=np.int64) for v in by_user]
-        self.item_users = [np.asarray(v, dtype=np.int64) for v in by_item]
-        self.nnz = len(uniq)
+        users = np.asarray(users, dtype=np.int64).reshape(-1)
+        items = np.asarray(items, dtype=np.int64).reshape(-1)
+        bad = (users < 0) | (users >= self.num_users) | (items < 0) | (items >= self.num_items)
+        if bad.any():
+            u, i = min(zip(users[bad].tolist(), items[bad].tolist()))
+            raise DataError(f"pair ({u}, {i}) out of range")
+        rows, cols = np.divmod(np.unique(users * self.num_items + items), self.num_items)
+        by_item = np.argsort(cols, kind="stable")
+        self.user_items = Csr(rows, cols, self.num_users)
+        self.item_users = Csr(cols[by_item], rows[by_item], self.num_items)
+        self.nnz = len(cols)
+
+    def _coords(self):
+        """Row and column of every pair, in user-major order."""
+        rows = self.user_items
+        return np.repeat(np.arange(self.num_users), np.diff(rows.indptr)), rows.indices
 
     def pairs(self):
-        for u, items in enumerate(self.user_items):
-            for i in items:
-                yield u, int(i)
+        rows, cols = self._coords()
+        return zip(rows.tolist(), cols.tolist())
 
     def densify_users(self, users, dtype=np.float64) -> np.ndarray:
         """Dense slab of interaction rows, one per requested user."""
         out = np.zeros((len(users), self.num_items), dtype=dtype)
-        for k, u in enumerate(users):
-            out[k, self.user_items[u]] = 1.0
+        out[self.user_items.gather(users)] = 1.0
         return out
 
     def densify_items(self, items, dtype=np.float64) -> np.ndarray:
         """Dense slab of interaction columns, one row per requested item."""
         out = np.zeros((len(items), self.num_users), dtype=dtype)
-        for k, i in enumerate(items):
-            out[k, self.item_users[i]] = 1.0
+        out[self.item_users.gather(items)] = 1.0
         return out
 
     def digest(self) -> str:
-        """Stable fingerprint of the pair set and id maps."""
-        h = hashlib.sha256()
-        h.update(f"{self.num_users},{self.num_items},{self.nnz};".encode())
-        for u, i in self.pairs():
-            h.update(f"{u}:{i};".encode())
-        return h.hexdigest()[:16]
+        """Stable fingerprint of the pair set: ``"U,I,nnz;"`` then ``"u:i;"``
+        for every pair in user-major order, SHA-256, first 16 hex digits."""
+        body = "".join(map("{}:{};".format, *(a.tolist() for a in self._coords())))
+        text = f"{self.num_users},{self.num_items},{self.nnz};{body}"
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def write_id_maps(self, out_dir):
         """Two-column ``original_id index`` text files for both sides."""
@@ -101,14 +129,6 @@ class DatasetSplit:
     valid: InteractionMatrix
     test: InteractionMatrix
     seed: int
-
-
-@dataclass
-class NeighborSets:
-    """Train-split adjacency in both directions."""
-
-    user_neighbors: list  # per user: item index array
-    item_neighbors: list  # per item: user index array
 
 
 @dataclass
@@ -169,45 +189,57 @@ def read_pairs(path, fmt=None):
     return pairs
 
 
-def kcore_filter(pairs, min_user_core: int, min_item_core: int):
-    """Iteratively drop users/items below their degree threshold until stable."""
-    pairs = set(pairs)
+def kcore_filter(users: np.ndarray, items: np.ndarray, min_user_core: int,
+                 min_item_core: int) -> np.ndarray:
+    """Mask of the pairs left after iteratively dropping users and items
+    below their degree threshold until stable.
+
+    ``users`` and ``items`` are non-negative integer codes of distinct pairs.
+    """
+    keep = np.ones(len(users), dtype=bool)
     while True:
-        ucnt, icnt = {}, {}
-        for u, i in pairs:
-            ucnt[u] = ucnt.get(u, 0) + 1
-            icnt[i] = icnt.get(i, 0) + 1
-        keep = {
-            (u, i)
-            for u, i in pairs
-            if ucnt[u] >= min_user_core and icnt[i] >= min_item_core
-        }
-        if len(keep) == len(pairs):
-            return pairs
-        pairs = keep
+        ucnt = np.bincount(users[keep], minlength=users.max(initial=-1) + 1)
+        icnt = np.bincount(items[keep], minlength=items.max(initial=-1) + 1)
+        kept = keep & (ucnt[users] >= min_user_core) & (icnt[items] >= min_item_core)
+        if kept.sum() == keep.sum():
+            return keep
+        keep = kept
+
+
+def _factorize(tokens: list):
+    """Distinct tokens in ``sorted`` order, and each token's index among them."""
+    distinct = sorted(set(tokens))
+    index = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.array(list(map(index.__getitem__, tokens)), dtype=np.int64)
 
 
 def ingest(path, fmt=None, min_user_core: int = 1, min_item_core: int = 1) -> InteractionMatrix:
-    """Read interactions, dedup, k-core filter, and reindex contiguously."""
+    """Read interactions, dedup, k-core filter, and reindex contiguously.
+
+    Indices follow ``sorted`` order of the surviving string ids.
+    """
     raw = read_pairs(path, fmt)
     if not raw:
         raise DataError(f"{path}: no interactions parsed")
-    kept = kcore_filter(set(raw), min_user_core, min_item_core)
-    if not kept:
+    user_ids, users = _factorize([u for u, _ in raw])
+    item_ids, items = _factorize([i for _, i in raw])
+    users, items = np.divmod(np.unique(users * len(item_ids) + items), len(item_ids))
+    keep = kcore_filter(users, items, min_user_core, min_item_core)
+    if not keep.any():
         raise DataError(
             f"{path}: empty after {min_user_core}/{min_item_core}-core filtering"
         )
-    users = sorted({u for u, _ in kept})
-    items = sorted({i for _, i in kept})
-    umap = {u: k for k, u in enumerate(users)}
-    imap = {i: k for k, i in enumerate(items)}
-    pairs = [(umap[u], imap[i]) for u, i in kept]
-    return InteractionMatrix(len(users), len(items), pairs, users, items)
+    users, items = users[keep], items[keep]
+    kept_users, users = np.unique(users, return_inverse=True)
+    kept_items, items = np.unique(items, return_inverse=True)
+    return InteractionMatrix(len(kept_users), len(kept_items), users, items,
+                             [user_ids[k] for k in kept_users.tolist()],
+                             [item_ids[k] for k in kept_items.tolist()])
 
 
 def from_dense(matrix: np.ndarray, user_ids=None, item_ids=None) -> InteractionMatrix:
     us, its = np.nonzero(matrix)
-    return InteractionMatrix(matrix.shape[0], matrix.shape[1], zip(us, its), user_ids, item_ids)
+    return InteractionMatrix(matrix.shape[0], matrix.shape[1], us, its, user_ids, item_ids)
 
 
 def split(
@@ -226,29 +258,29 @@ def split(
     if not (0.0 < train_ratio < 1.0) or not (0.0 <= valid_of_test < 1.0):
         raise ConfigError("split ratios must lie in (0, 1)")
     rng = RngState(seed).derive(101)
-    train_pairs, pool = [], []
-    for u in range(matrix.num_users):
-        items = matrix.user_items[u]
-        # epsilon guards floor against float dust (10 * 0.2 -> 1.999...)
-        n_test = int(np.floor(len(items) * (1.0 - train_ratio) + 1e-9))
-        perm = rng.permutation(len(items))
-        shuffled = items[perm]
-        for i in shuffled[: len(items) - n_test]:
-            train_pairs.append((u, int(i)))
-        for i in shuffled[len(items) - n_test:]:
-            pool.append((u, int(i)))
+    rows = matrix.user_items
+    lens = np.diff(rows.indptr)
+    # epsilon guards floor against float dust (10 * 0.2 -> 1.999...)
+    n_test = np.floor(lens * (1.0 - train_ratio) + 1e-9).astype(np.int64)
+    # one permutation per user, in user order: entry positions, each user's
+    # shuffled, the first len - n_test of them train and the rest the pool
+    order = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        start + rng.permutation(n) for start, n in zip(rows.indptr.tolist(), lens.tolist())])
+    users = np.repeat(np.arange(matrix.num_users), lens)
+    items = rows.indices[order]
+    to_train = np.arange(len(order)) - rows.indptr[users] < (lens - n_test)[users]
+    pool = np.flatnonzero(~to_train)
 
     n_valid = int(round(valid_of_test * len(pool)))
-    vidx = set(map(int, rng.choice(len(pool), n_valid, replace=False))) if n_valid else set()
-    valid_pairs = [p for k, p in enumerate(pool) if k in vidx]
-    test_pairs = [p for k, p in enumerate(pool) if k not in vidx]
+    to_valid = np.zeros(len(users), dtype=bool)
+    if n_valid:
+        to_valid[pool[rng.choice(len(pool), n_valid, replace=False)]] = True
 
-    def build(pairs):
-        return InteractionMatrix(
-            matrix.num_users, matrix.num_items, pairs, matrix.user_ids, matrix.item_ids
-        )
+    def build(mask):
+        return InteractionMatrix(matrix.num_users, matrix.num_items, users[mask], items[mask],
+                                 matrix.user_ids, matrix.item_ids)
 
-    return DatasetSplit(build(train_pairs), build(valid_pairs), build(test_pairs), seed)
+    return DatasetSplit(build(to_train), build(to_valid), build(~to_train & ~to_valid), seed)
 
 
 def make_batches(matrix: InteractionMatrix, side: str, batch_size: int, seed: int, epoch: int = 0):
@@ -265,7 +297,3 @@ def make_batches(matrix: InteractionMatrix, side: str, batch_size: int, seed: in
     for start in range(0, n, batch_size):
         yield Batch(side, order[start: start + batch_size], matrix)
 
-
-def neighbor_sets(train: InteractionMatrix) -> NeighborSets:
-    """Train-split adjacency: items per user and users per item."""
-    return NeighborSets(list(train.user_items), list(train.item_users))

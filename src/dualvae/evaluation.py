@@ -37,19 +37,29 @@ def score_all(params: ModelParams, snap: Snapshot, users, masks, block: int = 25
     users = np.asarray(users, dtype=np.int64)
     out = np.empty((len(users), snap.item_means.shape[0]), dtype=np.float64)
     for start in range(0, len(users), block):
-        chunk = users[start: start + block]
-        scores = score_block(params, snap, chunk)
-        for k, u in enumerate(chunk):
-            for m in masks:
-                scores[k, m.user_items[u]] = -np.inf
-        out[start: start + len(chunk)] = scores
+        out[start: start + block] = score_block(params, snap, users[start: start + block])
+    for m in masks:
+        out[m.user_items.gather(users)] = -np.inf
     return out
 
 
 def top_n(score_rows: np.ndarray, n: int) -> np.ndarray:
-    """Indices of the n best scores per row, ties broken by item index."""
-    order = np.argsort(-score_rows, axis=1, kind="stable")
-    return order[:, :n]
+    """Indices of the n best scores per row, ties broken by item index.
+
+    Equals ``np.argsort(-score_rows, kind="stable")[:, :n]``: each row's n
+    best come from a partition and are sorted by (-score, index); a row whose
+    n-th best value also lies outside them (a tie) is sorted in full.
+    """
+    neg = -np.asarray(score_rows)
+    if not 0 < n < neg.shape[1]:
+        return np.argsort(neg, axis=1, kind="stable")[:, :n]
+    best = np.sort(np.argpartition(neg, n - 1, axis=1)[:, :n], axis=1)
+    values = np.take_along_axis(neg, best, axis=1)
+    out = np.take_along_axis(best, np.argsort(values, axis=1, kind="stable"), axis=1)
+    tied = (neg <= values.max(axis=1, keepdims=True)).sum(axis=1) != n
+    if tied.any():
+        out[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :n]
+    return out
 
 
 def recall_at_n(topn_row, test_items, n: int) -> float:
@@ -74,37 +84,46 @@ def ndcg_at_n(topn_row, test_items, n: int) -> float:
     return dcg / ideal
 
 
+_MASKS = {"valid": ("train",), "test": ("train", "valid"), "train": ()}
+
+
 def evaluate_ranking(params: ModelParams, snap: Snapshot, split: DatasetSplit,
                      target: str = "test", cutoffs=(20, 50)) -> dict:
-    """Macro-averaged metrics on the validation or test split.
+    """Macro-averaged metrics on the validation, test or train split.
 
-    Validation ranking masks only train items; test ranking additionally
-    masks validation items. Users without target interactions are skipped.
+    The held-out matrix is ``split.<target>``. Validation ranking masks only
+    train items, test ranking additionally masks validation items, and train
+    ranking (a diagnostic) masks nothing. Users without target interactions
+    are skipped.
     """
-    if target == "valid":
-        held, masks = split.valid, [split.train]
-    elif target == "test":
-        held, masks = split.test, [split.train, split.valid]
-    else:
+    if target not in _MASKS:
         raise ValueError(f"unknown target {target!r}")
+    held = getattr(split, target)
+    masks = [getattr(split, name) for name in _MASKS[target]]
 
-    users = [u for u in range(held.num_users) if len(held.user_items[u]) > 0]
+    n_held = np.diff(held.user_items.indptr)
+    users = np.flatnonzero(n_held)
+    n_held = n_held[users]
     result = {"n_users": len(users)}
-    if not users:
+    if not len(users):
         for n in cutoffs:
             result[f"recall@{n}"] = float("nan")
             result[f"ndcg@{n}"] = float("nan")
         return result
 
-    scores = score_all(params, snap, users, masks)
-    ranked = top_n(scores, max(cutoffs))
+    ranked = top_n(score_all(params, snap, users, masks), max(cutoffs))
+    is_held = np.zeros((len(users), held.num_items), dtype=bool)
+    is_held[held.user_items.gather(users)] = True
+    hits = np.take_along_axis(is_held, ranked, axis=1)
+    # the same scalar discounts, summed in the same order, as ndcg_at_n
+    discounts = np.array([1.0 / np.log2(r + 1) for r in range(1, ranked.shape[1] + 1)])
+    dcg = np.cumsum(hits * discounts, axis=1)
+    ideal = np.cumsum(discounts)
     for n in cutoffs:
-        recalls, ndcgs = [], []
-        for k, u in enumerate(users):
-            recalls.append(recall_at_n(ranked[k], held.user_items[u], n))
-            ndcgs.append(ndcg_at_n(ranked[k], held.user_items[u], n))
-        result[f"recall@{n}"] = float(np.mean(recalls))
-        result[f"ndcg@{n}"] = float(np.mean(ndcgs))
+        width = min(n, ranked.shape[1])
+        denom = np.minimum(n, n_held)
+        result[f"recall@{n}"] = float(np.mean(hits[:, :width].sum(axis=1) / denom))
+        result[f"ndcg@{n}"] = float(np.mean(dcg[:, width - 1] / ideal[denom - 1]))
     return result
 
 

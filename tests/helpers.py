@@ -5,9 +5,11 @@ loops, brute-force enumeration) so it stays independent of the library code
 paths it checks.
 """
 
+import hashlib
+
 import numpy as np
 
-from dualvae import tensor as T
+from dualvae import data, tensor as T
 
 
 def finite_difference(loss_fn, params, h=1e-6):
@@ -57,3 +59,74 @@ def tape_grads(build_loss, params):
     loss = build_loss(tape)
     tape.backward(loss)
     return [p.grad.copy() for p in params]
+
+
+class SlowMatrix:
+    """Per-pair reference for ``data.InteractionMatrix``: lists of row arrays
+    built from a sorted set of tuples, and the digest hashed pair by pair."""
+
+    def __init__(self, num_users, num_items, pairs, user_ids, item_ids):
+        self.num_users, self.num_items = num_users, num_items
+        self.user_ids, self.item_ids = list(user_ids), list(item_ids)
+        uniq = sorted(set((int(u), int(i)) for u, i in pairs))
+        by_user = [[] for _ in range(num_users)]
+        by_item = [[] for _ in range(num_items)]
+        for u, i in uniq:
+            by_user[u].append(i)
+            by_item[i].append(u)
+        self.user_items = [np.asarray(v, dtype=np.int64) for v in by_user]
+        self.item_users = [np.asarray(v, dtype=np.int64) for v in by_item]
+        self.nnz = len(uniq)
+
+    def pairs(self):
+        for u, items in enumerate(self.user_items):
+            for i in items:
+                yield u, int(i)
+
+    def digest(self):
+        h = hashlib.sha256()
+        h.update(f"{self.num_users},{self.num_items},{self.nnz};".encode())
+        for u, i in self.pairs():
+            h.update(f"{u}:{i};".encode())
+        return h.hexdigest()[:16]
+
+
+def slow_ingest(path, fmt=None, min_user_core=1, min_item_core=1):
+    """Dict-and-set reference for ``data.ingest``; None when nothing survives."""
+    pairs = set(data.read_pairs(path, fmt))
+    while True:
+        ucnt, icnt = {}, {}
+        for u, i in pairs:
+            ucnt[u] = ucnt.get(u, 0) + 1
+            icnt[i] = icnt.get(i, 0) + 1
+        keep = {(u, i) for u, i in pairs
+                if ucnt[u] >= min_user_core and icnt[i] >= min_item_core}
+        if len(keep) == len(pairs):
+            break
+        pairs = keep
+    if not pairs:
+        return None
+    users = sorted({u for u, _ in pairs})
+    items = sorted({i for _, i in pairs})
+    umap = {u: k for k, u in enumerate(users)}
+    imap = {i: k for k, i in enumerate(items)}
+    return SlowMatrix(len(users), len(items), [(umap[u], imap[i]) for u, i in pairs],
+                      users, items)
+
+
+def slow_split(matrix, train_ratio, valid_of_test, seed):
+    """Per-user loop reference for ``data.split``: (train, valid, test)."""
+    rng = T.RngState(seed).derive(101)
+    train_pairs, pool = [], []
+    for u in range(matrix.num_users):
+        items = matrix.user_items[u]
+        n_test = int(np.floor(len(items) * (1.0 - train_ratio) + 1e-9))
+        shuffled = items[rng.permutation(len(items))]
+        train_pairs += [(u, int(i)) for i in shuffled[: len(items) - n_test]]
+        pool += [(u, int(i)) for i in shuffled[len(items) - n_test:]]
+    n_valid = int(round(valid_of_test * len(pool)))
+    vidx = set(map(int, rng.choice(len(pool), n_valid, replace=False))) if n_valid else set()
+    parts = ([p for k, p in enumerate(pool) if k in vidx],
+             [p for k, p in enumerate(pool) if k not in vidx])
+    return tuple(SlowMatrix(matrix.num_users, matrix.num_items, pairs, matrix.user_ids,
+                            matrix.item_ids) for pairs in (train_pairs,) + parts)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualvae import data
 from dualvae.errors import ConfigError, DataError
+from helpers import slow_ingest, slow_split
 
 
 def write(tmp_path, text, name="inter.tsv"):
@@ -30,6 +33,17 @@ def brute_force_kcore(pairs, ku, ki):
     return pairs
 
 
+def kcore_pairs(pairs, ku, ki):
+    """``data.kcore_filter`` on a set of id pairs, as a set of id pairs."""
+    pairs = sorted(set(pairs))
+    users = sorted({u for u, _ in pairs})
+    items = sorted({i for _, i in pairs})
+    keep = data.kcore_filter(np.array([users.index(u) for u, _ in pairs], dtype=np.int64),
+                             np.array([items.index(i) for _, i in pairs], dtype=np.int64),
+                             ku, ki)
+    return {p for p, k in zip(pairs, keep) if k}
+
+
 # ---------------------------------------------------------------------------
 # ingest
 
@@ -48,7 +62,7 @@ def test_ingest_chain_matches_kcore_oracle(tmp_path):
     text = "u1\ti1\nu2\ti1\nu2\ti2\n"
     raw = [("u1", "i1"), ("u2", "i1"), ("u2", "i2")]
     expect = brute_force_kcore(raw, 2, 2)
-    got = data.kcore_filter(set(raw), 2, 2)
+    got = kcore_pairs(raw, 2, 2)
     assert got == expect
     if expect:
         m = data.ingest(write(tmp_path, text), min_user_core=2, min_item_core=2)
@@ -67,7 +81,7 @@ def test_kcore_random_instances_match_oracle():
             for u, i in zip(rng.integers(0, nu, 40), rng.integers(0, ni, 40))
         }
         ku, ki = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        assert data.kcore_filter(set(pairs), ku, ki) == brute_force_kcore(pairs, ku, ki)
+        assert kcore_pairs(pairs, ku, ki) == brute_force_kcore(pairs, ku, ki)
 
 
 def test_ingest_header_detection(tmp_path):
@@ -179,37 +193,35 @@ def test_batch_shuffles_differ_by_epoch_but_reproduce():
 
 
 # ---------------------------------------------------------------------------
-# neighbor sets
+# train-split adjacency, the neighbourhoods of the contrastive constraint
 
 def test_neighbor_sets_single_pair():
     dense = np.zeros((2, 2))
     dense[0, 0] = 1.0
-    ns = data.neighbor_sets(data.from_dense(dense))
-    assert list(ns.user_neighbors[0]) == [0]
-    assert list(ns.item_neighbors[0]) == [0]
-    assert len(ns.user_neighbors[1]) == 0
+    m = data.from_dense(dense)
+    assert list(m.user_items[0]) == [0]
+    assert list(m.item_users[0]) == [0]
+    assert len(m.user_items[1]) == 0
 
 
 def test_neighbor_sets_symmetry_and_counts():
     m = make_matrix(seed=11)
-    ns = data.neighbor_sets(m)
     for u in range(m.num_users):
-        for i in ns.user_neighbors[u]:
-            assert u in ns.item_neighbors[i]
+        for i in m.user_items[u]:
+            assert u in m.item_users[i]
     for i in range(m.num_items):
-        for u in ns.item_neighbors[i]:
-            assert i in ns.user_neighbors[u]
-    assert sum(len(v) for v in ns.user_neighbors) == m.nnz
-    assert sum(len(v) for v in ns.item_neighbors) == m.nnz
+        for u in m.item_users[i]:
+            assert i in m.user_items[u]
+    assert sum(len(v) for v in m.user_items) == m.nnz
+    assert sum(len(v) for v in m.item_users) == m.nnz
 
 
 def test_no_test_leakage_into_neighbors():
     m = make_matrix(seed=12)
     s = data.split(m, 0.8, 0.1, seed=1)
-    ns = data.neighbor_sets(s.train)
     held_out = set(s.valid.pairs()) | set(s.test.pairs())
     for u, i in held_out:
-        assert i not in ns.user_neighbors[u]
+        assert i not in s.train.user_items[u]
 
 
 def test_split_proportions_within_one_interaction_per_user():
@@ -221,3 +233,49 @@ def test_split_proportions_within_one_interaction_per_user():
         assert abs(held - 0.2 * n_u) < 1.0
     pool = s.valid.nnz + s.test.nnz
     assert abs(s.valid.nnz - 0.1 * pool) <= 1.0
+
+
+def test_digest_format_is_pinned():
+    # the digest is stored in checkpoints and checked when one is loaded, so
+    # its format must not drift: this value was computed by the per-pair code
+    dense = np.zeros((3, 4))
+    dense[0, [1, 3]] = 1.0
+    dense[2, [0, 1, 2]] = 1.0
+    assert data.from_dense(dense).digest() == "44f32ad542c65716"
+
+
+def test_pair_out_of_range_is_rejected():
+    with pytest.raises(DataError, match=r"pair \(0, 5\) out of range"):
+        data.InteractionMatrix(2, 3, [1, 0, 1], [7, 5, 1])
+
+
+# random small interaction files: a header (skipped only when the next line
+# is numeric), repeated lines, ids whose string order differs from their
+# numeric order, non-ASCII ids, and a third column that is ignored
+_tokens = st.sampled_from(["1", "2", "10", "9", "a", "B", "c10", "c9", "é", "x y"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_tokens, _tokens), min_size=1, max_size=40),
+       st.booleans(), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from([0.5, 0.7, 0.8]), st.sampled_from([0.0, 0.3, 0.5]),
+       st.integers(0, 2 ** 31 - 1))
+def test_ingest_and_split_match_per_pair_oracle(tmp_path_factory, lines, header, ku, ki,
+                                                train_ratio, valid_of_test, seed):
+    path = tmp_path_factory.mktemp("ingest") / "inter.tsv"
+    text = "".join(f"{u}\t{i}\t1\n" for u, i in lines)
+    path.write_text(("user\titem\trating\n" if header else "") + text, encoding="utf-8")
+    want = slow_ingest(path, None, ku, ki)
+    if want is None:
+        with pytest.raises(DataError, match="empty after"):
+            data.ingest(path, None, ku, ki)
+        return
+    got = data.ingest(path, None, ku, ki)
+    s = data.split(got, train_ratio, valid_of_test, seed)
+    for g, w in [(got, want)] + list(zip((s.train, s.valid, s.test),
+                                         slow_split(want, train_ratio, valid_of_test, seed))):
+        assert (g.user_ids, g.item_ids, g.nnz) == (w.user_ids, w.item_ids, w.nnz)
+        assert [r.tolist() for r in g.user_items] == [r.tolist() for r in w.user_items]
+        assert [r.tolist() for r in g.item_users] == [r.tolist() for r in w.item_users]
+        assert list(g.pairs()) == list(w.pairs())
+        assert g.digest() == w.digest()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualvae import data, evaluation as ev, model, tensor as T
 
@@ -80,6 +82,76 @@ def test_ndcg_demotion_never_helps():
 def test_top_n_tie_break_by_index():
     scores = np.array([[0.5, 0.9, 0.5, 0.9]])
     np.testing.assert_array_equal(ev.top_n(scores, 4)[0], [1, 3, 0, 2])
+
+
+def stable_top_n(scores, n):
+    return np.argsort(-scores, axis=1, kind="stable")[:, :n]
+
+
+_score = st.one_of(st.sampled_from([-np.inf, 0.0, -0.0, 0.5, 1.0]), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda cols: st.tuples(
+    st.lists(st.lists(_score, min_size=cols, max_size=cols), min_size=1, max_size=5),
+    st.integers(-1, cols + 2))), st.booleans())
+def test_top_n_equals_stable_argsort(rows_and_n, first_row_masked):
+    # repeated values and -inf (masked) entries put ties at the partition
+    # boundary; n may reach or pass the number of finite entries
+    rows, n = rows_and_n
+    scores = np.array(rows, dtype=np.float64)
+    if first_row_masked:
+        scores[0] = -np.inf
+    np.testing.assert_array_equal(ev.top_n(scores, n), stable_top_n(scores, n))
+
+
+def test_top_n_equals_stable_argsort_on_wide_rows():
+    rng = np.random.default_rng(4)
+    scores = np.round(rng.random((300, 400)), 2)  # about four ties per value
+    scores[rng.random(scores.shape) < 0.3] = -np.inf
+    scores[:3] = -np.inf
+    for n in (1, 20, 50, 280, 400):
+        np.testing.assert_array_equal(ev.top_n(scores, n), stable_top_n(scores, n))
+    distinct = rng.random((50, 400))
+    np.testing.assert_array_equal(ev.top_n(distinct, 20), stable_top_n(distinct, 20))
+
+
+def loop_ranking(params, snap, split, target, cutoffs):
+    """Per-user loop over recall_at_n / ndcg_at_n, the reference for
+    ``evaluate_ranking``."""
+    held = getattr(split, target)
+    masks = {"valid": [split.train], "test": [split.train, split.valid], "train": []}[target]
+    users = [u for u in range(held.num_users) if len(held.user_items[u]) > 0]
+    result = {"n_users": len(users)}
+    if not users:
+        return {**result, **{f"{metric}@{n}": float("nan")
+                             for metric in ("recall", "ndcg") for n in cutoffs}}
+    scores = ev.score_block(params, snap, users)
+    for k, u in enumerate(users):
+        for m in masks:
+            scores[k, m.user_items[u]] = -np.inf
+    ranked = stable_top_n(scores, max(cutoffs))
+    for n in cutoffs:
+        result[f"recall@{n}"] = float(np.mean(
+            [ev.recall_at_n(ranked[k], held.user_items[u], n) for k, u in enumerate(users)]))
+        result[f"ndcg@{n}"] = float(np.mean(
+            [ev.ndcg_at_n(ranked[k], held.user_items[u], n) for k, u in enumerate(users)]))
+    return result
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 14), st.integers(2, 25),
+       st.sampled_from(["valid", "test", "train"]),
+       st.sampled_from([(1,), (5, 10), (20, 50), (3, 30)]))
+def test_evaluate_ranking_matches_per_user_loop(seed, m, n, target, cutoffs):
+    _, split, params, snap = scored_world(seed, m, n)
+    got = ev.evaluate_ranking(params, snap, split, target=target, cutoffs=cutoffs)
+    want = loop_ranking(params, snap, split, target, cutoffs)
+    assert got["n_users"] == want["n_users"]
+    for key in want:
+        # bit-equal: validation Recall@20 is stored as the checkpoint's
+        # best_metric, and NDCG sums the same discounts in the same order
+        assert got[key] == want[key] or (np.isnan(got[key]) and np.isnan(want[key])), key
 
 
 def test_metrics_reject_empty_test_set():
