@@ -59,7 +59,8 @@ def aspect_probs_live(means_per_aspect, protos: Tensor, temp: float) -> Tensor:
     for a in range(n_aspects):
         proto_row = T.slice_rows(protos, a, a + 1)
         batch = means_per_aspect[a].shape[0]
-        cols.append(T.cosine_rows(means_per_aspect[a], T.matmul(np.ones((batch, 1)), proto_row)))
+        ones = np.ones((batch, 1), means_per_aspect[a].dtype)
+        cols.append(T.cosine_rows(means_per_aspect[a], T.matmul(ones, proto_row)))
     return T.softmax_rows(T.scale(T.concat_cols(cols), 1.0 / temp))
 
 

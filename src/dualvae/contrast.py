@@ -58,21 +58,21 @@ def neighborhood_repr(neighbors: np.ndarray, weight_col: np.ndarray,
     return (weight_col[neighbors, None] * latents[neighbors]).sum(axis=0)
 
 
-def batch_neighborhood_reprs(slab: np.ndarray, frozen_probs: np.ndarray,
+def batch_neighborhood_reprs(rows, frozen_probs: np.ndarray,
                              frozen_means: np.ndarray) -> np.ndarray:
     """Neighborhood representations for a batch, all aspects at once.
 
-    ``slab`` is the batch's dense interaction rows over the frozen side, so
-    row b of the result under aspect a is sum_j slab[b, j] * probs[j, a] *
-    means[j, a, :].
+    ``rows`` is the batch's interaction rows over the frozen side as scipy
+    CSR, so row b of the result under aspect a is sum_j rows[b, j] *
+    probs[j, a] * means[j, a, :].
     """
-    b, n = slab.shape
+    b, n = rows.shape
     n_aspects, dim = frozen_means.shape[1], frozen_means.shape[2]
     if frozen_probs.shape != (n, n_aspects):
-        raise ShapeError("frozen prob matrix does not match slab width")
+        raise ShapeError("frozen prob matrix does not match row width")
     out = np.empty((b, n_aspects, dim), dtype=frozen_means.dtype)
     for a in range(n_aspects):
-        out[:, a, :] = (slab * frozen_probs[:, a][None, :]) @ frozen_means[:, a, :]
+        out[:, a, :] = rows @ (frozen_probs[:, a, None] * frozen_means[:, a, :])
     return out
 
 
@@ -94,7 +94,8 @@ def infonce_losses(z_list, o, cfg: ContrastConfig, participate: np.ndarray):
             return T.constant(np.ascontiguousarray(o[:, a, :]))
         return z_list[a]
 
-    part_col = participate.astype(float).reshape(batch, 1)
+    dtype = z_list[0].dtype
+    part_col = participate.astype(dtype).reshape(batch, 1)
     losses = []
     for a in range(n_aspects):
         pos = T.cosine_rows(z_list[a], partner(a))
@@ -108,7 +109,7 @@ def infonce_losses(z_list, o, cfg: ContrastConfig, participate: np.ndarray):
                 denom = T.add(denom, T.exp(T.scale(neg, inv_tau)))
         if cfg.use_user_negs and batch > 1:
             pairs = T.cosine_pairs(z_list[a], partner(a))
-            mask = np.outer(np.ones(batch), part_col[:, 0])
+            mask = np.outer(np.ones(batch, dtype), part_col[:, 0])
             np.fill_diagonal(mask, 0.0)
             offdiag = T.mul(T.exp(T.scale(pairs, inv_tau)), mask)
             denom = T.add(denom, T.sum_rows(offdiag))
@@ -119,13 +120,14 @@ def infonce_losses(z_list, o, cfg: ContrastConfig, participate: np.ndarray):
 def batch_contrast(z_list, o, cfg: ContrastConfig, participate: np.ndarray) -> Tensor:
     """Aspect-summed InfoNCE averaged over participating batch entities."""
     count = int(participate.sum())
+    dtype = z_list[0].dtype
     if count == 0:
-        return T.constant(np.zeros((1, 1)))
+        return T.constant(np.zeros((1, 1), dtype))
     per_aspect = infonce_losses(z_list, o, cfg, participate)
     total = per_aspect[0]
     for col in per_aspect[1:]:
         total = T.add(total, col)
-    masked = T.mul(total, participate.astype(float).reshape(-1, 1))
+    masked = T.mul(total, participate.astype(dtype).reshape(-1, 1))
     return T.scale(T.sum_all(masked), 1.0 / count)
 
 

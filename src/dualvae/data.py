@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, DataError
 from .tensor import RngState
@@ -52,6 +53,13 @@ class Csr:
         starts, lens = self.indptr[rows], np.diff(self.indptr)[rows]
         flat = np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
         return np.repeat(np.arange(len(rows)), lens), self.indices[flat]
+
+    def select(self, rows, n_cols: int, dtype=np.float64) -> sp.csr_matrix:
+        """The given rows as a scipy CSR matrix of ones, ``n_cols`` wide."""
+        rows = np.asarray(rows, dtype=np.int64)
+        _, cols = self.gather(rows)
+        indptr = np.concatenate([[0], np.cumsum(np.diff(self.indptr)[rows])])
+        return sp.csr_matrix((np.ones(len(cols), dtype), cols, indptr), shape=(len(rows), n_cols))
 
 
 class InteractionMatrix:
@@ -93,6 +101,15 @@ class InteractionMatrix:
     def pairs(self):
         rows, cols = self._coords()
         return zip(rows.tolist(), cols.tolist())
+
+    def sparse_users(self, users, dtype=np.float64) -> sp.csr_matrix:
+        """CSR interaction rows, one per requested user (``densify_users``
+        without the zeros)."""
+        return self.user_items.select(users, self.num_items, dtype)
+
+    def sparse_items(self, items, dtype=np.float64) -> sp.csr_matrix:
+        """CSR interaction columns, one row per requested item."""
+        return self.item_users.select(items, self.num_users, dtype)
 
     def densify_users(self, users, dtype=np.float64) -> np.ndarray:
         """Dense slab of interaction rows, one per requested user."""
@@ -141,6 +158,11 @@ class Batch:
         if self.side == "user":
             return self._matrix.densify_users(self.indices, dtype)
         return self._matrix.densify_items(self.indices, dtype)
+
+    def sparse(self, dtype=np.float64) -> sp.csr_matrix:
+        if self.side == "user":
+            return self._matrix.sparse_users(self.indices, dtype)
+        return self._matrix.sparse_items(self.indices, dtype)
 
 
 def read_pairs(path, fmt=None):
@@ -287,8 +309,8 @@ def make_batches(matrix: InteractionMatrix, side: str, batch_size: int, seed: in
     """Seeded shuffled minibatches over one side; the last batch may be short.
 
     Shuffles differ across epochs but are reproducible for a given
-    (seed, epoch) pair. Dense slabs are materialized lazily via
-    ``Batch.dense()``.
+    (seed, epoch) pair. Rows are materialized lazily, sparse via
+    ``Batch.sparse()`` and dense via ``Batch.dense()``.
     """
     if side not in ("user", "item"):
         raise ConfigError(f"unknown side {side!r}")

@@ -5,11 +5,16 @@ enters only through the masked interaction vector (interaction row times an
 aspect probability column). The encoder maps that masked vector to the mean
 and log-variance of a diagonal Gaussian posterior; samples come from the
 usual reparameterization z = mu + sigma * eps.
+
+Interaction rows come in sparse (scipy CSR, masked by scaling the stored
+values) and the first layer costs O(nnz * hidden); everything after it is
+dense.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import tensor as T
 from .errors import NumericError, ShapeError
@@ -51,18 +56,30 @@ def mask_interactions(rows: np.ndarray, aspect_col: np.ndarray) -> np.ndarray:
     return rows * col[None, :]
 
 
+def mask_sparse(rows: sp.csr_matrix, aspect_col: np.ndarray) -> sp.csr_matrix:
+    """``mask_interactions`` on CSR rows: each stored value times its
+    column's probability, in O(nnz); the result keeps the rows' dtype."""
+    col = np.asarray(aspect_col).reshape(-1)
+    if rows.shape[1] != col.shape[0]:
+        raise ShapeError(f"mask length {col.shape[0]} vs row width {rows.shape[1]}")
+    data = (rows.data * col[rows.indices]).astype(rows.dtype, copy=False)
+    return sp.csr_matrix((data, rows.indices, rows.indptr), shape=rows.shape)
+
+
 def encode(x, enc: EncoderParams, tape: "T.Tape | None" = None):
     """Run the encoder; returns (mu, logvar, sigma) tensors.
 
-    ``x`` may be a constant array (evaluation) or any tensor. When ``tape``
-    is given the encoder weights are recorded as leaves so gradients reach
-    them; otherwise everything stays off-tape.
+    ``x`` may be CSR rows (the first layer is then a sparse product), a
+    constant array or any tensor. When ``tape`` is given the encoder weights
+    are recorded as leaves so gradients reach them; otherwise everything
+    stays off-tape.
     """
     if tape is not None:
         w1, b1, w2, b2 = (tape.leaf(p) for p in enc.params())
     else:
         w1, b1, w2, b2 = (p.value for p in enc.params())
-    h = T.tanh(T.add(T.matmul(x, w1), b1))
+    first = T.sparse_matmul(x, w1) if sp.issparse(x) else T.matmul(x, w1)
+    h = T.tanh(T.add(first, b1))
     out = T.add(T.matmul(h, w2), b2)
     if not np.all(np.isfinite(out.value)):
         bad = np.nonzero(~np.isfinite(out.value).all(axis=1))[0]
@@ -77,10 +94,6 @@ def encode(x, enc: EncoderParams, tape: "T.Tape | None" = None):
 def reparameterize(mu, sigma, eps) -> Tensor:
     """z = mu + sigma * eps with eps ~ N(0, I) (or zeros in evaluation mode)."""
     return T.add(mu, T.mul(sigma, eps))
-
-
-def eval_noise(rows: int, cols: int, dtype=np.float64) -> Tensor:
-    return T.constant(np.zeros((rows, cols), dtype=dtype))
 
 
 def kl_rows(mu, logvar) -> Tensor:

@@ -97,6 +97,7 @@ class SideForward:
 
 def side_loss(
     slab: np.ndarray,
+    rows,
     live_enc: enc_mod.EncoderParams,
     live_dec: DecoderParams,
     live_protos,
@@ -105,30 +106,29 @@ def side_loss(
     beta: float,
     eps_list,
     tape: "T.Tape | None",
-    enc_rows: "np.ndarray | None" = None,
 ) -> tuple[ElboTerms, SideForward]:
     """One batch of the alternating objective for whichever side is live.
 
     ``slab`` holds the batch's dense interaction rows against the frozen
-    side's entities. ``live_protos`` is the prototype Parameter producing the
+    side's entities, the reconstruction target. ``rows`` is the encoder's
+    input: the same rows as scipy CSR, possibly after input dropout or
+    normalization. ``live_protos`` is the prototype Parameter producing the
     live side's aspect probabilities, or None to pin them uniform (the
     disentanglement ablations). ``eps_list`` carries one noise array per
-    aspect; None means evaluation mode (z = mu). ``enc_rows`` optionally
-    substitutes the rows fed to the encoder (input dropout or normalization)
-    while the reconstruction target stays ``slab``.
+    aspect; None means evaluation mode (z = mu).
     """
     n_aspects = frozen.n_aspects
     batch, n_frozen = slab.shape
     if frozen.means.shape[0] != n_frozen:
         raise ShapeError(f"slab width {n_frozen} vs frozen side {frozen.means.shape[0]}")
+    if rows.shape != slab.shape:
+        raise ShapeError(f"encoder rows {rows.shape} vs slab {slab.shape}")
     dim = frozen.means.shape[2]
-    if enc_rows is None:
-        enc_rows = slab
 
     mu_list, z_list, kl_cols = [], [], []
     for a in range(n_aspects):
-        masked = enc_mod.mask_interactions(enc_rows, frozen.probs[:, a])
-        mu, logvar, sigma = enc_mod.encode(T.constant(masked.astype(slab.dtype)), live_enc, tape)
+        masked = enc_mod.mask_sparse(rows, frozen.probs[:, a])
+        mu, logvar, sigma = enc_mod.encode(masked, live_enc, tape)
         eps = T.Tensor(np.zeros((batch, dim), dtype=slab.dtype)) if eps_list is None else T.constant(eps_list[a])
         z = enc_mod.reparameterize(mu, sigma, eps)
         mu_list.append(mu)
@@ -159,20 +159,6 @@ def side_loss(
     kl = T.mean_all(kl_sum)
     loss = T.sub(T.scale(kl, beta), recon)
     return ElboTerms(recon, kl, beta, loss), SideForward(z_list, mu_list, probs, scores)
-
-
-def user_side_loss(slab_users, enc_u, dec_u, user_protos, frozen_items: FrozenSide,
-                   temp, beta, eps_list, tape, enc_rows=None):
-    """User batch against all items; item state and C stay frozen."""
-    return side_loss(slab_users, enc_u, dec_u, user_protos, frozen_items,
-                     temp, beta, eps_list, tape, enc_rows)
-
-
-def item_side_loss(slab_items, enc_i, dec_i, item_protos, frozen_users: FrozenSide,
-                   temp, beta, eps_list, tape, enc_rows=None):
-    """Item batch against all users; user state and P stay frozen."""
-    return side_loss(slab_items, enc_i, dec_i, item_protos, frozen_users,
-                     temp, beta, eps_list, tape, enc_rows)
 
 
 def joint_score(p_row: np.ndarray, c_row: np.ndarray, skips: np.ndarray):

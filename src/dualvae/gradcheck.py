@@ -20,22 +20,24 @@ def _side_objective(side, matrix, params, snap, cfg, eps):
     if side == "user":
         entities = np.arange(matrix.num_users)
         slab = matrix.densify_users(entities)
+        rows = matrix.sparse_users(entities)
         frozen = snap.frozen_items()
         enc, dec = params.enc_u, params.dec_u
         protos = params.protos.user_protos
     else:
         entities = np.arange(matrix.num_items)
         slab = matrix.densify_items(entities)
+        rows = matrix.sparse_items(entities)
         frozen = snap.frozen_users()
         enc, dec = params.enc_i, params.dec_i
         protos = params.protos.item_protos
 
     ccfg = cfg.contrast_config()
-    o = nrc.batch_neighborhood_reprs(slab, frozen.probs, frozen.means)
-    participate = slab.sum(axis=1) > 0
+    o = nrc.batch_neighborhood_reprs(rows, frozen.probs, frozen.means)
+    participate = np.diff(rows.indptr) > 0
 
     def build(tape):
-        terms, fwd = gen.side_loss(slab, enc, dec, protos, frozen,
+        terms, fwd = gen.side_loss(slab, rows, enc, dec, protos, frozen,
                                    cfg.temp, cfg.beta, eps[side], tape)
         closs = nrc.batch_contrast(fwd.z, o, ccfg, participate)
         return nrc.total_loss(terms, closs, cfg.gamma)

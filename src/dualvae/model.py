@@ -83,11 +83,10 @@ def compute_side_state(matrix: InteractionMatrix, side: str, params: ModelParams
     decoded = np.empty_like(means)
     for start in range(0, n_entities, block):
         idx = np.arange(start, min(start + block, n_entities))
-        slab = (matrix.densify_users(idx, dtype) if side == "user"
-                else matrix.densify_items(idx, dtype))
+        rows = (matrix.sparse_users(idx, dtype) if side == "user"
+                else matrix.sparse_items(idx, dtype))
         for a in range(n_aspects):
-            masked = enc_mod.mask_interactions(slab, mask_probs[:, a]).astype(dtype)
-            mu, _, _ = enc_mod.encode(masked, enc)
+            mu, _, _ = enc_mod.encode(enc_mod.mask_sparse(rows, mask_probs[:, a]), enc)
             means[idx, a, :] = mu.value
             decoded[idx, a, :] = gen.decode(mu, dec).value
     return means, decoded

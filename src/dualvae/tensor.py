@@ -1,9 +1,10 @@
 """Dense 2-D tensors with tape-recorded reverse-mode differentiation.
 
 The operation vocabulary is fixed on purpose: it covers exactly what the
-dual-VAE computation graph needs (affine maps, pointwise nonlinearities,
-row softmax, row reductions, cosine machinery) and nothing else, which keeps
-every backward rule small enough to audit by hand.
+dual-VAE computation graph needs (affine maps, one of them from constant
+sparse rows, pointwise nonlinearities, row softmax, row reductions, cosine
+machinery) and nothing else, which keeps every backward rule small enough
+to audit by hand.
 
 Conventions:
   * every value on the tape is a 2-D ``float64`` (or ``float32``) array;
@@ -22,6 +23,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import ContractError, DomainError, ShapeError
 
@@ -294,6 +296,23 @@ def matmul(a, b) -> Tensor:
     return _emit(tape, out, [t for _, t in live], vjp)
 
 
+def sparse_matmul(s, b) -> Tensor:
+    """Constant sparse matrix (scipy CSR) times a tensor; backward is s.T @ g.
+
+    Costs O(nnz * cols) rather than O(rows * inner * cols), which is what a
+    batch of sparse interaction rows needs in a first dense layer.
+    """
+    tape = _tape_of(b)
+    bv = _val(b, s.dtype)
+    if s.shape[1] != bv.shape[0]:
+        raise ShapeError(f"sparse_matmul: inner dims {s.shape} x {bv.shape}")
+    out = s @ bv
+    if tape is None:
+        return Tensor(out)
+    st = s.T
+    return _emit(tape, out, [b], lambda g: (st @ g,))
+
+
 def transpose(x) -> Tensor:
     tape = _tape_of(x)
     xv = _val(x, _dtype_of(x))
@@ -313,13 +332,18 @@ def _unary(x, f, df_from_out):
     return _emit(tape, out, [x], lambda g: (df_from_out(g, out),))
 
 
-def sigmoid(x) -> Tensor:
-    def f(v):
-        # exp of -|v| never overflows; branchless split avoids slow masking
-        e = np.exp(-np.abs(v))
-        return np.where(v >= 0.0, 1.0, e) / (1.0 + e)
+def _logistic(v: np.ndarray) -> np.ndarray:
+    out = expit(v)
+    # expit underflows to 0 where the logistic is still subnormal (float64
+    # below -709.8, float32 below -88.7); below -40 it equals exp(v) in both
+    tail = v < -40.0
+    if tail.any():
+        out[tail] = np.exp(v[tail])
+    return out
 
-    return _unary(x, f, lambda g, y: g * y * (1.0 - y))
+
+def sigmoid(x) -> Tensor:
+    return _unary(x, _logistic, lambda g, y: g * y * (1.0 - y))
 
 
 def tanh(x) -> Tensor:
@@ -563,5 +587,8 @@ def sample_standard_normal(rng: RngState, shape) -> Tensor:
     return Tensor(rng.standard_normal(rows, cols))
 
 
-def constant(x, dtype=DEFAULT_DTYPE) -> Tensor:
+def constant(x, dtype=None) -> Tensor:
+    """Off-tape tensor; a float ndarray keeps its dtype unless one is given."""
+    if dtype is None:
+        dtype = x.dtype if isinstance(x, np.ndarray) and x.dtype.kind == "f" else DEFAULT_DTYPE
     return Tensor(_as_array(x, dtype))

@@ -163,16 +163,25 @@ def _assert_frozen_untouched(group, phase: str):
             raise ContractError(f"frozen parameter {p.name} accumulated gradient during {phase} phase")
 
 
-def _encoder_rows(slab, cfg: TrainConfig, rng: RngState):
-    """Optional input dropout / L2 row normalization, target rows untouched."""
-    rows = slab
+def _encoder_rows(rows, cfg: TrainConfig, rng: RngState):
+    """Optional input dropout / L2 row normalization of the encoder's CSR
+    rows, with the values the dense slab would get; ``rows`` is untouched.
+
+    Dropout draws one uniform per slab cell, zeros included, so the noise
+    stream is that of the dense slab.
+    """
+    if cfg.input_dropout == 0.0 and not cfg.normalize_input:
+        return rows
+    rows = rows.copy()
+    entry_row = np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr))
     if cfg.input_dropout > 0.0:
-        keep = (rng.uniform(*slab.shape) >= cfg.input_dropout).astype(slab.dtype)
-        rows = rows * keep / (1.0 - cfg.input_dropout)
+        keep = rng.uniform(*rows.shape)[entry_row, rows.indices] >= cfg.input_dropout
+        rows.data = rows.data * keep / (1.0 - cfg.input_dropout)
     if cfg.normalize_input:
-        norms = np.sqrt((rows * rows).sum(axis=1, keepdims=True))
-        rows = rows / np.where(norms > 0, norms, 1.0)
-    return None if rows is slab else rows
+        norms = np.zeros(rows.shape[0], rows.dtype)
+        np.add.at(norms, entry_row, rows.data * rows.data)
+        rows.data /= np.sqrt(np.where(norms > 0, norms, 1.0))[entry_row]
+    return rows
 
 
 def train_phase(side: str, train: InteractionMatrix, params: ModelParams, snap: Snapshot,
@@ -203,19 +212,20 @@ def train_phase(side: str, train: InteractionMatrix, params: ModelParams, snap: 
         for p in live_group:
             p.zero_grad()
         slab = batch.dense(dtype)
-        enc_rows = _encoder_rows(slab, cfg, noise_rng)
+        rows = batch.sparse(dtype)
+        enc_rows = _encoder_rows(rows, cfg, noise_rng)
         eps_list = [
             noise_rng.standard_normal(len(batch.indices), params.dim, dtype)
             for _ in range(params.n_aspects)
         ]
         tape = Tape()
         terms, fwd = gen.side_loss(
-            slab, enc, dec, protos, frozen, cfg.temp, beta, eps_list, tape, enc_rows
+            slab, enc_rows, enc, dec, protos, frozen, cfg.temp, beta, eps_list, tape
         )
         closs = None
         if gamma > 0.0:
-            o = nrc.batch_neighborhood_reprs(slab, frozen.probs, frozen.means)
-            participate = slab.sum(axis=1) > 0
+            o = nrc.batch_neighborhood_reprs(rows, frozen.probs, frozen.means)
+            participate = np.diff(rows.indptr) > 0
             closs = nrc.batch_contrast(fwd.z, o, ccfg, participate)
         loss = nrc.total_loss(terms, closs, gamma)
         if not np.isfinite(loss.item()):

@@ -51,6 +51,12 @@ def max_rel_err(analytic, numeric, zero_floor=1e-7, zero_atol=1e-8):
     return worst
 
 
+def reference_sigmoid(v):
+    """Logistic function written out: exp of -|v| never overflows."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0.0, 1.0, e) / (1.0 + e)
+
+
 def tape_grads(build_loss, params):
     """Analytic gradients of a tape-built scalar loss wrt the parameters."""
     for p in params:

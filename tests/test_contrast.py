@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dualvae import contrast, tensor as T
 from dualvae.errors import ConfigError
@@ -73,7 +74,7 @@ def test_batch_reprs_match_single_entity_loops():
     probs = RNG.random((n, A))
     probs /= probs.sum(axis=1, keepdims=True)
     means = RNG.standard_normal((n, A, d))
-    got = contrast.batch_neighborhood_reprs(slab, probs, means)
+    got = contrast.batch_neighborhood_reprs(sp.csr_matrix(slab), probs, means)
     for row in range(b):
         neigh = np.nonzero(slab[row])[0]
         for a in range(A):

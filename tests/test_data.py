@@ -183,6 +183,20 @@ def test_batch_dense_matches_sparse_rows():
         np.testing.assert_array_equal(np.nonzero(islab[k])[0], m.item_users[i])
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_batch_csr_equals_dense_slab(dtype):
+    m = make_matrix(seed=5)
+    for side, size in (("user", 7), ("item", 5)):
+        for batch in data.make_batches(m, side, size, seed=1):
+            rows = batch.sparse(dtype)
+            assert rows.dtype == dtype and rows.has_sorted_indices
+            np.testing.assert_array_equal(rows.toarray(), batch.dense(dtype))
+    some = np.array([4, 0, 4, 2])
+    np.testing.assert_array_equal(m.sparse_users(some).toarray(), m.densify_users(some))
+    np.testing.assert_array_equal(m.sparse_items(some).toarray(), m.densify_items(some))
+    assert m.sparse_users(np.array([], dtype=int)).shape == (0, m.num_items)
+
+
 def test_batch_shuffles_differ_by_epoch_but_reproduce():
     m = make_matrix(num_users=50)
     e0 = np.concatenate([b.indices for b in data.make_batches(m, "user", 16, seed=4, epoch=0)])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dualvae import data, generation as gen, model, tensor as T
 from dualvae.errors import DomainError
@@ -124,8 +125,8 @@ def test_user_loss_closed_form_all_zero_rows():
     # single user, r = 0 everywhere, so recon = -sum_i g_i
     matrix, params, snap = tiny_world(seed=3)
     slab = np.zeros((1, matrix.num_items))
-    terms, fwd = gen.user_side_loss(
-        slab, params.enc_u, params.dec_u, params.protos.user_protos,
+    terms, fwd = gen.side_loss(
+        slab, sp.csr_matrix(slab.shape), params.enc_u, params.dec_u, params.protos.user_protos,
         snap.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=None,
     )
     np.testing.assert_allclose(terms.recon.item(), -fwd.scores.value.sum(), atol=1e-12)
@@ -138,8 +139,9 @@ def test_user_loss_kl_is_sum_of_per_aspect_kls():
     matrix, params, snap = tiny_world(seed=5)
     users = [0, 1]
     slab = matrix.densify_users(users)
-    terms, fwd = gen.user_side_loss(
-        slab, params.enc_u, params.dec_u, params.protos.user_protos,
+    rows = matrix.sparse_users(users)
+    terms, fwd = gen.side_loss(
+        slab, rows, params.enc_u, params.dec_u, params.protos.user_protos,
         snap.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=None,
     )
     want = 0.0
@@ -153,8 +155,9 @@ def test_user_loss_kl_is_sum_of_per_aspect_kls():
 def test_elbo_terms_sign_convention():
     matrix, params, snap = tiny_world(seed=6)
     slab = matrix.densify_users([0, 1, 2])
-    terms, _ = gen.user_side_loss(
-        slab, params.enc_u, params.dec_u, params.protos.user_protos,
+    rows = matrix.sparse_users([0, 1, 2])
+    terms, _ = gen.side_loss(
+        slab, rows, params.enc_u, params.dec_u, params.protos.user_protos,
         snap.frozen_items(), temp=0.5, beta=0.7, eps_list=None, tape=None,
     )
     np.testing.assert_allclose(
@@ -165,13 +168,14 @@ def test_elbo_terms_sign_convention():
 def test_user_loss_gradient_matches_finite_differences():
     matrix, params, snap = tiny_world(m=4, n=6, A=2, d=3, hidden=4, seed=8)
     slab = matrix.densify_users([0, 1, 2, 3])
+    rows = matrix.sparse_users([0, 1, 2, 3])
     eps = [RNG.standard_normal((4, 3)) for _ in range(2)]
     frozen = snap.frozen_items()
     live = params.user_group()
 
     def build(tape):
-        terms, _ = gen.user_side_loss(
-            slab, params.enc_u, params.dec_u, params.protos.user_protos,
+        terms, _ = gen.side_loss(
+            slab, rows, params.enc_u, params.dec_u, params.protos.user_protos,
             frozen, temp=0.5, beta=1.0, eps_list=eps, tape=tape,
         )
         return terms.loss
@@ -188,11 +192,12 @@ def test_user_loss_gradient_matches_finite_differences():
 def test_frozen_side_gets_zero_gradient():
     matrix, params, snap = tiny_world(seed=9)
     slab = matrix.densify_users([0, 1])
+    rows = matrix.sparse_users([0, 1])
     for p in params.all_params():
         p.zero_grad()
     tape = T.Tape()
-    terms, _ = gen.user_side_loss(
-        slab, params.enc_u, params.dec_u, params.protos.user_protos,
+    terms, _ = gen.side_loss(
+        slab, rows, params.enc_u, params.dec_u, params.protos.user_protos,
         snap.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=tape,
     )
     tape.backward(terms.loss)
@@ -233,12 +238,14 @@ def test_item_loss_equals_user_loss_on_transposed_data():
     snap_t = model.refresh(matrix_t, params_t, snap_t.C, snap_t.P, temp=0.5)
 
     items = list(range(n))
-    terms_item, _ = gen.item_side_loss(
-        matrix.densify_items(items), params.enc_i, params.dec_i, params.protos.item_protos,
+    terms_item, _ = gen.side_loss(
+        matrix.densify_items(items), matrix.sparse_items(items),
+        params.enc_i, params.dec_i, params.protos.item_protos,
         snap.frozen_users(), temp=0.5, beta=1.0, eps_list=None, tape=None,
     )
-    terms_user_t, _ = gen.user_side_loss(
-        matrix_t.densify_users(items), params_t.enc_u, params_t.dec_u, params_t.protos.user_protos,
+    terms_user_t, _ = gen.side_loss(
+        matrix_t.densify_users(items), matrix_t.sparse_users(items),
+        params_t.enc_u, params_t.dec_u, params_t.protos.user_protos,
         snap_t.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=None,
     )
     assert abs(terms_item.loss.item() - terms_user_t.loss.item()) < 1e-9
@@ -247,9 +254,10 @@ def test_item_loss_equals_user_loss_on_transposed_data():
 def test_eval_mode_scores_are_deterministic():
     matrix, params, snap = tiny_world(seed=13)
     slab = matrix.densify_users([0, 1])
-    args = (slab, params.enc_u, params.dec_u, params.protos.user_protos, snap.frozen_items())
-    _, fwd1 = gen.user_side_loss(*args, temp=0.5, beta=1.0, eps_list=None, tape=None)
-    _, fwd2 = gen.user_side_loss(*args, temp=0.5, beta=1.0, eps_list=None, tape=None)
+    rows = matrix.sparse_users([0, 1])
+    args = (slab, rows, params.enc_u, params.dec_u, params.protos.user_protos, snap.frozen_items())
+    _, fwd1 = gen.side_loss(*args, temp=0.5, beta=1.0, eps_list=None, tape=None)
+    _, fwd2 = gen.side_loss(*args, temp=0.5, beta=1.0, eps_list=None, tape=None)
     np.testing.assert_array_equal(fwd1.scores.value, fwd2.scores.value)
 
 
@@ -258,11 +266,12 @@ def test_frozen_perturbation_moves_loss_but_not_accumulators():
     # the frozen pack) while its gradient accumulator stays exactly zero
     matrix, params, snap = tiny_world(seed=21)
     slab = matrix.densify_users([0, 1, 2])
+    rows = matrix.sparse_users([0, 1, 2])
 
     def loss_with_current_item_side():
         s = model.refresh(matrix, params, snap.C, snap.P, temp=0.5)
-        terms, _ = gen.user_side_loss(
-            slab, params.enc_u, params.dec_u, params.protos.user_protos,
+        terms, _ = gen.side_loss(
+            slab, rows, params.enc_u, params.dec_u, params.protos.user_protos,
             s.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=None,
         )
         return terms.loss.item()
@@ -276,8 +285,8 @@ def test_frozen_perturbation_moves_loss_but_not_accumulators():
     for p in params.all_params():
         p.zero_grad()
     tape = T.Tape()
-    terms, _ = gen.user_side_loss(
-        slab, params.enc_u, params.dec_u, params.protos.user_protos,
+    terms, _ = gen.side_loss(
+        slab, rows, params.enc_u, params.dec_u, params.protos.user_protos,
         snap.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=tape,
     )
     tape.backward(terms.loss)
@@ -300,3 +309,33 @@ def test_aspect_weight_bound_equality_only_for_matching_one_hots():
         assert total <= 1.0
         if total == 1.0:  # equality demands matching one-hot rows
             assert p.max() == 1.0 and c.max() == 1.0 and p.argmax() == c.argmax()
+
+
+def test_float32_batch_records_only_float32_nodes():
+    from dualvae import contrast
+
+    m, n, A, d, hidden, f32 = 5, 8, 2, 3, 4, np.float32
+    dense = (np.random.default_rng(2).random((m, n)) < 0.5).astype(float)
+    dense[:, 0] = 1.0
+    dense[0, :] = 1.0
+    matrix = data.from_dense(dense)
+    params = model.ModelParams(m, n, A, d, hidden, T.RngState(1), f32)
+    snap = model.bootstrap(matrix, params, temp=0.5, dtype=f32)
+    snap = model.refresh(matrix, params, snap.C, snap.P, temp=0.5, dtype=f32)
+    users = [0, 1, 2, 3]
+    rows = matrix.sparse_users(users, f32)
+    frozen = snap.frozen_items()
+    eps = [T.RngState(3).derive(a).standard_normal(len(users), d, f32) for a in range(A)]
+
+    tape = T.Tape()
+    terms, fwd = gen.side_loss(
+        matrix.densify_users(users, f32), rows, params.enc_u, params.dec_u,
+        params.protos.user_protos, frozen, temp=0.5, beta=1.0, eps_list=eps, tape=tape,
+    )
+    o = contrast.batch_neighborhood_reprs(rows, frozen.probs, frozen.means)
+    closs = contrast.batch_contrast(fwd.z, o, contrast.ContrastConfig(), np.diff(rows.indptr) > 0)
+    loss = contrast.total_loss(terms, closs, 0.1)
+    tape.backward(loss)
+    assert {node.value.dtype for node in tape.nodes} == {np.dtype(f32)}
+    assert {g.dtype for g in tape.grads if g is not None} == {np.dtype(f32)}
+    assert all(p.grad.dtype == f32 for p in params.user_group())

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualvae import tensor as T
 from dualvae.errors import ContractError, DomainError, ShapeError
 
-from helpers import finite_difference, max_rel_err, tape_grads
+from helpers import finite_difference, max_rel_err, reference_sigmoid, tape_grads
 
 RNG = np.random.default_rng(20240517)
 
@@ -36,6 +37,31 @@ def test_matmul_shape_mismatch():
 
 def test_sigmoid_at_zero():
     assert T.sigmoid(np.zeros((1, 1))).item() == 0.5
+
+
+@pytest.mark.parametrize("dtype,lowest", [(np.float64, -800.0), (np.float32, -120.0)])
+def test_sigmoid_within_4_ulp_of_reference(dtype, lowest):
+    # down to where the logistic underflows to 0 in the dtype
+    x = np.concatenate([3.0 * RNG.standard_normal((1, 400)),
+                        np.linspace(lowest, 40.0, 4001).reshape(1, -1)], axis=1).astype(dtype)
+    out = T.sigmoid(x).value
+    assert out.dtype == dtype
+    np.testing.assert_array_max_ulp(out, reference_sigmoid(x).astype(dtype), maxulp=4)
+
+
+def test_sparse_matmul_matches_dense():
+    s = sp.random(5, 7, density=0.3, random_state=1, format="csr")
+    b = RNG.standard_normal((7, 3))
+    np.testing.assert_allclose(T.sparse_matmul(s, b).value, s.toarray() @ b, atol=1e-14)
+    with pytest.raises(ShapeError):
+        T.sparse_matmul(s, np.zeros((6, 3)))
+
+
+def test_constant_keeps_float_dtype():
+    assert T.constant(np.zeros((2, 2), np.float32)).dtype == np.float32
+    assert T.constant(np.zeros((2, 2), np.float32), np.float64).dtype == np.float64
+    assert T.constant(np.arange(3)).dtype == np.float64
+    assert T.constant(1.5).dtype == np.float64
 
 
 def test_softmax_uniform_row():
@@ -147,6 +173,13 @@ def test_grad_matmul():
     a = rand_param("a", 3, 4)
     b = rand_param("b", 4, 2)
     _check_op(lambda t: T.sum_all(T.matmul(t.leaf(a), t.leaf(b))), [a, b])
+
+
+def test_grad_sparse_matmul():
+    s = sp.random(4, 6, density=0.4, random_state=3, format="csr")
+    b = rand_param("b", 6, 3)
+    w = RNG.standard_normal((4, 3))
+    _check_op(lambda t: T.sum_all(T.mul(T.tanh(T.sparse_matmul(s, t.leaf(b))), w)), [b])
 
 
 def test_grad_elementwise_chain():

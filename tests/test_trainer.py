@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dualvae import data, evaluation, synth, trainer
 from dualvae.errors import CheckpointError, ConfigError, NumericError
@@ -287,21 +288,48 @@ def test_input_dropout_and_normalization_paths():
     from dualvae.tensor import RngState
 
     rng = RngState(3).derive(9)
-    slab = np.ones((4, 10))
+    slab = sp.csr_matrix(np.ones((4, 10)))
     cfg = small_cfg(input_dropout=0.5)
-    rows = trainer._encoder_rows(slab, cfg, rng)
-    assert rows is not None
+    out = trainer._encoder_rows(slab, cfg, rng)
+    assert out is not slab
+    rows = out.toarray()
     kept = rows > 0
     np.testing.assert_allclose(rows[kept], 2.0)  # inverse-keep scaling
-    assert 0 < kept.sum() < slab.size
-    np.testing.assert_array_equal(slab, np.ones((4, 10)))  # target untouched
+    assert 0 < kept.sum() < rows.size
+    np.testing.assert_array_equal(slab.toarray(), np.ones((4, 10)))  # target untouched
 
     cfg = small_cfg(normalize_input=True)
-    rows = trainer._encoder_rows(slab, cfg, rng)
+    rows = trainer._encoder_rows(slab, cfg, rng).toarray()
     np.testing.assert_allclose(np.linalg.norm(rows, axis=1), np.ones(4))
 
     cfg = small_cfg()
-    assert trainer._encoder_rows(slab, cfg, rng) is None
+    assert trainer._encoder_rows(slab, cfg, rng) is slab
+
+
+def dense_encoder_rows(slab, cfg, rng):
+    """The dense-slab formula the CSR version must reproduce."""
+    rows = slab
+    if cfg.input_dropout > 0.0:
+        keep = (rng.uniform(*slab.shape) >= cfg.input_dropout).astype(slab.dtype)
+        rows = rows * keep / (1.0 - cfg.input_dropout)
+    if cfg.normalize_input:
+        norms = np.sqrt((rows * rows).sum(axis=1, keepdims=True))
+        rows = rows / np.where(norms > 0, norms, 1.0)
+    return rows
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("dropout,normalize", [(0.3, False), (0.0, True), (0.3, True)])
+def test_encoder_rows_on_csr_match_dense_formula(dropout, normalize, dtype):
+    from dualvae.tensor import RngState
+
+    matrix = data.from_dense((np.random.default_rng(4).random((9, 40)) < 0.3))
+    users = np.array([3, 0, 8, 5])
+    cfg = small_cfg(input_dropout=dropout, normalize_input=normalize)
+    got = trainer._encoder_rows(matrix.sparse_users(users, dtype), cfg, RngState(2).derive(1))
+    want = dense_encoder_rows(matrix.densify_users(users, dtype), cfg, RngState(2).derive(1))
+    assert got.dtype == dtype
+    np.testing.assert_array_max_ulp(got.toarray(), want, maxulp=1)
 
 
 def test_fit_with_input_tricks_still_descends():
