@@ -232,7 +232,7 @@ def cmd_evaluate(args) -> int:
 def cmd_recommend(args) -> int:
     import numpy as np
 
-    from . import config as config_mod, evaluation, generation, trainer
+    from . import config as config_mod, evaluation, trainer
     from .errors import DataError
 
     run_cfg = config_mod.load_config(args.config)
@@ -240,25 +240,20 @@ def cmd_recommend(args) -> int:
     _, split = _load_dataset(run_cfg)
     _check_dataset(ckpt, split.train)
     id_to_idx = {orig: k for k, orig in enumerate(split.train.user_ids)}
-    snap = ckpt.snapshot
-    print("user\trank\titem\tscore\t" +
-          "\t".join(f"aspect_{a}" for a in range(ckpt.params.n_aspects)))
-    for token in args.users.split(","):
-        token = token.strip()
+    tokens = [token.strip() for token in args.users.split(",")]
+    for token in tokens:
         if token not in id_to_idx:
             raise DataError(f"unknown user id {token!r}")
-        u = id_to_idx[token]
-        scores = evaluation.score_all(ckpt.params, snap, [u], masks=[split.train])[0]
-        top = evaluation.top_n(scores[None, :], args.top_n)[0]
+    users = [id_to_idx[token] for token in tokens]
+    addends = [t.value for t in evaluation.user_addends(ckpt.snapshot, users)]
+    scores = sum(addends)
+    ranked = scores.copy()
+    ranked[split.train.user_items.gather(users)] = -np.inf
+    print("user\trank\titem\tscore\t" + "\t".join(f"aspect_{a}" for a in range(len(addends))))
+    for k, top in enumerate(evaluation.top_n(ranked, args.top_n)):
         for rank, item in enumerate(top, start=1):
-            skips = np.array([
-                snap.user_means[u, a] @ snap.item_means[item, a]
-                + snap.user_decoded[u, a] @ snap.item_decoded[item, a]
-                for a in range(ckpt.params.n_aspects)
-            ])
-            g, addends = generation.joint_score(snap.P[u], snap.C[item], skips)
-            addend_cols = "\t".join(f"{x:.6f}" for x in addends)
-            print(f"{token}\t{rank}\t{split.train.item_ids[item]}\t{g:.6f}\t{addend_cols}")
+            addend_cols = "\t".join(f"{x[k, item]:.6f}" for x in addends)
+            print(f"{tokens[k]}\t{rank}\t{split.train.item_ids[item]}\t{scores[k, item]:.6f}\t{addend_cols}")
     return EXIT_OK
 
 

@@ -1,31 +1,37 @@
 """Top-N ranking evaluation: capped Recall@N and NDCG@N.
 
-Scores come from the evaluation-mode pair model (z = mu). Items the user
-interacted with in masked splits are pushed to -inf before ranking so they
-can never be recommended back. Ties are broken by ascending item index so
-results reproduce across runs.
+Scores are the training objective's pair scores in evaluation mode (z = mu):
+``user_addends`` feeds the snapshot to ``generation.aspect_addends`` as
+constants, with no tape, so ranking, ``recommend`` and training share one
+score. Items the user interacted with in masked splits are pushed to -inf
+before ranking so they can never be recommended back. Ties are broken by
+ascending item index so results reproduce across runs.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from . import generation as gen, tensor as T
 from .data import DatasetSplit, InteractionMatrix
 from .model import ModelParams, Snapshot
 
 
+def user_addends(snap: Snapshot, users):
+    """Per-aspect addends of the pair scores g(u, i) of the given users
+    against all items: a generator of (b, n_items) constant tensors, which
+    sum to the scores in aspect order."""
+    users = np.asarray(users, dtype=np.int64)
+    codes = [T.constant(snap.user_means[users, a, :]) for a in range(snap.P.shape[1])]
+    images = [T.constant(snap.user_decoded[users, a, :]) for a in range(snap.P.shape[1])]
+    return gen.aspect_addends(codes, images, T.constant(snap.P[users]), snap.frozen_items())
+
+
 def score_block(params: ModelParams, snap: Snapshot, users) -> np.ndarray:
     """Pair scores g(u, i) for the given users against all items."""
-    users = np.asarray(users, dtype=np.int64)
-    n_items = snap.item_means.shape[0]
-    out = np.zeros((len(users), n_items), dtype=np.float64)
-    for a in range(params.n_aspects):
-        zu = snap.user_means[users, a, :]
-        fu = snap.user_decoded[users, a, :]
-        skip = zu @ snap.item_means[:, a, :].T + fu @ snap.item_decoded[:, a, :].T
-        sig = 1.0 / (1.0 + np.exp(-skip))
-        out += snap.P[users, a][:, None] * snap.C[:, a][None, :] * sig
-    return out
+    return functools.reduce(T.add, user_addends(snap, users)).value
 
 
 def score_all(params: ModelParams, snap: Snapshot, users, masks, block: int = 256) -> np.ndarray:
@@ -35,7 +41,7 @@ def score_all(params: ModelParams, snap: Snapshot, users, masks, block: int = 25
     of them is removed from the ranking candidates.
     """
     users = np.asarray(users, dtype=np.int64)
-    out = np.empty((len(users), snap.item_means.shape[0]), dtype=np.float64)
+    out = np.empty((len(users), snap.item_means.shape[0]), dtype=snap.item_means.dtype)
     for start in range(0, len(users), block):
         out[start: start + block] = score_block(params, snap, users[start: start + block])
     for m in masks:

@@ -4,7 +4,10 @@ A pair's score aggregates per-aspect agreement: the aspect probabilities of
 the user and the item weight a sigmoid of a skip-connection score, which sums
 the raw inner product of the two latents with the inner product of their
 nonlinearly mapped images. The raw term keeps gradients alive when the
-nonlinear path saturates (latent-collapse guard). Observations are scored
+nonlinear path saturates (latent-collapse guard). ``aspect_addends`` is the
+one place this score is computed: training records it on the tape, ranking
+and ``recommend`` build it from snapshot constants, and its per-aspect
+addends are the explanation ``recommend`` prints. Observations are scored
 under a Poisson likelihood, r * log g - g, whose log r! term vanishes for
 binary feedback.
 
@@ -15,12 +18,13 @@ constants, so their gradient accumulators provably stay zero.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import aspects, encoder as enc_mod, tensor as T
-from .errors import DomainError, ShapeError
+from .errors import ShapeError
 from .tensor import Parameter, RngState, Tensor
 
 
@@ -43,23 +47,9 @@ def decode(z, dec: DecoderParams, tape: "T.Tape | None" = None) -> Tensor:
     return T.tanh(T.add(T.matmul(z, dec.w.value), dec.b.value))
 
 
-def skip_score(z_a, z_b, dec_a: DecoderParams, dec_b: DecoderParams,
-               tape: "T.Tape | None" = None) -> Tensor:
-    """Per-row skip score <z_a, z_b> + <f(z_a), f(z_b)> as a column vector."""
-    raw = T.dot_rows(z_a, z_b)
-    mapped = T.dot_rows(decode(z_a, dec_a, tape), decode(z_b, dec_b, tape))
-    return T.add(raw, mapped)
-
-
-def poisson_loglik(r, g):
-    """log p(r | g) = r * log g - g for binary r; g must be positive."""
-    g_val = g.value if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
-    if np.any(g_val <= 0.0):
-        raise DomainError("poisson_loglik: rate must be strictly positive")
-    if isinstance(g, Tensor):
-        return T.sub(T.mul(r, T.log(g)), g)
-    r = np.asarray(r, dtype=np.float64)
-    return r * np.log(g_val) - g_val
+def poisson_loglik(r, g) -> Tensor:
+    """log p(r | g) = r * log g - g per entry, for binary r; g must be positive."""
+    return T.sub(T.mul(r, T.log(g)), g)
 
 
 @dataclass
@@ -69,6 +59,14 @@ class FrozenSide:
     means: np.ndarray    # (N, A, d) posterior means
     decoded: np.ndarray  # (N, A, d) tanh decoder images of the means
     probs: np.ndarray    # (N, A) aspect probabilities (C or P)
+
+    def __post_init__(self):
+        # per aspect, one contiguous (2d, N) block [means | images]^T, so that a
+        # single product gives both inner products of the skip score
+        n, n_aspects, dim = self.means.shape
+        self.keys = np.empty((n_aspects, 2 * dim, n), dtype=self.means.dtype)
+        self.keys[:, :dim] = self.means.transpose(1, 2, 0)
+        self.keys[:, dim:] = self.decoded.transpose(1, 2, 0)
 
     @property
     def n_aspects(self):
@@ -141,18 +139,9 @@ def side_loss(
     else:
         probs = T.constant(aspects.uniform_probs(batch, n_aspects, slab.dtype))
 
-    scores = None
-    for a in range(n_aspects):
-        skip = T.add(
-            T.matmul(z_list[a], frozen.means[:, a, :].T.copy()),
-            T.matmul(decode(z_list[a], live_dec, tape), frozen.decoded[:, a, :].T.copy()),
-        )
-        live_w = T.slice_cols(probs, a, a + 1)  # (b, 1), broadcasts down columns
-        frozen_w = frozen.probs[:, a][None, :]  # (1, N), broadcasts across rows
-        term = T.mul(T.mul(T.sigmoid(skip), frozen_w), live_w)
-        scores = term if scores is None else T.add(scores, term)
-
-    recon = T.mean_all(T.sum_rows(T.sub(T.mul(slab, T.log(scores)), scores)))
+    images = [decode(z, live_dec, tape) for z in z_list]
+    scores = functools.reduce(T.add, aspect_addends(z_list, images, probs, frozen))
+    recon = T.mean_all(T.sum_rows(poisson_loglik(slab, scores)))
     kl_sum = kl_cols[0]
     for col in kl_cols[1:]:
         kl_sum = T.add(kl_sum, col)
@@ -161,16 +150,20 @@ def side_loss(
     return ElboTerms(recon, kl, beta, loss), SideForward(z_list, mu_list, probs, scores)
 
 
-def joint_score(p_row: np.ndarray, c_row: np.ndarray, skips: np.ndarray):
-    """Evaluation-mode pair score and its per-aspect addends.
+def aspect_addends(z_list, images, probs, frozen: FrozenSide):
+    """Per-aspect addends of the pair scores of a batch against every frozen entity.
 
-    g = sum_a p_a * c_a * sigmoid(skip_a); the addends are returned so the
-    aspect responsible for a recommendation can be reported.
+    The pair score is g = sum_a p_a * c_a * sigmoid(<z_a, m_a> + <f(z_a), f(m_a)>),
+    where ``z_list`` and ``images`` hold the batch's per-aspect (b, d) codes
+    and decoder images, ``probs`` its (b, A) aspect probabilities, and
+    ``frozen`` the other side's means, images and probabilities. Yields the
+    (b, N) addend of each aspect in turn, so that a caller summing them holds
+    one at a time. Only tape ops are used: the addends are recorded when the
+    codes are, and are constants otherwise.
     """
-    p_row = np.asarray(p_row, dtype=np.float64).reshape(-1)
-    c_row = np.asarray(c_row, dtype=np.float64).reshape(-1)
-    skips = np.asarray(skips, dtype=np.float64).reshape(-1)
-    if not (p_row.shape == c_row.shape == skips.shape):
-        raise ShapeError("joint_score: aspect counts disagree")
-    addends = p_row * c_row * (1.0 / (1.0 + np.exp(-skips)))
-    return float(addends.sum()), addends
+    for a, (z, image) in enumerate(zip(z_list, images)):
+        live_w = T.slice_cols(probs, a, a + 1)  # (b, 1), broadcasts down columns
+        frozen_w = frozen.probs[:, a][None, :]  # (1, N), broadcasts across rows
+        # one expression, so that the paused generator holds no (b, N) array
+        yield T.mul(T.mul(T.sigmoid(T.matmul(T.concat_cols([z, image]), frozen.keys[a])),
+                          frozen_w), live_w)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ContractError, DomainError, ShapeError
 
@@ -333,9 +332,15 @@ def _unary(x, f, df_from_out):
 
 
 def _logistic(v: np.ndarray) -> np.ndarray:
-    out = expit(v)
-    # expit underflows to 0 where the logistic is still subnormal (float64
-    # below -709.8, float32 below -88.7); below -40 it equals exp(v) in both
+    """1 / (1 + exp(-v)), computed in one fresh array."""
+    out = np.negative(v)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    # exp(-v) overflows to inf, so the formula gives 0, where the logistic is
+    # still subnormal (float64 below -709.8, float32 below -88.7); below -40
+    # it equals exp(v) in both
     tail = v < -40.0
     if tail.any():
         out[tail] = np.exp(v[tail])

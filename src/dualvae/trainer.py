@@ -282,15 +282,6 @@ class FitResult:
     stopped_epoch: int = 0
 
 
-def _copy_params(params: ModelParams, dtype) -> ModelParams:
-    clone = ModelParams(params.num_users, params.num_items, params.n_aspects,
-                        params.dim, params.hidden, RngState(0), dtype)
-    for dst, src in zip(clone.all_params(), params.all_params()):
-        dst.value = src.value.copy()
-        dst.grad = np.zeros_like(dst.value)
-    return clone
-
-
 def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = False) -> FitResult:
     """Full training run returning the best-validation checkpoint."""
     cfg.validate()
@@ -348,7 +339,7 @@ def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = Fa
                     best_metric=float(metric),
                     rng_state=rng.state_dict(),
                     dataset=dict(dataset_info),
-                    params=_copy_params(params, dtype),
+                    params=copy.deepcopy(params),
                     snapshot=Snapshot(
                         snap.C.copy(), snap.P.copy(),
                         snap.user_means.copy(), snap.user_decoded.copy(),

@@ -2,14 +2,15 @@
 
 Everything in here is deliberately written the slow, obvious way (explicit
 loops, brute-force enumeration) so it stays independent of the library code
-paths it checks.
+paths it checks, apart from the small adapters marked as such.
 """
 
+import functools
 import hashlib
 
 import numpy as np
 
-from dualvae import data, tensor as T
+from dualvae import data, generation as gen, tensor as T
 
 
 def finite_difference(loss_fn, params, h=1e-6):
@@ -55,6 +56,21 @@ def reference_sigmoid(v):
     """Logistic function written out: exp of -|v| never overflows."""
     e = np.exp(-np.abs(v))
     return np.where(v >= 0.0, 1.0, e) / (1.0 + e)
+
+
+def paired_scores(P, C, skips):
+    """Adapter, not an oracle: g and its (n, A) addends for the pairs
+    (row k of P, row k of C) whose aspect-a skip score is ``skips[k, a]``,
+    summed as the library sums ``generation.aspect_addends``. With d = 1,
+    unit frozen means and zero images, the skip score of aspect a is the
+    code z_a itself."""
+    P, C, skips = (np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in (P, C, skips))
+    n, A = P.shape
+    frozen = gen.FrozenSide(np.ones((n, A, 1)), np.zeros((n, A, 1)), C)
+    terms = list(gen.aspect_addends([T.constant(skips[:, a:a + 1]) for a in range(A)],
+                                    [T.constant(np.zeros((n, 1)))] * A, T.constant(P), frozen))
+    g = functools.reduce(T.add, terms)
+    return np.diag(g.value), np.stack([np.diag(t.value) for t in terms], axis=1)
 
 
 def tape_grads(build_loss, params):

@@ -172,6 +172,18 @@ def test_recommend_addends_sum_to_score(workspace):
         addends = [float(x) for x in cols[4:]]
         assert abs(score - sum(addends)) < 1e-9
     assert len(lines) == 1 + 2 * 4
+    # the score each row prints is the ranking score of that pair
+    from dualvae import cli, evaluation, trainer
+
+    ckpt = trainer.load_checkpoint(workspace / "out" / "checkpoint.ckpt", dtype="float64")
+    _, split = cli._load_dataset(config_mod.load_config(workspace / "run.ini"))
+    user_index = {uid: k for k, uid in enumerate(split.train.user_ids)}
+    item_index = {iid: k for k, iid in enumerate(split.train.item_ids)}
+    for ln in lines[1:]:
+        user, _, item, score = ln.split("\t")[:4]
+        want = evaluation.score_all(ckpt.params, ckpt.snapshot, [user_index[user]],
+                                    masks=[split.train])[0, item_index[item]]
+        assert score == f"{want:.6f}"
 
 
 def test_recommend_unknown_user_is_data_error(workspace):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualvae import data, evaluation as ev, model, tensor as T
+from dualvae import data, evaluation as ev, generation as gen, model, tensor as T
 
 
 def brute_force_metrics(order, test_set, n):
@@ -183,6 +183,32 @@ def test_scores_repeatable_and_in_range():
     s2 = ev.score_block(params, snap, users)
     np.testing.assert_array_equal(s1, s2)
     assert np.all(s1 > 0.0) and np.all(s1 < 1.0)
+
+
+def test_training_and_ranking_score_the_same_pairs():
+    # the bootstrap snapshot's means were encoded under its own uniform C,
+    # and pinned probabilities equal its uniform P, so training's
+    # evaluation-mode scores and ranking's must agree
+    rng = np.random.default_rng(4)
+    matrix = data.from_dense((rng.random((9, 11)) < 0.4).astype(float))
+    params = model.ModelParams(9, 11, 3, 4, 5, T.RngState(4))
+    snap = model.bootstrap(matrix, params, temp=0.5)
+    users = np.array([0, 3, 4, 8])
+    _, fwd = gen.side_loss(
+        matrix.densify_users(users), matrix.sparse_users(users), params.enc_u, params.dec_u,
+        None, snap.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=None,
+    )
+    np.testing.assert_allclose(fwd.scores.value, ev.score_block(params, snap, users),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_float32_snapshot_scores_in_float32():
+    _, split, params, snap = scored_world(seed=2)
+    snap32 = model.Snapshot(**{k: v.astype(np.float32) for k, v in vars(snap).items()})
+    users = np.arange(split.train.num_users)
+    got = ev.score_all(params, snap32, users, [split.train])
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got, ev.score_all(params, snap, users, [split.train]), rtol=1e-5)
 
 
 def test_masked_items_never_ranked():

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from dualvae import data, generation as gen, model, tensor as T
 from dualvae.errors import DomainError
 
-from helpers import finite_difference, max_rel_err
+from helpers import finite_difference, max_rel_err, paired_scores, reference_sigmoid
 
 RNG = np.random.default_rng(77)
 
@@ -23,22 +23,31 @@ def tiny_world(m=4, n=6, A=2, d=3, hidden=4, seed=0, density=0.5):
 
 
 # ---------------------------------------------------------------------------
-# skip score
+# skip score, through aspect_addends: with one aspect and p = c = 1 the addend
+# is sigmoid(skip)
+
+def one_aspect_addends(za, zb, dec_a, dec_b, tape=None):
+    """(b_a, b_b) addends sigmoid(<za, zb> + <f(za), f(zb)>) of one aspect."""
+    frozen = gen.FrozenSide(zb[:, None, :], gen.decode(T.constant(zb), dec_b).value[:, None, :],
+                            np.ones((zb.shape[0], 1)))
+    probs = T.constant(np.ones((za.shape[0], 1)))
+    return next(gen.aspect_addends([za], [gen.decode(za, dec_a, tape)], probs, frozen))
+
 
 def test_skip_zero_latents_zero_bias():
     dec_a = gen.DecoderParams("da", 3, T.RngState(1))
     dec_b = gen.DecoderParams("db", 3, T.RngState(2))
-    z = T.constant(np.zeros((2, 3)))
-    out = gen.skip_score(z, z, dec_a, dec_b)
-    np.testing.assert_allclose(out.value, np.zeros((2, 1)))
+    out = one_aspect_addends(T.constant(np.zeros((2, 3))), np.zeros((2, 3)), dec_a, dec_b)
+    np.testing.assert_allclose(out.value, np.full((2, 2), 0.5))  # skip score 0
 
 
 def test_skip_reduces_to_inner_product_when_mapped_path_zeroed():
     dec = gen.DecoderParams("d", 3, T.RngState(1))
     dec.w.value[...] = 0.0  # tanh(0 + 0) = 0 kills the nonlinear path
     za, zb = RNG.standard_normal((5, 3)), RNG.standard_normal((5, 3))
-    out = gen.skip_score(T.constant(za), T.constant(zb), dec, dec)
-    np.testing.assert_allclose(out.value[:, 0], (za * zb).sum(axis=1), atol=1e-12)
+    out = one_aspect_addends(T.constant(za), zb, dec, dec)
+    np.testing.assert_allclose(np.diag(out.value), reference_sigmoid((za * zb).sum(axis=1)),
+                               atol=1e-12)
 
 
 def test_skip_gradient_wrt_latent():
@@ -48,7 +57,7 @@ def test_skip_gradient_wrt_latent():
     zb = RNG.standard_normal((4, 3))
 
     def build(tape):
-        return T.sum_all(gen.skip_score(tape.leaf(za), T.constant(zb), dec_a, dec_b, tape))
+        return T.sum_all(one_aspect_addends(tape.leaf(za), zb, dec_a, dec_b, tape))
 
     za.zero_grad()
     tape = T.Tape()
@@ -58,25 +67,25 @@ def test_skip_gradient_wrt_latent():
 
 
 # ---------------------------------------------------------------------------
-# joint score
+# joint score g and its per-aspect addends
 
 def test_joint_score_single_aspect_at_zero_skip():
-    g, addends = gen.joint_score([1.0], [1.0], [0.0])
-    assert abs(g - 0.5) < 1e-12 and len(addends) == 1
+    g, addends = paired_scores([1.0], [1.0], [0.0])
+    assert abs(g[0] - 0.5) < 1e-12 and addends.shape == (1, 1)
 
 
 def test_joint_score_uniform_two_aspects():
-    g, _ = gen.joint_score([0.5, 0.5], [0.5, 0.5], [0.0, 0.0])
-    assert abs(g - 0.25) < 1e-12
+    g, _ = paired_scores([0.5, 0.5], [0.5, 0.5], [0.0, 0.0])
+    assert abs(g[0] - 0.25) < 1e-12
 
 
 def test_joint_score_monotone_in_each_skip():
     p = np.array([0.3, 0.7])
     c = np.array([0.6, 0.4])
-    base, _ = gen.joint_score(p, c, [0.2, -0.1])
-    up0, _ = gen.joint_score(p, c, [0.9, -0.1])
-    up1, _ = gen.joint_score(p, c, [0.2, 0.5])
-    assert up0 > base and up1 > base
+    base, _ = paired_scores(p, c, [0.2, -0.1])
+    up0, _ = paired_scores(p, c, [0.9, -0.1])
+    up1, _ = paired_scores(p, c, [0.2, 0.5])
+    assert up0[0] > base[0] and up1[0] > base[0]
 
 
 def test_joint_score_range_and_decomposition():
@@ -86,9 +95,9 @@ def test_joint_score_range_and_decomposition():
         p = np.exp(logits[0]) / np.exp(logits[0]).sum()
         c = np.exp(logits[1]) / np.exp(logits[1]).sum()
         skips = 4.0 * RNG.standard_normal(A)
-        g, addends = gen.joint_score(p, c, skips)
-        assert 0.0 < g < 1.0
-        assert abs(g - addends.sum()) < 1e-12
+        g, addends = paired_scores(p, c, skips)
+        assert 0.0 < g[0] < 1.0
+        assert abs(g[0] - addends.sum()) < 1e-12
         assert (p * c).sum() <= 1.0 + 1e-12
 
 
@@ -96,11 +105,11 @@ def test_joint_score_range_and_decomposition():
 # poisson log likelihood
 
 def test_poisson_zero_observation():
-    assert abs(gen.poisson_loglik(0.0, 0.3) + 0.3) < 1e-12
+    assert abs(gen.poisson_loglik(0.0, 0.3).item() + 0.3) < 1e-12
 
 
 def test_poisson_hit_at_full_rate():
-    assert abs(gen.poisson_loglik(1.0, 1.0) + 1.0) < 1e-12
+    assert abs(gen.poisson_loglik(1.0, 1.0).item() + 1.0) < 1e-12
 
 
 def test_poisson_gradient_sign_favors_g_one_for_hits():
@@ -109,7 +118,7 @@ def test_poisson_gradient_sign_favors_g_one_for_hits():
         grad = 1.0 / g - 1.0
         assert grad >= 0.0
     gs = np.linspace(0.05, 1.0, 50)
-    vals = [gen.poisson_loglik(1.0, g) for g in gs]
+    vals = [gen.poisson_loglik(1.0, g).item() for g in gs]
     assert np.argmax(vals) == len(gs) - 1  # optimum at the g = 1 boundary
 
 

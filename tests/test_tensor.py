@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -47,6 +49,15 @@ def test_sigmoid_within_4_ulp_of_reference(dtype, lowest):
     out = T.sigmoid(x).value
     assert out.dtype == dtype
     np.testing.assert_array_max_ulp(out, reference_sigmoid(x).astype(dtype), maxulp=4)
+
+
+@pytest.mark.parametrize("dtype,v", [(np.float64, -800.0), (np.float32, -120.0)])
+def test_sigmoid_far_tail_emits_no_warning(dtype, v):
+    # exp(-v) overflows there; the overflow must stay silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = T.sigmoid(np.full((1, 3), v, dtype)).value
+    assert out.dtype == dtype and np.all(out == 0.0)
 
 
 def test_sparse_matmul_matches_dense():

@@ -343,7 +343,7 @@ def test_recommend_aspect_attribution_matches_planted_blocks():
     # planted block (up to the global aspect relabeling)
     from itertools import permutations
 
-    from dualvae import generation, synth
+    from dualvae import synth
 
     n_aspects = 3
     matrix, world = synth.generate(300, 300, n_aspects, density=0.02, seed=5)
@@ -363,15 +363,11 @@ def test_recommend_aspect_attribution_matches_planted_blocks():
     assert best_hits / 300 > 0.8  # sanity: aspects recovered at all
 
     held = list(split.test.pairs()) + list(split.valid.pairs())
+    addends = [t.value for t in evaluation.user_addends(snap, np.arange(split.train.num_users))]
     agree = 0
     for u, i in held:
-        skips = np.array([
-            snap.user_means[u, a] @ snap.item_means[i, a]
-            + snap.user_decoded[u, a] @ snap.item_decoded[i, a]
-            for a in range(n_aspects)
-        ])
-        _, addends = generation.joint_score(snap.P[u], snap.C[i], skips)
-        agree += best_perm[int(addends.argmax())] == planted_items[i]
+        pair_addends = np.array([addends[a][u, i] for a in range(n_aspects)])
+        agree += best_perm[int(pair_addends.argmax())] == planted_items[i]
     assert agree / len(held) >= 0.8
 
 
