@@ -245,7 +245,7 @@ def cmd_recommend(args) -> int:
         if token not in id_to_idx:
             raise DataError(f"unknown user id {token!r}")
     users = [id_to_idx[token] for token in tokens]
-    addends = [t.value for t in evaluation.user_addends(ckpt.snapshot, users)]
+    addends = list(evaluation.user_addends(ckpt.snapshot, users))
     scores = sum(addends)
     ranked = scores.copy()
     ranked[split.train.user_items.gather(users)] = -np.inf

@@ -154,11 +154,6 @@ class Batch:
     indices: np.ndarray
     _matrix: InteractionMatrix = field(repr=False)
 
-    def dense(self, dtype=np.float64) -> np.ndarray:
-        if self.side == "user":
-            return self._matrix.densify_users(self.indices, dtype)
-        return self._matrix.densify_items(self.indices, dtype)
-
     def sparse(self, dtype=np.float64) -> sp.csr_matrix:
         if self.side == "user":
             return self._matrix.sparse_users(self.indices, dtype)
@@ -309,8 +304,8 @@ def make_batches(matrix: InteractionMatrix, side: str, batch_size: int, seed: in
     """Seeded shuffled minibatches over one side; the last batch may be short.
 
     Shuffles differ across epochs but are reproducible for a given
-    (seed, epoch) pair. Rows are materialized lazily, sparse via
-    ``Batch.sparse()`` and dense via ``Batch.dense()``.
+    (seed, epoch) pair. Rows are materialized lazily, as CSR, by
+    ``Batch.sparse()``.
     """
     if side not in ("user", "item"):
         raise ConfigError(f"unknown side {side!r}")

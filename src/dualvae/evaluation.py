@@ -1,37 +1,42 @@
 """Top-N ranking evaluation: capped Recall@N and NDCG@N.
 
 Scores are the training objective's pair scores in evaluation mode (z = mu):
-``user_addends`` feeds the snapshot to ``generation.aspect_addends`` as
-constants, with no tape, so ranking, ``recommend`` and training share one
-score. Items the user interacted with in masked splits are pushed to -inf
-before ranking so they can never be recommended back. Ties are broken by
-ascending item index so results reproduce across runs.
+``user_addends`` feeds the snapshot's arrays to ``generation.aspect_addends``,
+whose skip sigmoid ``generation.poisson_loglik`` also uses, so ranking,
+``recommend`` and training share one score. Each aspect's addend is made in
+one array, in place, and ``score_block`` sums them in place. Items the user
+interacted with in masked splits are pushed to -inf before ranking so they
+can never be recommended back. Ties are broken by ascending item index so
+results reproduce across runs. ``top_n`` ranks in blocks of rows, so its
+transients stay a few MB for any number of users.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from . import generation as gen, tensor as T
+from . import generation as gen
 from .data import DatasetSplit, InteractionMatrix
 from .model import ModelParams, Snapshot
 
 
 def user_addends(snap: Snapshot, users):
     """Per-aspect addends of the pair scores g(u, i) of the given users
-    against all items: a generator of (b, n_items) constant tensors, which
-    sum to the scores in aspect order."""
+    against all items: a generator of (b, n_items) arrays, which sum to the
+    scores in aspect order."""
     users = np.asarray(users, dtype=np.int64)
-    codes = [T.constant(snap.user_means[users, a, :]) for a in range(snap.P.shape[1])]
-    images = [T.constant(snap.user_decoded[users, a, :]) for a in range(snap.P.shape[1])]
-    return gen.aspect_addends(codes, images, T.constant(snap.P[users]), snap.frozen_items())
+    codes = [snap.user_means[users, a, :] for a in range(snap.P.shape[1])]
+    images = [snap.user_decoded[users, a, :] for a in range(snap.P.shape[1])]
+    return gen.aspect_addends(codes, images, snap.P[users], snap.frozen_items())
 
 
 def score_block(params: ModelParams, snap: Snapshot, users) -> np.ndarray:
     """Pair scores g(u, i) for the given users against all items."""
-    return functools.reduce(T.add, user_addends(snap, users)).value
+    addends = user_addends(snap, users)
+    scores = next(addends)
+    for addend in addends:
+        scores += addend
+    return scores
 
 
 def score_all(params: ModelParams, snap: Snapshot, users, masks, block: int = 256) -> np.ndarray:
@@ -49,14 +54,26 @@ def score_all(params: ModelParams, snap: Snapshot, users, masks, block: int = 25
     return out
 
 
+_RANK_BLOCK = 256  # rows ranked at a time: 6 MB of transients at 3,000 items
+
+
 def top_n(score_rows: np.ndarray, n: int) -> np.ndarray:
     """Indices of the n best scores per row, ties broken by item index.
 
-    Equals ``np.argsort(-score_rows, kind="stable")[:, :n]``: each row's n
-    best come from a partition and are sorted by (-score, index); a row whose
-    n-th best value also lies outside them (a tie) is sorted in full.
+    Equals ``np.argsort(-score_rows, kind="stable")[:, :n]``. Rows are ranked
+    ``_RANK_BLOCK`` at a time, so the negated copy and the partition's index
+    matrix never span the whole input.
     """
-    neg = -np.asarray(score_rows)
+    score_rows = np.asarray(score_rows)
+    return np.concatenate([_top_n_rows(score_rows[start: start + _RANK_BLOCK], n)
+                           for start in range(0, max(len(score_rows), 1), _RANK_BLOCK)])
+
+
+def _top_n_rows(score_rows: np.ndarray, n: int) -> np.ndarray:
+    """``top_n`` of one block: each row's n best come from a partition and
+    are sorted by (-score, index); a row whose n-th best value also lies
+    outside them (a tie) is sorted in full."""
+    neg = -score_rows
     if not 0 < n < neg.shape[1]:
         return np.argsort(neg, axis=1, kind="stable")[:, :n]
     best = np.sort(np.argpartition(neg, n - 1, axis=1)[:, :n], axis=1)

@@ -5,11 +5,15 @@ the user and the item weight a sigmoid of a skip-connection score, which sums
 the raw inner product of the two latents with the inner product of their
 nonlinearly mapped images. The raw term keeps gradients alive when the
 nonlinear path saturates (latent-collapse guard). ``aspect_addends`` is the
-one place this score is computed: training records it on the tape, ranking
-and ``recommend`` build it from snapshot constants, and its per-aspect
-addends are the explanation ``recommend`` prints. Observations are scored
-under a Poisson likelihood, r * log g - g, whose log r! term vanishes for
-binary feedback.
+score that ranking and ``recommend`` compute from snapshot arrays, and its
+per-aspect addends are the explanation ``recommend`` prints.
+
+Training scores each batch row's whole interaction vector under a Poisson
+likelihood, sum_j r_j * log g_j - g_j, whose log r! term vanishes for binary
+feedback. ``poisson_loglik`` computes it as one tape op from the same skip
+sigmoids, without building the (b, N) matrix of scores: r is sparse, so
+r * log g is needed only at its stored entries, and the -g term only needs
+each row's sum of g.
 
 Training alternates sides: while one side's parameters are optimized, the
 other side's latents, decoded images and aspect probabilities enter as plain
@@ -18,13 +22,13 @@ constants, so their gradient accumulators provably stay zero.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import aspects, encoder as enc_mod, tensor as T
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 from .tensor import Parameter, RngState, Tensor
 
 
@@ -45,11 +49,6 @@ def decode(z, dec: DecoderParams, tape: "T.Tape | None" = None) -> Tensor:
     if tape is not None:
         return T.tanh(T.add(T.matmul(z, tape.leaf(dec.w)), tape.leaf(dec.b)))
     return T.tanh(T.add(T.matmul(z, dec.w.value), dec.b.value))
-
-
-def poisson_loglik(r, g) -> Tensor:
-    """log p(r | g) = r * log g - g per entry, for binary r; g must be positive."""
-    return T.sub(T.mul(r, T.log(g)), g)
 
 
 @dataclass
@@ -90,11 +89,10 @@ class SideForward:
     z: list          # per-aspect (b, d) sampled codes (tensors)
     mu: list         # per-aspect (b, d) posterior means (tensors)
     probs: Tensor    # (b, A) live aspect probabilities (constant if pinned)
-    scores: Tensor   # (b, N_frozen) pair scores g
 
 
 def side_loss(
-    slab: np.ndarray,
+    target,
     rows,
     live_enc: enc_mod.EncoderParams,
     live_dec: DecoderParams,
@@ -107,27 +105,27 @@ def side_loss(
 ) -> tuple[ElboTerms, SideForward]:
     """One batch of the alternating objective for whichever side is live.
 
-    ``slab`` holds the batch's dense interaction rows against the frozen
-    side's entities, the reconstruction target. ``rows`` is the encoder's
-    input: the same rows as scipy CSR, possibly after input dropout or
+    ``target`` holds the batch's interaction rows against the frozen side's
+    entities as scipy CSR, the reconstruction target. ``rows`` is the
+    encoder's input: the same rows, possibly after input dropout or
     normalization. ``live_protos`` is the prototype Parameter producing the
     live side's aspect probabilities, or None to pin them uniform (the
     disentanglement ablations). ``eps_list`` carries one noise array per
     aspect; None means evaluation mode (z = mu).
     """
     n_aspects = frozen.n_aspects
-    batch, n_frozen = slab.shape
+    batch, n_frozen = target.shape
     if frozen.means.shape[0] != n_frozen:
-        raise ShapeError(f"slab width {n_frozen} vs frozen side {frozen.means.shape[0]}")
-    if rows.shape != slab.shape:
-        raise ShapeError(f"encoder rows {rows.shape} vs slab {slab.shape}")
+        raise ShapeError(f"target width {n_frozen} vs frozen side {frozen.means.shape[0]}")
+    if rows.shape != target.shape:
+        raise ShapeError(f"encoder rows {rows.shape} vs target {target.shape}")
     dim = frozen.means.shape[2]
 
     mu_list, z_list, kl_cols = [], [], []
     for a in range(n_aspects):
         masked = enc_mod.mask_sparse(rows, frozen.probs[:, a])
         mu, logvar, sigma = enc_mod.encode(masked, live_enc, tape)
-        eps = T.Tensor(np.zeros((batch, dim), dtype=slab.dtype)) if eps_list is None else T.constant(eps_list[a])
+        eps = T.Tensor(np.zeros((batch, dim), dtype=target.dtype)) if eps_list is None else T.constant(eps_list[a])
         z = enc_mod.reparameterize(mu, sigma, eps)
         mu_list.append(mu)
         z_list.append(z)
@@ -137,33 +135,112 @@ def side_loss(
         proto_leaf = tape.leaf(live_protos) if tape is not None else T.constant(live_protos.value)
         probs = aspects.aspect_probs_live(mu_list, proto_leaf, temp)
     else:
-        probs = T.constant(aspects.uniform_probs(batch, n_aspects, slab.dtype))
+        probs = T.constant(aspects.uniform_probs(batch, n_aspects, target.dtype))
 
-    images = [decode(z, live_dec, tape) for z in z_list]
-    scores = functools.reduce(T.add, aspect_addends(z_list, images, probs, frozen))
-    recon = T.mean_all(T.sum_rows(poisson_loglik(slab, scores)))
+    codes = [T.concat_cols([z, decode(z, live_dec, tape)]) for z in z_list]
+    recon = poisson_loglik(codes, probs, frozen, target)
     kl_sum = kl_cols[0]
     for col in kl_cols[1:]:
         kl_sum = T.add(kl_sum, col)
     kl = T.mean_all(kl_sum)
     loss = T.sub(T.scale(kl, beta), recon)
-    return ElboTerms(recon, kl, beta, loss), SideForward(z_list, mu_list, probs, scores)
+    return ElboTerms(recon, kl, beta, loss), SideForward(z_list, mu_list, probs)
 
 
-def aspect_addends(z_list, images, probs, frozen: FrozenSide):
+def _skip_sigmoid(code: np.ndarray, frozen: FrozenSide, a: int) -> np.ndarray:
+    """sigmoid(<z_a, m_a> + <f(z_a), f(m_a)>) of a batch's (b, 2d) aspect-a
+    codes [z_a, f(z_a)] against every frozen entity, in one fresh (b, N) array."""
+    s = code @ frozen.keys[a]
+    return T._logistic(s, out=s)
+
+
+def aspect_addends(z_list, images, probs: np.ndarray, frozen: FrozenSide):
     """Per-aspect addends of the pair scores of a batch against every frozen entity.
 
     The pair score is g = sum_a p_a * c_a * sigmoid(<z_a, m_a> + <f(z_a), f(m_a)>),
     where ``z_list`` and ``images`` hold the batch's per-aspect (b, d) codes
     and decoder images, ``probs`` its (b, A) aspect probabilities, and
-    ``frozen`` the other side's means, images and probabilities. Yields the
-    (b, N) addend of each aspect in turn, so that a caller summing them holds
-    one at a time. Only tape ops are used: the addends are recorded when the
-    codes are, and are constants otherwise.
+    ``frozen`` the other side's means, images and probabilities, all plain
+    arrays. Yields the (b, N) addend of each aspect in turn, each in one
+    fresh array, so that a caller summing them holds one at a time.
     """
     for a, (z, image) in enumerate(zip(z_list, images)):
-        live_w = T.slice_cols(probs, a, a + 1)  # (b, 1), broadcasts down columns
-        frozen_w = frozen.probs[:, a][None, :]  # (1, N), broadcasts across rows
-        # one expression, so that the paused generator holds no (b, N) array
-        yield T.mul(T.mul(T.sigmoid(T.matmul(T.concat_cols([z, image]), frozen.keys[a])),
-                          frozen_w), live_w)
+        out = _skip_sigmoid(np.concatenate([z, image], axis=1), frozen, a)
+        out *= frozen.probs[:, a]
+        out *= probs[:, a:a + 1]
+        yield out
+
+
+def poisson_loglik(codes, probs, frozen: FrozenSide, target) -> Tensor:
+    """Batch mean of the Poisson log-likelihood sum_j r_j * log g_j - g_j of
+    each row's whole interaction vector, as one (1, 1) tape op.
+
+    ``codes`` holds each aspect's (b, 2d) ``[z_a, f(z_a)]``, ``probs`` the
+    batch's (b, A) aspect probabilities (tensors, on the tape or constant),
+    ``frozen`` the other side, and ``target`` the batch's interactions r as
+    scipy CSR. g is the pair score of ``aspect_addends``, but no (b, N)
+    matrix of it is built: g is formed only at r's stored entries, and
+    sum_j g_j = sum_a p_a * (sigmoid_a @ c_a). Only those entries are
+    logged, so a score that underflows to 0 where r = 0 is harmless; a
+    score <= 0 at a stored entry raises DomainError.
+
+    Backward, with k = upstream / b, the gradient wrt the aspect-a skip score
+    is k * p_a * c_a * sigmoid_a' * (r / g - 1): a dense part that needs no
+    g, sigmoid_a' @ (c_a * keys_a^T), plus a sparse one at the stored entries.
+    """
+    tape = T._tape_of(*codes, probs)
+    dtype = T._dtype_of(*codes)
+    pv = T._val(probs, dtype)
+    cprobs, keys = frozen.probs, frozen.keys
+    shape, indptr, cols, r = target.shape, target.indptr, target.indices, target.data
+    batch = shape[0]
+    if len(codes) != keys.shape[0] or pv.shape != (batch, keys.shape[0]) or shape[1] != keys.shape[2]:
+        raise ShapeError(f"poisson_loglik: {len(codes)} codes, probs {pv.shape}, target {shape} "
+                         f"vs {keys.shape[0]} aspects and {keys.shape[2]} frozen entities")
+    entry_row = np.repeat(np.arange(batch), np.diff(indptr))
+
+    # per aspect: the (b, N) sigmoids, the same at the stored entries, and
+    # each row's sigmoid @ c_a
+    sigmoids, stored, masses = [], [], []
+    g_stored = np.zeros(len(cols), dtype)
+    row_sums = np.zeros(batch, dtype)  # sum_j g_j of each row
+    for a, code in enumerate(codes):
+        sig = _skip_sigmoid(T._val(code, dtype), frozen, a)
+        sigmoids.append(sig)
+        stored.append(sig[entry_row, cols])
+        masses.append(sig @ cprobs[:, a])
+        row_sums += pv[:, a] * masses[a]
+        # the addend's own order, (sigmoid * c) * p, summed in aspect order
+        g_stored += stored[a] * cprobs[cols, a] * pv[entry_row, a]
+    if np.any(g_stored <= 0.0):
+        raise DomainError("poisson_loglik: pair score must be strictly positive where r > 0")
+    value = np.full((1, 1), (np.dot(r, np.log(g_stored)) - row_sums.sum()) / batch, dtype)
+    live = T._live(tape, *codes, probs)
+    if not live:
+        return Tensor(value)
+    positions = tuple(pos for pos, _ in live)
+    n_aspects = len(codes)
+
+    def vjp(g):
+        k = g[0, 0] / batch
+        ratio = k * r / g_stored  # the sparse part of dL/dg
+        spread = sp.csr_matrix((ratio, cols, indptr), shape=shape)
+        d_probs = np.empty((batch, n_aspects), dtype) if n_aspects in positions else None
+        d_codes = []
+        for a in range(n_aspects):
+            sig, sig_stored, c_a = sigmoids[a], stored[a], cprobs[:, a]
+            share = ratio * c_a[cols] * sig_stored  # k * r / g * c_a * sigmoid_a
+            if d_probs is not None:
+                d_probs[:, a] = np.bincount(entry_row, share, minlength=batch) - k * masses[a]
+            if a not in positions:
+                continue
+            deriv = np.subtract(1.0, sig)
+            deriv *= sig
+            d_code = deriv @ (keys[a].T * c_a[:, None])
+            d_code *= -k * pv[:, a:a + 1]
+            spread.data = share * (1.0 - sig_stored) * pv[entry_row, a]
+            d_code += spread @ keys[a].T
+            d_codes.append(d_code)
+        return d_codes if d_probs is None else d_codes + [d_probs]
+
+    return T._emit(tape, value, [t for _, t in live], vjp)

@@ -19,14 +19,12 @@ def _side_objective(side, matrix, params, snap, cfg, eps):
     """Closure computing one side's full-batch objective, plus its tape variant."""
     if side == "user":
         entities = np.arange(matrix.num_users)
-        slab = matrix.densify_users(entities)
         rows = matrix.sparse_users(entities)
         frozen = snap.frozen_items()
         enc, dec = params.enc_u, params.dec_u
         protos = params.protos.user_protos
     else:
         entities = np.arange(matrix.num_items)
-        slab = matrix.densify_items(entities)
         rows = matrix.sparse_items(entities)
         frozen = snap.frozen_users()
         enc, dec = params.enc_i, params.dec_i
@@ -37,7 +35,7 @@ def _side_objective(side, matrix, params, snap, cfg, eps):
     participate = np.diff(rows.indptr) > 0
 
     def build(tape):
-        terms, fwd = gen.side_loss(slab, rows, enc, dec, protos, frozen,
+        terms, fwd = gen.side_loss(rows, rows, enc, dec, protos, frozen,
                                    cfg.temp, cfg.beta, eps[side], tape)
         closs = nrc.batch_contrast(fwd.z, o, ccfg, participate)
         return nrc.total_loss(terms, closs, cfg.gamma)

@@ -4,7 +4,9 @@ The operation vocabulary is fixed on purpose: it covers exactly what the
 dual-VAE computation graph needs (affine maps, one of them from constant
 sparse rows, pointwise nonlinearities, row softmax, row reductions, cosine
 machinery) and nothing else, which keeps every backward rule small enough
-to audit by hand.
+to audit by hand. One fused op lives with the model instead:
+``generation.poisson_loglik``, recorded through the same ``_emit`` and
+bound by the same ``_live`` rule.
 
 Conventions:
   * every value on the tape is a 2-D ``float64`` (or ``float32``) array;
@@ -331,19 +333,21 @@ def _unary(x, f, df_from_out):
     return _emit(tape, out, [x], lambda g: (df_from_out(g, out),))
 
 
-def _logistic(v: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-v)), computed in one fresh array."""
-    out = np.negative(v)
-    with np.errstate(over="ignore"):
-        np.exp(out, out=out)
-    out += 1.0
-    np.reciprocal(out, out=out)
+def _logistic(v: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+    """1 / (1 + exp(-v)), computed in one fresh array, or in ``out`` (which
+    may be ``v`` itself)."""
     # exp(-v) overflows to inf, so the formula gives 0, where the logistic is
     # still subnormal (float64 below -709.8, float32 below -88.7); below -40
     # it equals exp(v) in both
     tail = v < -40.0
-    if tail.any():
-        out[tail] = np.exp(v[tail])
+    low = np.exp(v[tail]) if tail.any() else None
+    out = np.negative(v, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    if low is not None:
+        out[tail] = low
     return out
 
 

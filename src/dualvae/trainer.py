@@ -211,7 +211,6 @@ def train_phase(side: str, train: InteractionMatrix, params: ModelParams, snap: 
     for batch in make_batches(train, side, cfg.batch_size, cfg.seed, epoch):
         for p in live_group:
             p.zero_grad()
-        slab = batch.dense(dtype)
         rows = batch.sparse(dtype)
         enc_rows = _encoder_rows(rows, cfg, noise_rng)
         eps_list = [
@@ -220,7 +219,7 @@ def train_phase(side: str, train: InteractionMatrix, params: ModelParams, snap: 
         ]
         tape = Tape()
         terms, fwd = gen.side_loss(
-            slab, enc_rows, enc, dec, protos, frozen, cfg.temp, beta, eps_list, tape
+            rows, enc_rows, enc, dec, protos, frozen, cfg.temp, beta, eps_list, tape
         )
         closs = None
         if gamma > 0.0:

@@ -67,10 +67,23 @@ def paired_scores(P, C, skips):
     P, C, skips = (np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in (P, C, skips))
     n, A = P.shape
     frozen = gen.FrozenSide(np.ones((n, A, 1)), np.zeros((n, A, 1)), C)
-    terms = list(gen.aspect_addends([T.constant(skips[:, a:a + 1]) for a in range(A)],
-                                    [T.constant(np.zeros((n, 1)))] * A, T.constant(P), frozen))
-    g = functools.reduce(T.add, terms)
-    return np.diag(g.value), np.stack([np.diag(t.value) for t in terms], axis=1)
+    terms = list(gen.aspect_addends([skips[:, a:a + 1] for a in range(A)],
+                                    [np.zeros((n, 1))] * A, P, frozen))
+    g = functools.reduce(np.add, terms)
+    return np.diag(g), np.stack([np.diag(t) for t in terms], axis=1)
+
+
+def dense_poisson_loglik(codes, probs, frozen, r):
+    """Reference for ``generation.poisson_loglik``: the batch-mean
+    likelihood composed from generic tape ops over the dense (b, N) scores g
+    and the dense target ``r``, which logs every score."""
+    addends = []
+    for a, code in enumerate(codes):
+        live_w = T.slice_cols(probs, a, a + 1)
+        frozen_w = frozen.probs[:, a][None, :]
+        addends.append(T.mul(T.mul(T.sigmoid(T.matmul(code, frozen.keys[a])), frozen_w), live_w))
+    g = functools.reduce(T.add, addends)
+    return T.mean_all(T.sum_rows(T.sub(T.mul(r, T.log(g)), g)))
 
 
 def tape_grads(build_loss, params):

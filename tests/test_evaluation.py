@@ -194,12 +194,20 @@ def test_training_and_ranking_score_the_same_pairs():
     params = model.ModelParams(9, 11, 3, 4, 5, T.RngState(4))
     snap = model.bootstrap(matrix, params, temp=0.5)
     users = np.array([0, 3, 4, 8])
-    _, fwd = gen.side_loss(
-        matrix.densify_users(users), matrix.sparse_users(users), params.enc_u, params.dec_u,
+    rows = matrix.sparse_users(users)
+    terms, fwd = gen.side_loss(
+        rows, rows, params.enc_u, params.dec_u,
         None, snap.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=None,
     )
-    np.testing.assert_allclose(fwd.scores.value, ev.score_block(params, snap, users),
-                               rtol=0.0, atol=1e-12)
+    scores = ev.score_block(params, snap, users)
+    images = [gen.decode(z, params.dec_u).value for z in fwd.z]
+    training = sum(gen.aspect_addends([z.value for z in fwd.z], images, fwd.probs.value,
+                                      snap.frozen_items()))
+    np.testing.assert_allclose(training, scores, rtol=0.0, atol=1e-12)
+    # and the fused likelihood is the Poisson term of those very scores
+    r = matrix.densify_users(users)
+    want = np.mean(np.sum(r * np.log(scores) - scores, axis=1))
+    np.testing.assert_allclose(terms.recon.item(), want, rtol=1e-12)
 
 
 def test_float32_snapshot_scores_in_float32():

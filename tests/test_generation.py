@@ -1,11 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualvae import data, generation as gen, model, tensor as T
 from dualvae.errors import DomainError
 
-from helpers import finite_difference, max_rel_err, paired_scores, reference_sigmoid
+from helpers import (dense_poisson_loglik, finite_difference, max_rel_err, paired_scores,
+                     reference_sigmoid)
 
 RNG = np.random.default_rng(77)
 
@@ -26,38 +31,48 @@ def tiny_world(m=4, n=6, A=2, d=3, hidden=4, seed=0, density=0.5):
 # skip score, through aspect_addends: with one aspect and p = c = 1 the addend
 # is sigmoid(skip)
 
-def one_aspect_addends(za, zb, dec_a, dec_b, tape=None):
+def one_aspect_frozen(zb, dec_b):
+    return gen.FrozenSide(zb[:, None, :], gen.decode(zb, dec_b).value[:, None, :],
+                          np.ones((zb.shape[0], 1)))
+
+
+def one_aspect_addends(za, zb, dec_a, dec_b):
     """(b_a, b_b) addends sigmoid(<za, zb> + <f(za), f(zb)>) of one aspect."""
-    frozen = gen.FrozenSide(zb[:, None, :], gen.decode(T.constant(zb), dec_b).value[:, None, :],
-                            np.ones((zb.shape[0], 1)))
-    probs = T.constant(np.ones((za.shape[0], 1)))
-    return next(gen.aspect_addends([za], [gen.decode(za, dec_a, tape)], probs, frozen))
+    probs = np.ones((za.shape[0], 1))
+    return next(gen.aspect_addends([za], [gen.decode(za, dec_a).value], probs,
+                                   one_aspect_frozen(zb, dec_b)))
 
 
 def test_skip_zero_latents_zero_bias():
     dec_a = gen.DecoderParams("da", 3, T.RngState(1))
     dec_b = gen.DecoderParams("db", 3, T.RngState(2))
-    out = one_aspect_addends(T.constant(np.zeros((2, 3))), np.zeros((2, 3)), dec_a, dec_b)
-    np.testing.assert_allclose(out.value, np.full((2, 2), 0.5))  # skip score 0
+    out = one_aspect_addends(np.zeros((2, 3)), np.zeros((2, 3)), dec_a, dec_b)
+    np.testing.assert_allclose(out, np.full((2, 2), 0.5))  # skip score 0
 
 
 def test_skip_reduces_to_inner_product_when_mapped_path_zeroed():
     dec = gen.DecoderParams("d", 3, T.RngState(1))
     dec.w.value[...] = 0.0  # tanh(0 + 0) = 0 kills the nonlinear path
     za, zb = RNG.standard_normal((5, 3)), RNG.standard_normal((5, 3))
-    out = one_aspect_addends(T.constant(za), zb, dec, dec)
-    np.testing.assert_allclose(np.diag(out.value), reference_sigmoid((za * zb).sum(axis=1)),
+    out = one_aspect_addends(za, zb, dec, dec)
+    np.testing.assert_allclose(np.diag(out), reference_sigmoid((za * zb).sum(axis=1)),
                                atol=1e-12)
 
 
 def test_skip_gradient_wrt_latent():
+    # with no interactions the likelihood is -(1/b) * sum of the scores, and
+    # with one aspect and p = c = 1 each score is sigmoid(skip)
     dec_a = gen.DecoderParams("da", 3, T.RngState(3))
     dec_b = gen.DecoderParams("db", 3, T.RngState(4))
     za = T.Parameter("za", RNG.standard_normal((4, 3)))
     zb = RNG.standard_normal((4, 3))
+    frozen = one_aspect_frozen(zb, dec_b)
+    probs = T.constant(np.ones((4, 1)))
 
     def build(tape):
-        return T.sum_all(one_aspect_addends(tape.leaf(za), zb, dec_a, dec_b, tape))
+        z = tape.leaf(za)
+        code = T.concat_cols([z, gen.decode(z, dec_a, tape)])
+        return gen.poisson_loglik([code], probs, frozen, sp.csr_matrix((4, 4)))
 
     za.zero_grad()
     tape = T.Tape()
@@ -104,12 +119,21 @@ def test_joint_score_range_and_decomposition():
 # ---------------------------------------------------------------------------
 # poisson log likelihood
 
+def loglik_at(r, g):
+    """poisson_loglik of one pair with observation r and score g: one aspect
+    with a zero code (sigmoid 0.5), p = 1 and c = 2g."""
+    frozen = gen.FrozenSide(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)), np.array([[2.0 * g]]))
+    target = sp.csr_matrix(np.array([[float(r)]]))
+    return gen.poisson_loglik([T.constant(np.zeros((1, 2)))], T.constant(np.ones((1, 1))),
+                              frozen, target)
+
+
 def test_poisson_zero_observation():
-    assert abs(gen.poisson_loglik(0.0, 0.3).item() + 0.3) < 1e-12
+    assert abs(loglik_at(0.0, 0.3).item() + 0.3) < 1e-12
 
 
 def test_poisson_hit_at_full_rate():
-    assert abs(gen.poisson_loglik(1.0, 1.0).item() + 1.0) < 1e-12
+    assert abs(loglik_at(1.0, 1.0).item() + 1.0) < 1e-12
 
 
 def test_poisson_gradient_sign_favors_g_one_for_hits():
@@ -118,28 +142,88 @@ def test_poisson_gradient_sign_favors_g_one_for_hits():
         grad = 1.0 / g - 1.0
         assert grad >= 0.0
     gs = np.linspace(0.05, 1.0, 50)
-    vals = [gen.poisson_loglik(1.0, g).item() for g in gs]
+    vals = [loglik_at(1.0, g).item() for g in gs]
     assert np.argmax(vals) == len(gs) - 1  # optimum at the g = 1 boundary
 
 
 def test_poisson_rejects_nonpositive_rate():
     with pytest.raises(DomainError):
-        gen.poisson_loglik(1.0, 0.0)
+        loglik_at(1.0, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 7), st.integers(1, 11), st.integers(1, 4),
+       st.integers(1, 3), st.booleans(), st.sampled_from([np.float64, np.float32]))
+def test_fused_likelihood_matches_dense_composition(seed, b, n, A, d, pinned, dtype):
+    rng = np.random.default_rng(seed)
+    frozen = gen.FrozenSide(rng.standard_normal((n, A, d)).astype(dtype),
+                            np.tanh(rng.standard_normal((n, A, d))).astype(dtype),
+                            rng.dirichlet(np.ones(A), n).astype(dtype))
+    r = (rng.random((b, n)) < 0.3).astype(dtype)
+    r[rng.random(b) < 0.3] = 0.0  # empty rows
+    xs = [T.Parameter(f"x{a}", 2.0 * rng.standard_normal((b, 2 * d)).astype(dtype))
+          for a in range(A)]
+    p = T.Parameter("p", rng.dirichlet(np.ones(A), b).astype(dtype))
+
+    def value_and_grads(likelihood, target):
+        for q in xs + [p]:
+            q.zero_grad()
+        tape = T.Tape()
+        probs = T.constant(p.value) if pinned else tape.leaf(p)
+        value = likelihood([tape.leaf(x) for x in xs], probs, frozen, target)
+        tape.backward(T.scale(value, 1.7))  # an upstream gradient other than 1
+        return [value.value] + [q.grad.copy() for q in xs + [p]]
+
+    got = value_and_grads(gen.poisson_loglik, sp.csr_matrix(r))
+    want = value_and_grads(dense_poisson_loglik, r)
+    tol = 1e-12 if dtype == np.float64 else 1e-4
+    for g, w in zip(got, want):
+        assert g.dtype == dtype
+        np.testing.assert_allclose(g, w, rtol=tol, atol=tol * np.abs(w).max())
+
+
+@pytest.mark.parametrize("dtype, far", [(np.float64, -1000.0), (np.float32, -120.0)])
+def test_underflowed_score_logged_only_where_observed(dtype, far):
+    # item 2's skip score is far below where the sigmoid underflows to 0
+    frozen = gen.FrozenSide(np.array([0.5, -0.5, far], dtype).reshape(3, 1, 1),
+                            np.zeros((3, 1, 1), dtype), np.ones((3, 1), dtype))
+    assert T._logistic(np.array([far], dtype))[0] == 0.0
+    x = T.Parameter("x", np.array([[1.0, 0.0], [1.0, 0.0]], dtype))  # z = 1, image 0
+    probs = T.constant(np.ones((2, 1), dtype))
+    r = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]], dtype)
+
+    tape = T.Tape()
+    value = gen.poisson_loglik([tape.leaf(x)], probs, frozen, sp.csr_matrix(r))
+    tape.backward(value)
+    assert np.isfinite(value.item()) and np.all(np.isfinite(x.grad))
+    with pytest.raises(DomainError):  # the dense composition logs every score
+        dense_poisson_loglik([T.constant(x.value)], probs, frozen, r)
+    r[1, 2] = 1.0  # an interaction at the underflowed pair
+    with pytest.raises(DomainError):
+        gen.poisson_loglik([T.constant(x.value)], probs, frozen, sp.csr_matrix(r))
 
 
 # ---------------------------------------------------------------------------
 # side losses
 
+def forward_scores(fwd, dec, frozen):
+    """The (b, N) pair scores of a side_loss forward, through aspect_addends."""
+    images = [gen.decode(z, dec).value for z in fwd.z]
+    return functools.reduce(np.add, gen.aspect_addends([z.value for z in fwd.z], images,
+                                                       fwd.probs.value, frozen))
+
+
 def test_user_loss_closed_form_all_zero_rows():
     # single user, r = 0 everywhere, so recon = -sum_i g_i
     matrix, params, snap = tiny_world(seed=3)
-    slab = np.zeros((1, matrix.num_items))
+    empty = sp.csr_matrix((1, matrix.num_items))
     terms, fwd = gen.side_loss(
-        slab, sp.csr_matrix(slab.shape), params.enc_u, params.dec_u, params.protos.user_protos,
+        empty, empty, params.enc_u, params.dec_u, params.protos.user_protos,
         snap.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=None,
     )
-    np.testing.assert_allclose(terms.recon.item(), -fwd.scores.value.sum(), atol=1e-12)
-    assert np.all(fwd.scores.value > 0.0) and np.all(fwd.scores.value < 1.0)
+    scores = forward_scores(fwd, params.dec_u, snap.frozen_items())
+    np.testing.assert_allclose(terms.recon.item(), -scores.sum(), atol=1e-12)
+    assert np.all(scores > 0.0) and np.all(scores < 1.0)
 
 
 def test_user_loss_kl_is_sum_of_per_aspect_kls():
@@ -150,7 +234,7 @@ def test_user_loss_kl_is_sum_of_per_aspect_kls():
     slab = matrix.densify_users(users)
     rows = matrix.sparse_users(users)
     terms, fwd = gen.side_loss(
-        slab, rows, params.enc_u, params.dec_u, params.protos.user_protos,
+        rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
         snap.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=None,
     )
     want = 0.0
@@ -163,10 +247,9 @@ def test_user_loss_kl_is_sum_of_per_aspect_kls():
 
 def test_elbo_terms_sign_convention():
     matrix, params, snap = tiny_world(seed=6)
-    slab = matrix.densify_users([0, 1, 2])
     rows = matrix.sparse_users([0, 1, 2])
     terms, _ = gen.side_loss(
-        slab, rows, params.enc_u, params.dec_u, params.protos.user_protos,
+        rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
         snap.frozen_items(), temp=0.5, beta=0.7, eps_list=None, tape=None,
     )
     np.testing.assert_allclose(
@@ -176,7 +259,6 @@ def test_elbo_terms_sign_convention():
 
 def test_user_loss_gradient_matches_finite_differences():
     matrix, params, snap = tiny_world(m=4, n=6, A=2, d=3, hidden=4, seed=8)
-    slab = matrix.densify_users([0, 1, 2, 3])
     rows = matrix.sparse_users([0, 1, 2, 3])
     eps = [RNG.standard_normal((4, 3)) for _ in range(2)]
     frozen = snap.frozen_items()
@@ -184,7 +266,7 @@ def test_user_loss_gradient_matches_finite_differences():
 
     def build(tape):
         terms, _ = gen.side_loss(
-            slab, rows, params.enc_u, params.dec_u, params.protos.user_protos,
+            rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
             frozen, temp=0.5, beta=1.0, eps_list=eps, tape=tape,
         )
         return terms.loss
@@ -200,13 +282,12 @@ def test_user_loss_gradient_matches_finite_differences():
 
 def test_frozen_side_gets_zero_gradient():
     matrix, params, snap = tiny_world(seed=9)
-    slab = matrix.densify_users([0, 1])
     rows = matrix.sparse_users([0, 1])
     for p in params.all_params():
         p.zero_grad()
     tape = T.Tape()
     terms, _ = gen.side_loss(
-        slab, rows, params.enc_u, params.dec_u, params.protos.user_protos,
+        rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
         snap.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=tape,
     )
     tape.backward(terms.loss)
@@ -248,12 +329,12 @@ def test_item_loss_equals_user_loss_on_transposed_data():
 
     items = list(range(n))
     terms_item, _ = gen.side_loss(
-        matrix.densify_items(items), matrix.sparse_items(items),
+        matrix.sparse_items(items), matrix.sparse_items(items),
         params.enc_i, params.dec_i, params.protos.item_protos,
         snap.frozen_users(), temp=0.5, beta=1.0, eps_list=None, tape=None,
     )
     terms_user_t, _ = gen.side_loss(
-        matrix_t.densify_users(items), matrix_t.sparse_users(items),
+        matrix_t.sparse_users(items), matrix_t.sparse_users(items),
         params_t.enc_u, params_t.dec_u, params_t.protos.user_protos,
         snap_t.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=None,
     )
@@ -262,25 +343,24 @@ def test_item_loss_equals_user_loss_on_transposed_data():
 
 def test_eval_mode_scores_are_deterministic():
     matrix, params, snap = tiny_world(seed=13)
-    slab = matrix.densify_users([0, 1])
     rows = matrix.sparse_users([0, 1])
-    args = (slab, rows, params.enc_u, params.dec_u, params.protos.user_protos, snap.frozen_items())
+    args = (rows, rows, params.enc_u, params.dec_u, params.protos.user_protos, snap.frozen_items())
     _, fwd1 = gen.side_loss(*args, temp=0.5, beta=1.0, eps_list=None, tape=None)
     _, fwd2 = gen.side_loss(*args, temp=0.5, beta=1.0, eps_list=None, tape=None)
-    np.testing.assert_array_equal(fwd1.scores.value, fwd2.scores.value)
+    np.testing.assert_array_equal(forward_scores(fwd1, params.dec_u, snap.frozen_items()),
+                                  forward_scores(fwd2, params.dec_u, snap.frozen_items()))
 
 
 def test_frozen_perturbation_moves_loss_but_not_accumulators():
     # wiggling a frozen-side parameter changes the objective value (through
     # the frozen pack) while its gradient accumulator stays exactly zero
     matrix, params, snap = tiny_world(seed=21)
-    slab = matrix.densify_users([0, 1, 2])
     rows = matrix.sparse_users([0, 1, 2])
 
     def loss_with_current_item_side():
         s = model.refresh(matrix, params, snap.C, snap.P, temp=0.5)
         terms, _ = gen.side_loss(
-            slab, rows, params.enc_u, params.dec_u, params.protos.user_protos,
+            rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
             s.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=None,
         )
         return terms.loss.item()
@@ -295,7 +375,7 @@ def test_frozen_perturbation_moves_loss_but_not_accumulators():
         p.zero_grad()
     tape = T.Tape()
     terms, _ = gen.side_loss(
-        slab, rows, params.enc_u, params.dec_u, params.protos.user_protos,
+        rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
         snap.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=tape,
     )
     tape.backward(terms.loss)
@@ -338,7 +418,7 @@ def test_float32_batch_records_only_float32_nodes():
 
     tape = T.Tape()
     terms, fwd = gen.side_loss(
-        matrix.densify_users(users, f32), rows, params.enc_u, params.dec_u,
+        rows, rows, params.enc_u, params.dec_u,
         params.protos.user_protos, frozen, temp=0.5, beta=1.0, eps_list=eps, tape=tape,
     )
     o = contrast.batch_neighborhood_reprs(rows, frozen.probs, frozen.means)

@@ -156,6 +156,35 @@ def test_epoch_pair_deterministic_across_runs():
         np.testing.assert_array_equal(x, y)
 
 
+@pytest.mark.parametrize("side", ["user", "item"])
+def test_training_step_tape_is_freed_without_gc(monkeypatch, side):
+    # a backward closure that captured a Tensor would close the cycle
+    # tape -> node -> closure -> tensor -> tape, so every batch's forward
+    # arrays would live until a full garbage collection
+    import gc
+    import weakref
+
+    tapes = []
+
+    class WatchedTape(trainer.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(trainer, "Tape", WatchedTape)
+    cfg = small_cfg()
+    split = small_split()
+    rng, params, opt_u, opt_i, snap = setup_run(cfg, split)
+    gc.collect()
+    gc.disable()
+    try:
+        trainer.train_phase(side, split.train, params, snap, opt_u if side == "user" else opt_i,
+                            cfg, 1, rng)
+        assert tapes and all(ref() is None for ref in tapes)
+    finally:
+        gc.enable()
+
+
 def test_no_add_keeps_probs_uniform():
     cfg = small_cfg().apply_ablations(["no_add"])
     split = small_split()
@@ -363,7 +392,7 @@ def test_recommend_aspect_attribution_matches_planted_blocks():
     assert best_hits / 300 > 0.8  # sanity: aspects recovered at all
 
     held = list(split.test.pairs()) + list(split.valid.pairs())
-    addends = [t.value for t in evaluation.user_addends(snap, np.arange(split.train.num_users))]
+    addends = list(evaluation.user_addends(snap, np.arange(split.train.num_users)))
     agree = 0
     for u, i in held:
         pair_addends = np.array([addends[a][u, i] for a in range(n_aspects)])
