@@ -175,10 +175,8 @@ def cmd_train(args) -> int:
         run_cfg.set("train", "seed", args.seed)
     if args.epochs is not None:
         run_cfg.set("train", "epochs", args.epochs)
-    if args.deterministic:
-        run_cfg.set("train", "deterministic", True)
     if args.ablate:
-        run_cfg.set("train", "ablate", tuple(tok.strip() for tok in args.ablate.split(",") if tok.strip()))
+        run_cfg.set("train", "ablate", config_mod._to_str_list(args.ablate))
     if args.out is not None:
         run_cfg.set("output", "dir", args.out)
 
@@ -349,6 +347,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "ablate" and not args.ablate:
         parser.error("ablate requires --ablate with at least one variant flag")
+    if args.command == "recommend" and args.top_n < 1:
+        parser.error(f"--top-n must be at least 1, got {args.top_n}")
 
     from .errors import (CheckpointError, ConfigError, ContractError, DataError,
                          DomainError, NumericError, ShapeError)

@@ -7,7 +7,7 @@ parse -> serialize -> parse is idempotent.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -22,55 +22,42 @@ def _to_bool(s: str) -> bool:
     return _BOOLS[s.lower()]
 
 
-def _to_int_list(s: str):
-    return tuple(int(tok) for tok in s.split(",") if tok.strip())
-
-
 def _to_str_list(s: str):
     return tuple(tok.strip() for tok in s.split(",") if tok.strip())
 
 
-# section -> key -> (parse, serialize, default)
+def _to_cutoffs(s: str):
+    cutoffs = tuple(int(tok) for tok in s.split(",") if tok.strip())
+    if not cutoffs or min(cutoffs) < 1:
+        raise ConfigError(f"expected a comma list of positive integers, got {s!r}")
+    return cutoffs
+
+
+# type of the default -> (parse, serialize)
+_CODECS = {
+    bool: (_to_bool, lambda b: str(b).lower()),
+    int: (int, str),
+    float: (float, repr),
+    str: (str, str),
+    tuple: (_to_str_list, ",".join),
+}
+_MODEL_KEYS = ("aspects", "dim", "hidden", "temp")
+
+
+def _section(**defaults) -> dict:
+    return {key: (*_CODECS[type(default)], default) for key, default in defaults.items()}
+
+
+# section -> key -> (parse, serialize, default); [model] and [train] are the
+# TrainConfig fields, so their defaults live only there
 _SCHEMA = {
-    "data": {
-        "path": (str, str, ""),
-        "format": (str, str, ""),
-        "min_user_core": (int, str, 1),
-        "min_item_core": (int, str, 1),
-    },
-    "split": {
-        "train_ratio": (float, repr, 0.8),
-        "valid_of_test": (float, repr, 0.1),
-        "seed": (int, str, 0),
-    },
-    "model": {
-        "aspects": (int, str, 4),
-        "dim": (int, str, 0),
-        "hidden": (int, str, 64),
-        "temp": (float, repr, 0.1),
-    },
-    "train": {
-        "lr": (float, repr, 1e-3),
-        "batch_size": (int, str, 128),
-        "epochs": (int, str, 50),
-        "gamma": (float, repr, 0.1),
-        "tau": (float, repr, 0.2),
-        "beta": (float, repr, 1.0),
-        "beta_anneal_epochs": (int, str, 0),
-        "patience": (int, str, 10),
-        "seed": (int, str, 0),
-        "dtype": (str, str, "float64"),
-        "deterministic": (_to_bool, lambda b: str(b).lower(), False),
-        "input_dropout": (float, repr, 0.0),
-        "normalize_input": (_to_bool, lambda b: str(b).lower(), False),
-        "ablate": (_to_str_list, ",".join, ()),
-    },
-    "eval": {
-        "cutoffs": (_to_int_list, lambda t: ",".join(map(str, t)), (20, 50)),
-    },
-    "output": {
-        "dir": (str, str, "runs/out"),
-    },
+    "data": _section(path="", format="", min_user_core=1, min_item_core=1),
+    "split": _section(train_ratio=0.8, valid_of_test=0.1, seed=0),
+    "model": _section(**{f.name: f.default for f in fields(TrainConfig) if f.name in _MODEL_KEYS}),
+    "train": _section(**{f.name: f.default for f in fields(TrainConfig)
+                         if f.name not in _MODEL_KEYS}),
+    "eval": {"cutoffs": (_to_cutoffs, lambda t: ",".join(map(str, t)), (20, 50))},
+    "output": _section(dir="runs/out"),
 }
 
 
@@ -99,28 +86,7 @@ class RunConfig:
         self.values[section][key] = value
 
     def train_config(self) -> TrainConfig:
-        v = self.values
-        cfg = TrainConfig(
-            aspects=v["model"]["aspects"],
-            dim=v["model"]["dim"],
-            hidden=v["model"]["hidden"],
-            temp=v["model"]["temp"],
-            lr=v["train"]["lr"],
-            batch_size=v["train"]["batch_size"],
-            epochs=v["train"]["epochs"],
-            gamma=v["train"]["gamma"],
-            tau=v["train"]["tau"],
-            beta=v["train"]["beta"],
-            beta_anneal_epochs=v["train"]["beta_anneal_epochs"],
-            patience=v["train"]["patience"],
-            seed=v["train"]["seed"],
-            dtype=v["train"]["dtype"],
-            deterministic=v["train"]["deterministic"],
-            input_dropout=v["train"]["input_dropout"],
-            normalize_input=v["train"]["normalize_input"],
-        )
-        cfg.apply_ablations(v["train"]["ablate"])
-        return cfg.validate()
+        return TrainConfig(**self.values["model"], **self.values["train"]).validate()
 
 
 def load_config(path) -> RunConfig:

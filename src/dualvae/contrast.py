@@ -14,7 +14,7 @@ are excluded from the loss and from the in-batch negative pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,28 +22,8 @@ from . import generation as gen, tensor as T
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
-
-@dataclass
-class ContrastConfig:
-    """Temperature, balance weight, and the ablation switches.
-
-    ``use_user_negs`` governs the entity-level negative pool on either side
-    (users in a user batch, items in an item batch); ``use_neighbor_pos``
-    False replaces every neighborhood representation with the entity's own
-    latent (the self-positive variant).
-    """
-
-    tau: float = 0.2
-    gamma: float = 0.1
-    use_user_negs: bool = True
-    use_aspect_negs: bool = True
-    use_neighbor_pos: bool = True
-
-    def validate(self):
-        if self.tau <= 0.0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.gamma < 0.0:
-            raise ConfigError(f"gamma must be non-negative, got {self.gamma}")
+if TYPE_CHECKING:
+    from .trainer import TrainConfig
 
 
 def neighborhood_repr(neighbors: np.ndarray, weight_col: np.ndarray,
@@ -76,23 +56,25 @@ def batch_neighborhood_reprs(rows, frozen_probs: np.ndarray,
     return out
 
 
-def infonce_losses(z_list, o, cfg: ContrastConfig, participate: np.ndarray):
+def infonce_losses(z_list, o, cfg: TrainConfig, participate: np.ndarray):
     """Per-entity InfoNCE losses, one (b, 1) column per aspect.
 
     ``z_list`` holds the live per-aspect codes; ``o`` is the (b, A, d)
-    neighborhood array, ignored when ``use_neighbor_pos`` is off (the codes
-    themselves then act as both positives and negative pool). Non
-    participating entities are masked out of the pairwise negative pool.
+    neighborhood array. ``cfg`` gives the temperature ``tau`` and the
+    ablations: ``no_nps`` ignores ``o`` (the codes themselves then act as
+    both positives and negative pool), ``no_ans`` drops the other aspects'
+    negatives and ``no_uns`` the other in-batch entities' negatives (users
+    in a user batch, items in an item batch). Non participating entities
+    are masked out of the pairwise negative pool.
     """
-    cfg.validate()
     n_aspects = len(z_list)
     batch = z_list[0].shape[0]
     inv_tau = 1.0 / cfg.tau
 
     def partner(a):
-        if cfg.use_neighbor_pos:
-            return T.constant(np.ascontiguousarray(o[:, a, :]))
-        return z_list[a]
+        if "no_nps" in cfg.ablate:
+            return z_list[a]
+        return T.constant(np.ascontiguousarray(o[:, a, :]))
 
     dtype = z_list[0].dtype
     part_col = participate.astype(dtype).reshape(batch, 1)
@@ -101,13 +83,13 @@ def infonce_losses(z_list, o, cfg: ContrastConfig, participate: np.ndarray):
         pos = T.cosine_rows(z_list[a], partner(a))
         pos_scaled = T.scale(pos, inv_tau)
         denom = T.exp(pos_scaled)
-        if cfg.use_aspect_negs:
+        if "no_ans" not in cfg.ablate:
             for b_asp in range(n_aspects):
                 if b_asp == a:
                     continue
                 neg = T.cosine_rows(z_list[a], partner(b_asp))
                 denom = T.add(denom, T.exp(T.scale(neg, inv_tau)))
-        if cfg.use_user_negs and batch > 1:
+        if "no_uns" not in cfg.ablate and batch > 1:
             pairs = T.cosine_pairs(z_list[a], partner(a))
             mask = np.outer(np.ones(batch, dtype), part_col[:, 0])
             np.fill_diagonal(mask, 0.0)
@@ -117,7 +99,7 @@ def infonce_losses(z_list, o, cfg: ContrastConfig, participate: np.ndarray):
     return losses
 
 
-def batch_contrast(z_list, o, cfg: ContrastConfig, participate: np.ndarray) -> Tensor:
+def batch_contrast(z_list, o, cfg: TrainConfig, participate: np.ndarray) -> Tensor:
     """Aspect-summed InfoNCE averaged over participating batch entities."""
     count = int(participate.sum())
     dtype = z_list[0].dtype

@@ -30,30 +30,34 @@ def _side_objective(side, matrix, params, snap, cfg, eps):
         enc, dec = params.enc_i, params.dec_i
         protos = params.protos.item_protos
 
-    ccfg = cfg.contrast_config()
     o = nrc.batch_neighborhood_reprs(rows, frozen.probs, frozen.means)
     participate = np.diff(rows.indptr) > 0
 
     def build(tape):
         terms, fwd = gen.side_loss(rows, rows, enc, dec, protos, frozen,
                                    cfg.temp, cfg.beta, eps[side], tape)
-        closs = nrc.batch_contrast(fwd.z, o, ccfg, participate)
+        closs = nrc.batch_contrast(fwd.z, o, cfg, participate)
         return nrc.total_loss(terms, closs, cfg.gamma)
 
     return build
 
 
-def _fd_grads(loss_value, params_list, h):
+def finite_difference(loss_fn, params, h=1e-6):
+    """Central-difference gradient of ``loss_fn()`` wrt each Parameter.
+
+    ``loss_fn`` is a zero-argument callable returning a float that reads
+    the parameter values at call time.
+    """
     grads = []
-    for p in params_list:
+    for p in params:
         g = np.zeros_like(p.value)
         flat, gflat = p.value.reshape(-1), g.reshape(-1)
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + h
-            up = loss_value()
+            up = loss_fn()
             flat[k] = orig - h
-            down = loss_value()
+            down = loss_fn()
             flat[k] = orig
             gflat[k] = (up - down) / (2.0 * h)
         grads.append(g)
@@ -136,7 +140,7 @@ def run_gradcheck(seed: int = 0, num_users: int = 8, num_items: int = 12,
     report = {}
     for name, (side, plist) in groups.items():
         build = builders[side]
-        numeric = _fd_grads(lambda: build(Tape()).item(), plist, h)
+        numeric = finite_difference(lambda: build(Tape()).item(), plist, h)
         report[name] = _max_rel_err(analytic[name], numeric)
     return report
 

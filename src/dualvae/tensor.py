@@ -546,8 +546,6 @@ class RngState:
     and equally reproducible.
     """
 
-    ALGORITHM = "pcg64"
-
     def __init__(self, seed: int, _spawn_key: tuple = ()):
         self.seed = int(seed)
         self.spawn_key = tuple(_spawn_key)
@@ -572,22 +570,6 @@ class RngState:
 
     def choice(self, n: int, k: int, replace: bool = False) -> np.ndarray:
         return self._gen.choice(n, size=k, replace=replace)
-
-    def state_dict(self) -> dict:
-        return {
-            "algorithm": self.ALGORITHM,
-            "seed": self.seed,
-            "spawn_key": list(self.spawn_key),
-            "state": self._gen.bit_generator.state,
-        }
-
-    @classmethod
-    def from_state_dict(cls, d: dict) -> "RngState":
-        if d.get("algorithm") != cls.ALGORITHM:
-            raise ContractError(f"unknown rng algorithm {d.get('algorithm')!r}")
-        rng = cls(d["seed"], tuple(d.get("spawn_key", ())))
-        rng._gen.bit_generator.state = d["state"]
-        return rng
 
 
 def sample_standard_normal(rng: RngState, shape) -> Tensor:

@@ -42,16 +42,9 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
     dtype: str = "float64"
-    deterministic: bool = False
     input_dropout: float = 0.0
     normalize_input: bool = False
-    no_add: bool = False
-    no_ud: bool = False
-    no_id: bool = False
-    no_nrc: bool = False
-    no_uns: bool = False
-    no_ans: bool = False
-    no_nps: bool = False
+    ablate: tuple = ()  # names from _ABLATIONS
 
     TOTAL_EMBED = 100
 
@@ -78,6 +71,10 @@ class TrainConfig:
             raise ConfigError("input_dropout must lie in [0, 1)")
         if self.dtype not in ("float64", "float32"):
             raise ConfigError(f"dtype must be float64 or float32, got {self.dtype!r}")
+        self.ablate = tuple(self.ablate)
+        for name in self.ablate:
+            if name not in _ABLATIONS:
+                raise ConfigError(f"unknown ablation {name!r}; known: {', '.join(_ABLATIONS)}")
         return self
 
     @property
@@ -86,36 +83,20 @@ class TrainConfig:
 
     @property
     def pin_c(self) -> bool:
-        return self.no_add or self.no_id
+        return "no_add" in self.ablate or "no_id" in self.ablate
 
     @property
     def pin_p(self) -> bool:
-        return self.no_add or self.no_ud
+        return "no_add" in self.ablate or "no_ud" in self.ablate
 
     @property
     def effective_gamma(self) -> float:
-        return 0.0 if self.no_nrc else self.gamma
-
-    def contrast_config(self) -> nrc.ContrastConfig:
-        return nrc.ContrastConfig(
-            tau=self.tau,
-            gamma=self.effective_gamma,
-            use_user_negs=not self.no_uns,
-            use_aspect_negs=not self.no_ans,
-            use_neighbor_pos=not self.no_nps,
-        )
+        return 0.0 if "no_nrc" in self.ablate else self.gamma
 
     def beta_at(self, epoch: int) -> float:
         if self.beta_anneal_epochs <= 0:
             return self.beta
         return self.beta * min(1.0, epoch / self.beta_anneal_epochs)
-
-    def apply_ablations(self, names) -> "TrainConfig":
-        for name in names:
-            if name not in _ABLATIONS:
-                raise ConfigError(f"unknown ablation {name!r}; known: {', '.join(_ABLATIONS)}")
-            setattr(self, name, True)
-        return self
 
 
 class Adam:
@@ -200,7 +181,6 @@ def train_phase(side: str, train: InteractionMatrix, params: ModelParams, snap: 
         protos = None if cfg.pin_c else params.protos.item_protos
         live_group, frozen_group = params.item_group(), params.user_group()
 
-    ccfg = cfg.contrast_config()
     gamma = cfg.effective_gamma
     beta = cfg.beta_at(epoch)
     dtype = cfg.np_dtype
@@ -225,7 +205,7 @@ def train_phase(side: str, train: InteractionMatrix, params: ModelParams, snap: 
         if gamma > 0.0:
             o = nrc.batch_neighborhood_reprs(rows, frozen.probs, frozen.means)
             participate = np.diff(rows.indptr) > 0
-            closs = nrc.batch_contrast(fwd.z, o, ccfg, participate)
+            closs = nrc.batch_contrast(fwd.z, o, cfg, participate)
         loss = nrc.total_loss(terms, closs, gamma)
         if not np.isfinite(loss.item()):
             raise NumericError(f"non-finite loss in epoch {epoch}, {side} batch {n_batches}")
@@ -268,7 +248,6 @@ class Checkpoint:
     config: TrainConfig
     epoch: int
     best_metric: float
-    rng_state: dict
     dataset: dict
     params: ModelParams
     snapshot: Snapshot
@@ -336,7 +315,6 @@ def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = Fa
                     config=copy.deepcopy(cfg),
                     epoch=epoch,
                     best_metric=float(metric),
-                    rng_state=rng.state_dict(),
                     dataset=dict(dataset_info),
                     params=copy.deepcopy(params),
                     snapshot=Snapshot(
@@ -361,19 +339,14 @@ def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = Fa
 # checkpoint serialization
 
 _MAGIC = b"DVCK"
-_VERSION = 1
+_VERSION = 2
 _DTYPE_CODES = {"float64": 0, "float32": 1}
 _CODE_DTYPES = {0: np.float64, 1: np.float32}
 
 
 def _checkpoint_tensors(ckpt: Checkpoint) -> dict:
     out = {p.name: p.value for p in ckpt.params.all_params()}
-    snap = ckpt.snapshot
-    out.update({
-        "state.C": snap.C, "state.P": snap.P,
-        "state.user_means": snap.user_means, "state.user_decoded": snap.user_decoded,
-        "state.item_means": snap.item_means, "state.item_decoded": snap.item_decoded,
-    })
+    out.update({f"state.{f.name}": getattr(ckpt.snapshot, f.name) for f in fields(Snapshot)})
     return out
 
 
@@ -383,7 +356,6 @@ def save_checkpoint(ckpt: Checkpoint, path):
         "config": asdict(ckpt.config),
         "epoch": ckpt.epoch,
         "best_metric": ckpt.best_metric,
-        "rng": ckpt.rng_state,
         "dataset": ckpt.dataset,
         "tensors": sorted(tensors),
     }
@@ -412,6 +384,12 @@ def _read_exact(fh, n, what):
     return buf
 
 
+def _require(block: dict, keys, what: str, path):
+    missing = sorted(set(keys) - set(block))
+    if missing:
+        raise CheckpointError(f"{path}: {what} lacks {missing}")
+
+
 def load_checkpoint(path, dtype: "str | None" = None) -> Checkpoint:
     """Read a checkpoint; ``dtype='float64'`` widens float32 tensors on load."""
     with open(path, "rb") as fh:
@@ -419,12 +397,15 @@ def load_checkpoint(path, dtype: "str | None" = None) -> Checkpoint:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
         (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
         if version != _VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+            raise CheckpointError(f"{path}: checkpoint version {version} cannot be read by this "
+                                  f"build (version {_VERSION}); retrain to get a readable one")
         (blob_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
         try:
             header = json.loads(_read_exact(fh, blob_len, "header"))
         except json.JSONDecodeError as e:
             raise CheckpointError(f"{path}: corrupt header ({e})") from e
+        _require(header, ("config", "epoch", "best_metric", "dataset", "tensors"), "header", path)
+        _require(header["dataset"], ("digest", "num_users", "num_items"), "dataset block", path)
         tensors = {}
         for _ in header["tensors"]:
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "tensor name length"))
@@ -446,7 +427,10 @@ def load_checkpoint(path, dtype: "str | None" = None) -> Checkpoint:
     unknown = set(stored_cfg) - cfg_fields
     if unknown:
         raise CheckpointError(f"{path}: unknown config keys {sorted(unknown)}")
-    cfg = TrainConfig(**stored_cfg)
+    try:
+        cfg = TrainConfig(**stored_cfg).validate()
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: invalid stored config ({e})") from e
 
     target_dtype = np.dtype(dtype or cfg.dtype)
     if target_dtype == np.float64 and cfg.dtype == "float32":
@@ -456,20 +440,20 @@ def load_checkpoint(path, dtype: "str | None" = None) -> Checkpoint:
         raise CheckpointError("only float32 -> float64 widening is supported")
 
     ds = header["dataset"]
-    params = ModelParams(ds["num_users"], ds["num_items"], cfg.aspects, cfg.dim,
-                         cfg.hidden, RngState(0), cfg.np_dtype)
+    m, n, A, d = ds["num_users"], ds["num_items"], cfg.aspects, cfg.dim
+    params = ModelParams(m, n, A, d, cfg.hidden, RngState(0), cfg.np_dtype)
+    shapes = {p.name: p.value.shape for p in params.all_params()}
+    shapes.update({"state.C": (n, A), "state.P": (m, A),
+                   "state.user_means": (m, A, d), "state.user_decoded": (m, A, d),
+                   "state.item_means": (n, A, d), "state.item_decoded": (n, A, d)})
+    for name, shape in shapes.items():
+        if name not in tensors:
+            raise CheckpointError(f"{path}: missing tensor {name}")
+        if tensors[name].shape != shape:
+            raise CheckpointError(f"{path}: tensor {name} has shape {tensors[name].shape}, "
+                                  f"expected {shape}")
     for p in params.all_params():
-        if p.name not in tensors:
-            raise CheckpointError(f"{path}: missing tensor {p.name}")
-        if tensors[p.name].shape != p.value.shape:
-            raise CheckpointError(f"{path}: tensor {p.name} has shape {tensors[p.name].shape}, "
-                                  f"expected {p.value.shape}")
         p.value = tensors[p.name]
         p.grad = np.zeros_like(p.value)
-    snap = Snapshot(
-        tensors["state.C"], tensors["state.P"],
-        tensors["state.user_means"], tensors["state.user_decoded"],
-        tensors["state.item_means"], tensors["state.item_decoded"],
-    )
-    return Checkpoint(cfg, header["epoch"], header["best_metric"], header["rng"],
-                      ds, params, snap)
+    snap = Snapshot(**{f.name: tensors[f"state.{f.name}"] for f in fields(Snapshot)})
+    return Checkpoint(cfg, header["epoch"], header["best_metric"], ds, params, snap)

@@ -121,7 +121,7 @@ def _brute_infonce(z, o, tau):
 
 def test_criterion_4_infonce_oracle():
     rng = np.random.default_rng(4)
-    cfg = contrast.ContrastConfig(tau=0.2, gamma=0.1)
+    cfg = trainer.TrainConfig(tau=0.2, gamma=0.1)
     worst = 0.0
     for _ in range(100):
         b = int(rng.integers(1, 7))
@@ -255,9 +255,8 @@ def _ablation_ordering(split, seed):
         cfg = trainer.TrainConfig(
             aspects=4, dim=16, hidden=48, lr=0.01, batch_size=128,
             epochs=ABLATION_EPOCHS, gamma=0.1, tau=0.2, temp=0.7,
-            patience=100, seed=seed,
+            patience=100, seed=seed, ablate=ablate,
         ).validate()
-        cfg.apply_ablations(ablate)
         return trainer.fit(split, cfg).checkpoint.best_metric
 
     full = fit_variant()

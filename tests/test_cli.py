@@ -1,11 +1,14 @@
+import configparser
+import dataclasses
 import hashlib
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dualvae import config as config_mod
+from dualvae import config as config_mod, trainer
 from dualvae.errors import ConfigError
 
 CLI = [sys.executable, "-m", "dualvae.cli"]
@@ -48,6 +51,26 @@ def test_config_roundtrip_idempotent(tmp_path):
     assert again["model", "aspects"] == 5
 
 
+def test_schema_holds_each_train_config_field_once_with_its_default():
+    model, train = config_mod._SCHEMA["model"], config_mod._SCHEMA["train"]
+    fields = dataclasses.fields(trainer.TrainConfig)
+    assert sorted([*model, *train]) == sorted(f.name for f in fields)
+    for f in fields:
+        assert (model.get(f.name) or train[f.name])[2] == f.default
+    assert config_mod.RunConfig().train_config() == trainer.TrainConfig().validate()
+
+
+def test_readme_default_block_equals_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read_string(block)
+    shown = {section: list(parser.items(section)) for section in parser.sections()}
+    schema = {section: [(key, serialize(default)) for key, (_, serialize, default) in keys.items()]
+              for section, keys in config_mod._SCHEMA.items()}
+    assert shown == schema
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[train]\nlearning_rate = 0.1\n")
@@ -84,6 +107,32 @@ def test_bad_config_value_exit_code_1(tmp_path):
     assert "lr" in out.stderr
 
 
+def test_deterministic_is_not_a_config_key(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[train]\ndeterministic = true\n")
+    out = run_cli("train", "--config", str(cfg))
+    assert out.returncode == 1
+    assert "unknown key 'deterministic'" in out.stderr
+
+
+@pytest.mark.parametrize("cutoffs", ["", "0", "-5,20"])
+def test_nonpositive_or_empty_cutoffs_exit_code_1(workspace, tmp_path, cutoffs):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text((workspace / "run.ini").read_text() + f"\n[eval]\ncutoffs = {cutoffs}\n")
+    out = run_cli("evaluate", "--checkpoint", str(workspace / "out" / "checkpoint.ckpt"),
+                  "--config", str(cfg))
+    assert out.returncode == 1
+    assert "config error" in out.stderr and "cutoffs" in out.stderr
+
+
+@pytest.mark.parametrize("top_n", ["0", "-1"])
+def test_recommend_nonpositive_top_n_exit_code_1(workspace, top_n):
+    out = run_cli("recommend", "--checkpoint", str(workspace / "out" / "checkpoint.ckpt"),
+                  "--config", str(workspace / "run.ini"), "--users", "0", "--top-n", top_n)
+    assert out.returncode == 1
+    assert "--top-n" in out.stderr
+
+
 def test_ablate_requires_flags(workspace):
     out = run_cli("ablate", "--config", str(workspace / "run.ini"))
     assert out.returncode == 1
@@ -108,6 +157,18 @@ def test_ablate_no_nrc_zero_contrast_column(workspace, tmp_path):
     assert out.returncode == 0, out.stderr
     rows = (tmp_path / "ab" / "train_log.tsv").read_text().splitlines()[1:]
     assert all(float(r.split("\t")[5]) == 0.0 for r in rows)
+
+
+def test_ablate_survives_ini_fit_save_load(workspace, tmp_path):
+    cfg = tmp_path / "ablate.ini"
+    cfg.write_text((workspace / "run.ini").read_text().replace(
+        "[train]\n", "[train]\nablate = no_uns,no_nps\n"))
+    out = run_cli("train", "--config", str(cfg), "--epochs", "1", "--out", str(tmp_path / "ab"))
+    assert out.returncode == 0, out.stderr
+    loaded = trainer.load_checkpoint(tmp_path / "ab" / "checkpoint.ckpt")
+    assert loaded.config.ablate == ("no_uns", "no_nps")
+    resolved = config_mod.load_config(tmp_path / "ab" / "config_resolved.ini")
+    assert resolved["train", "ablate"] == ("no_uns", "no_nps")
 
 
 def test_deterministic_training_same_hash(workspace, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dualvae import contrast, tensor as T
+from dualvae import contrast, tensor as T, trainer
 from dualvae.errors import ConfigError
 
 from helpers import finite_difference, max_rel_err
@@ -39,10 +39,11 @@ def brute_force_infonce(z, o, tau, use_aspect, use_entity, participate=None):
     return out
 
 
-def cfg(**kw):
-    base = dict(tau=0.2, gamma=0.1)
-    base.update(kw)
-    return contrast.ContrastConfig(**base)
+def cfg(tau=0.2, gamma=0.1, use_user_negs=True, use_aspect_negs=True, use_neighbor_pos=True):
+    """A TrainConfig whose ablations switch off the InfoNCE parts set False."""
+    ablate = tuple(name for name, on in (("no_uns", use_user_negs), ("no_ans", use_aspect_negs),
+                                         ("no_nps", use_neighbor_pos)) if not on)
+    return trainer.TrainConfig(tau=tau, gamma=gamma, ablate=ablate)
 
 
 # ---------------------------------------------------------------------------

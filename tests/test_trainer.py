@@ -41,11 +41,11 @@ def test_config_rejects_out_of_grid_values():
 
 
 def test_ablation_flags():
-    cfg = small_cfg().apply_ablations(["no_nrc", "no_add"])
+    cfg = small_cfg(ablate=("no_nrc", "no_add"))
     assert cfg.effective_gamma == 0.0
     assert cfg.pin_c and cfg.pin_p
     with pytest.raises(ConfigError):
-        small_cfg().apply_ablations(["bogus"])
+        small_cfg(ablate=("bogus",))
 
 
 def test_beta_annealing_schedule():
@@ -186,7 +186,7 @@ def test_training_step_tape_is_freed_without_gc(monkeypatch, side):
 
 
 def test_no_add_keeps_probs_uniform():
-    cfg = small_cfg().apply_ablations(["no_add"])
+    cfg = small_cfg(ablate=("no_add",))
     split = small_split()
     rng, params, opt_u, opt_i, snap = setup_run(cfg, split)
     snap, _, _ = trainer.train_epoch_pair(split, params, opt_u, opt_i, snap, cfg, 1, rng)
@@ -229,7 +229,7 @@ def test_fit_best_metric_monotone_and_logged(tmp_path):
 
 def test_fit_no_nrc_logs_zero_contrast(tmp_path):
     log = tmp_path / "train.tsv"
-    cfg = small_cfg(epochs=2).apply_ablations(["no_nrc"])
+    cfg = small_cfg(epochs=2, ablate=("no_nrc",))
     trainer.fit(small_split(), cfg, log_path=log)
     rows = [ln.split("\t") for ln in log.read_text().splitlines()[1:]]
     assert all(float(r[5]) == 0.0 for r in rows)
@@ -305,11 +305,52 @@ def test_checkpoint_version_mismatch_is_error(tmp_path):
     import struct
 
     _, _, path = fitted(tmp_path)
-    blob = bytearray(path.read_bytes())
-    blob[4:8] = struct.pack("<I", 99)
-    bad = tmp_path / "vers.ckpt"
-    bad.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="version"):
+    for version in (1, 99):  # 1: the format with the `no_*` fields and the `rng` block
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", version)
+        bad = tmp_path / "vers.ckpt"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"version {version}.*retrain"):
+            trainer.load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("name, cut", [
+    ("enc_u.w1", None), ("state.C", None), ("enc_i.b2", 1), ("state.C", 1), ("state.item_means", 2),
+])
+def test_missing_or_misshaped_tensor_is_checkpoint_error(tmp_path, monkeypatch, name, cut):
+    # cut None drops the tensor; otherwise one entry of that axis goes
+    _, ckpt, _ = fitted(tmp_path)
+    intact = trainer._checkpoint_tensors
+
+    def damaged(c):
+        tensors = intact(c)
+        if cut is None:
+            del tensors[name]
+        else:
+            tensors[name] = np.delete(tensors[name], 0, axis=cut)
+        return tensors
+
+    monkeypatch.setattr(trainer, "_checkpoint_tensors", damaged)
+    path = tmp_path / "damaged.ckpt"
+    trainer.save_checkpoint(ckpt, path)
+    match = f"missing tensor {name}" if cut is None else f"tensor {name} has shape"
+    with pytest.raises(CheckpointError, match=match):
+        trainer.load_checkpoint(path)
+
+
+def test_missing_header_key_is_checkpoint_error(tmp_path):
+    import json
+    import struct
+
+    _, _, path = fitted(tmp_path)
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + n])
+    del header["best_metric"]
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    bad = tmp_path / "nokey.ckpt"
+    bad.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + n:])
+    with pytest.raises(CheckpointError, match="best_metric"):
         trainer.load_checkpoint(bad)
 
 
