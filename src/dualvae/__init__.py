@@ -3,7 +3,7 @@
 from .data import DatasetSplit, InteractionMatrix, ingest, make_batches, split
 from .errors import (CheckpointError, ConfigError, ContractError, DataError,
                      DomainError, DualVaeError, NumericError, ShapeError)
-from .evaluation import evaluate_ranking, ndcg_at_n, recall_at_n
+from .evaluation import evaluate_ranking
 from .model import ModelParams, Snapshot
 from .synth import aspect_recovery_score, generate
 from .tensor import Parameter, RngState, Tape, Tensor
@@ -16,6 +16,6 @@ __all__ = [
     "DataError", "DatasetSplit", "DomainError", "DualVaeError", "InteractionMatrix",
     "ModelParams", "NumericError", "Parameter", "RngState", "ShapeError", "Snapshot",
     "Tape", "Tensor", "TrainConfig", "aspect_recovery_score", "evaluate_ranking",
-    "fit", "generate", "ingest", "load_checkpoint", "make_batches", "ndcg_at_n",
-    "recall_at_n", "save_checkpoint", "split",
+    "fit", "generate", "ingest", "load_checkpoint", "make_batches", "save_checkpoint",
+    "split",
 ]

@@ -43,64 +43,48 @@ class Prototypes:
         return [self.item_protos, self.user_protos]
 
 
-def aspect_probs_live(means_per_aspect, protos: Tensor, temp: float) -> Tensor:
-    """On-tape aspect probability rows for a batch.
+def aspect_probs_live(means, protos, temp: float) -> Tensor:
+    """Aspect probability rows of b entities, on the tape or off it.
 
-    ``means_per_aspect`` is a list of A tensors (batch x dim), the a-th being
-    each entity's mean under aspect a; ``protos`` the matching (A x dim)
-    prototype leaf. Gradients flow into both.
+    ``means`` is the (A * b, d) stack of per-aspect posterior means, row
+    ``a * b + i`` holding entity i under aspect a; ``protos`` the matching
+    (A, d) prototypes. Each row's cosine to its aspect's prototype, folded
+    to (b, A) and divided by ``temp``, is softmaxed per entity; a zero-norm
+    row or prototype has cosine 0. Gradients flow into both inputs.
     """
     if temp <= 0:
         raise ShapeError("softmax temperature must be positive")
     n_aspects = protos.shape[0]
-    if len(means_per_aspect) != n_aspects:
-        raise ShapeError("one mean tensor per aspect required")
-    cols = []
-    for a in range(n_aspects):
-        proto_row = T.slice_rows(protos, a, a + 1)
-        batch = means_per_aspect[a].shape[0]
-        ones = np.ones((batch, 1), means_per_aspect[a].dtype)
-        cols.append(T.cosine_rows(means_per_aspect[a], T.matmul(ones, proto_row)))
-    return T.softmax_rows(T.scale(T.concat_cols(cols), 1.0 / temp))
+    rows, dim = means.shape
+    if rows % n_aspects or protos.shape[1] != dim:
+        raise ShapeError(f"stacked means {means.shape} vs prototypes {protos.shape}")
+    batch = rows // n_aspects
+    # one-hot (A * b, A) rows copy each aspect's unit prototype to its block
+    spread = np.repeat(np.eye(n_aspects, dtype=means.dtype), batch, axis=0)
+    cos = T.dot_rows(T.row_normalize(means), T.matmul(spread, T.row_normalize(protos)))
+    folded = T.transpose(T.reshape(cos, n_aspects, batch))
+    return T.softmax_rows(T.scale(folded, 1.0 / temp))
 
 
-def _cosine_to_proto(means: np.ndarray, proto: np.ndarray) -> np.ndarray:
-    mn = np.linalg.norm(means, axis=1)
-    pn = np.linalg.norm(proto)
-    if pn == 0.0 or np.any(mn == 0.0):
-        log.warning("zero-norm vector in aspect affinity; cosine treated as 0")
-    denom = np.where(mn > 0.0, mn, 1.0) * (pn if pn > 0.0 else 1.0)
-    cos = means @ proto / denom
-    if pn == 0.0:
-        cos[:] = 0.0
-    else:
-        cos[mn == 0.0] = 0.0
-    return cos
-
-
-def _probs(means: np.ndarray, protos: np.ndarray, temp: float) -> np.ndarray:
-    if temp <= 0:
-        raise ShapeError("softmax temperature must be positive")
+def _stored_probs(means: np.ndarray, protos: np.ndarray, temp: float) -> np.ndarray:
+    """``aspect_probs_live`` on (n, A, d) stored means and plain prototypes."""
     n, n_aspects, dim = means.shape
     if protos.shape != (n_aspects, dim):
         raise ShapeError(f"prototype shape {protos.shape} vs means {means.shape}")
-    aff = np.empty((n, n_aspects), dtype=means.dtype)
-    for a in range(n_aspects):
-        aff[:, a] = _cosine_to_proto(means[:, a, :], protos[a])
-    aff /= temp
-    aff -= aff.max(axis=1, keepdims=True)
-    e = np.exp(aff)
-    return e / e.sum(axis=1, keepdims=True)
+    stacked = means.transpose(1, 0, 2).reshape(n_aspects * n, dim)
+    if not (np.all((stacked * stacked).sum(axis=1)) and np.all((protos * protos).sum(axis=1))):
+        log.warning("zero-norm vector in aspect affinity; cosine treated as 0")
+    return aspect_probs_live(T.constant(stacked), T.constant(protos), temp).value
 
 
 def item_aspect_probs(item_means: np.ndarray, item_protos: np.ndarray, temp: float) -> np.ndarray:
     """Evaluation-mode item aspect matrix C (items x aspects) from stored means."""
-    return _probs(item_means, item_protos, temp)
+    return _stored_probs(item_means, item_protos, temp)
 
 
 def user_aspect_probs(user_means: np.ndarray, user_protos: np.ndarray, temp: float) -> np.ndarray:
     """Evaluation-mode user aspect matrix P (users x aspects) from stored means."""
-    return _probs(user_means, user_protos, temp)
+    return _stored_probs(user_means, user_protos, temp)
 
 
 def uniform_probs(n: int, n_aspects: int, dtype=np.float64) -> np.ndarray:

@@ -130,14 +130,22 @@ def raise_config(msg):
     raise ConfigError(msg)
 
 
-def _check_dataset(ckpt, matrix):
+def _load_trained(args):
+    """The run config, the float64 checkpoint and the dataset split of a
+    trained model; a checkpoint trained on other data is a DataError."""
+    from . import config as config_mod, trainer
     from .errors import DataError
 
-    if ckpt.dataset["digest"] != matrix.digest():
+    run_cfg = config_mod.load_config(args.config)
+    ckpt = trainer.load_checkpoint(args.checkpoint, dtype="float64")
+    _, split = _load_dataset(run_cfg)
+    digest = split.train.digest()
+    if ckpt.dataset["digest"] != digest:
         raise DataError(
             "checkpoint was trained on a different dataset "
-            f"(digest {ckpt.dataset['digest']} vs {matrix.digest()}); id maps do not match"
+            f"(digest {ckpt.dataset['digest']} vs {digest}); id maps do not match"
         )
+    return run_cfg, ckpt, split
 
 
 def cmd_ingest(args) -> int:
@@ -204,12 +212,9 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     from pathlib import Path
 
-    from . import config as config_mod, evaluation, trainer
+    from . import evaluation
 
-    run_cfg = config_mod.load_config(args.config)
-    ckpt = trainer.load_checkpoint(args.checkpoint, dtype="float64")
-    _, split = _load_dataset(run_cfg)
-    _check_dataset(ckpt, split.train)
+    run_cfg, ckpt, split = _load_trained(args)
     cutoffs = run_cfg["eval", "cutoffs"]
     # --no-mask ranks the train split itself, with nothing masked
     target = "train" if args.no_mask else args.target
@@ -230,13 +235,10 @@ def cmd_evaluate(args) -> int:
 def cmd_recommend(args) -> int:
     import numpy as np
 
-    from . import config as config_mod, evaluation, trainer
+    from . import evaluation
     from .errors import DataError
 
-    run_cfg = config_mod.load_config(args.config)
-    ckpt = trainer.load_checkpoint(args.checkpoint, dtype="float64")
-    _, split = _load_dataset(run_cfg)
-    _check_dataset(ckpt, split.train)
+    _, ckpt, split = _load_trained(args)
     id_to_idx = {orig: k for k, orig in enumerate(split.train.user_ids)}
     tokens = [token.strip() for token in args.users.split(",")]
     for token in tokens:
@@ -258,12 +260,7 @@ def cmd_recommend(args) -> int:
 def cmd_export_aspects(args) -> int:
     from pathlib import Path
 
-    from . import config as config_mod, trainer
-
-    run_cfg = config_mod.load_config(args.config)
-    ckpt = trainer.load_checkpoint(args.checkpoint, dtype="float64")
-    _, split = _load_dataset(run_cfg)
-    _check_dataset(ckpt, split.train)
+    _, ckpt, split = _load_trained(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for fname, probs, ids in (

@@ -26,18 +26,6 @@ if TYPE_CHECKING:
     from .trainer import TrainConfig
 
 
-def neighborhood_repr(neighbors: np.ndarray, weight_col: np.ndarray,
-                      latents: np.ndarray) -> np.ndarray:
-    """Single entity, single aspect: sum of weighted neighbor latents.
-
-    ``weight_col`` and ``latents`` are indexed over the whole frozen side;
-    an empty neighbor set yields the zero vector.
-    """
-    if len(neighbors) == 0:
-        return np.zeros(latents.shape[1], dtype=latents.dtype)
-    return (weight_col[neighbors, None] * latents[neighbors]).sum(axis=0)
-
-
 def batch_neighborhood_reprs(rows, frozen_probs: np.ndarray,
                              frozen_means: np.ndarray) -> np.ndarray:
     """Neighborhood representations for a batch, all aspects at once.
@@ -99,12 +87,19 @@ def infonce_losses(z_list, o, cfg: TrainConfig, participate: np.ndarray):
     return losses
 
 
-def batch_contrast(z_list, o, cfg: TrainConfig, participate: np.ndarray) -> Tensor:
-    """Aspect-summed InfoNCE averaged over participating batch entities."""
+def batch_contrast(z, o, cfg: TrainConfig, participate: np.ndarray) -> Tensor:
+    """Aspect-summed InfoNCE averaged over participating batch entities.
+
+    ``z`` is the live side's (A * b, d) aspect-major codes, ``o`` the (b, A, d)
+    neighborhood array and ``participate`` the (b,) mask of entities with a
+    train neighborhood.
+    """
     count = int(participate.sum())
-    dtype = z_list[0].dtype
+    dtype = z.dtype
     if count == 0:
         return T.constant(np.zeros((1, 1), dtype))
+    batch = len(participate)
+    z_list = [T.slice_rows(z, a * batch, (a + 1) * batch) for a in range(o.shape[1])]
     per_aspect = infonce_losses(z_list, o, cfg, participate)
     total = per_aspect[0]
     for col in per_aspect[1:]:

@@ -8,7 +8,9 @@ usual reparameterization z = mu + sigma * eps.
 
 Interaction rows come in sparse (scipy CSR, masked by scaling the stored
 values) and the first layer costs O(nnz * hidden); everything after it is
-dense.
+dense. A batch's A masked copies are encoded in one pass, stacked aspect by
+aspect: row ``a * b + i`` of every per-aspect array holds entity i under
+aspect a, so each aspect's block is a contiguous row slice.
 """
 
 from __future__ import annotations
@@ -56,14 +58,23 @@ def mask_interactions(rows: np.ndarray, aspect_col: np.ndarray) -> np.ndarray:
     return rows * col[None, :]
 
 
-def mask_sparse(rows: sp.csr_matrix, aspect_col: np.ndarray) -> sp.csr_matrix:
-    """``mask_interactions`` on CSR rows: each stored value times its
-    column's probability, in O(nnz); the result keeps the rows' dtype."""
-    col = np.asarray(aspect_col).reshape(-1)
-    if rows.shape[1] != col.shape[0]:
-        raise ShapeError(f"mask length {col.shape[0]} vs row width {rows.shape[1]}")
-    data = (rows.data * col[rows.indices]).astype(rows.dtype, copy=False)
-    return sp.csr_matrix((data, rows.indices, rows.indptr), shape=rows.shape)
+def mask_aspects(rows: sp.csr_matrix, probs: np.ndarray) -> sp.csr_matrix:
+    """``mask_interactions`` on CSR rows, for every aspect at once.
+
+    ``rows`` is (b, N) and ``probs`` the (N, A) aspect probabilities of the
+    columns. Row ``a * b + i`` of the (A * b, N) result is row i times column
+    a of ``probs``: the A masked copies share the rows' sparsity pattern, so
+    they stack into one matrix, built in O(A * nnz); it keeps the rows' dtype.
+    """
+    probs = np.asarray(probs)
+    if probs.ndim != 2 or rows.shape[1] != probs.shape[0]:
+        raise ShapeError(f"mask probabilities {probs.shape} vs row width {rows.shape[1]}")
+    n_aspects, nnz = probs.shape[1], rows.nnz
+    data = (rows.data * probs[rows.indices].T).astype(rows.dtype, copy=False).ravel()
+    starts = rows.indptr[:-1] + nnz * np.arange(n_aspects)[:, None]
+    indptr = np.append(starts.ravel(), n_aspects * nnz)
+    return sp.csr_matrix((data, np.tile(rows.indices, n_aspects), indptr),
+                         shape=(n_aspects * rows.shape[0], rows.shape[1]))
 
 
 def encode(x, enc: EncoderParams, tape: "T.Tape | None" = None):
@@ -105,10 +116,3 @@ def kl_rows(mu, logvar) -> Tensor:
     inner = T.sub(T.sub(T.add(T.exp(logvar), T.mul(mu, mu)), 1.0), logvar)
     return T.scale(T.sum_rows(inner), 0.5)
 
-
-def kl_gaussian(mu, sigma) -> float:
-    """Scalar closed-form KL for plain arrays (diagnostics and tests)."""
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    var = sigma * sigma
-    return float(0.5 * np.sum(var + mu * mu - 1.0 - np.log(var)))

@@ -25,12 +25,13 @@ def user_addends(snap: Snapshot, users):
     against all items: a generator of (b, n_items) arrays, which sum to the
     scores in aspect order."""
     users = np.asarray(users, dtype=np.int64)
-    codes = [snap.user_means[users, a, :] for a in range(snap.P.shape[1])]
-    images = [snap.user_decoded[users, a, :] for a in range(snap.P.shape[1])]
-    return gen.aspect_addends(codes, images, snap.P[users], snap.frozen_items())
+    # (b, A, 2d) [means | images] rows, made aspect-major (A * b, 2d)
+    codes = np.concatenate([snap.user_means[users], snap.user_decoded[users]], axis=2)
+    codes = codes.transpose(1, 0, 2).reshape(-1, codes.shape[2])
+    return gen.aspect_addends(codes, snap.P[users], snap.frozen_items())
 
 
-def score_block(params: ModelParams, snap: Snapshot, users) -> np.ndarray:
+def score_block(snap: Snapshot, users) -> np.ndarray:
     """Pair scores g(u, i) for the given users against all items."""
     addends = user_addends(snap, users)
     scores = next(addends)
@@ -39,7 +40,7 @@ def score_block(params: ModelParams, snap: Snapshot, users) -> np.ndarray:
     return scores
 
 
-def score_all(params: ModelParams, snap: Snapshot, users, masks, block: int = 256) -> np.ndarray:
+def score_all(snap: Snapshot, users, masks, block: int = 256) -> np.ndarray:
     """Scores with every masked (user, item) position set to -inf.
 
     ``masks`` is a list of InteractionMatrix; anything a user touched in any
@@ -48,7 +49,7 @@ def score_all(params: ModelParams, snap: Snapshot, users, masks, block: int = 25
     users = np.asarray(users, dtype=np.int64)
     out = np.empty((len(users), snap.item_means.shape[0]), dtype=snap.item_means.dtype)
     for start in range(0, len(users), block):
-        out[start: start + block] = score_block(params, snap, users[start: start + block])
+        out[start: start + block] = score_block(snap, users[start: start + block])
     for m in masks:
         out[m.user_items.gather(users)] = -np.inf
     return out
@@ -85,34 +86,15 @@ def _top_n_rows(score_rows: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def recall_at_n(topn_row, test_items, n: int) -> float:
-    """|topN ∩ test| / min(N, |test|)."""
-    test = set(int(i) for i in test_items)
-    if not test:
-        raise ValueError("recall undefined for a user with no test items")
-    hits = sum(1 for i in topn_row[:n] if int(i) in test)
-    return hits / min(n, len(test))
-
-
-def ndcg_at_n(topn_row, test_items, n: int) -> float:
-    """Position-discounted gain over the ideal prefix ordering."""
-    test = set(int(i) for i in test_items)
-    if not test:
-        raise ValueError("ndcg undefined for a user with no test items")
-    dcg = 0.0
-    for rank, item in enumerate(topn_row[:n], start=1):
-        if int(item) in test:
-            dcg += 1.0 / np.log2(rank + 1)
-    ideal = sum(1.0 / np.log2(r + 1) for r in range(1, min(n, len(test)) + 1))
-    return dcg / ideal
-
-
 _MASKS = {"valid": ("train",), "test": ("train", "valid"), "train": ()}
 
 
 def evaluate_ranking(params: ModelParams, snap: Snapshot, split: DatasetSplit,
                      target: str = "test", cutoffs=(20, 50)) -> dict:
-    """Macro-averaged metrics on the validation, test or train split.
+    """Macro-averaged capped Recall@N and NDCG@N on the validation, test or
+    train split: |top N ∩ held| / min(N, |held|), and the discounted gain of
+    the hits over that of min(N, |held|) hits ranked first. ``params`` is not
+    read; the snapshot holds everything ranking needs.
 
     The held-out matrix is ``split.<target>``. Validation ranking masks only
     train items, test ranking additionally masks validation items, and train
@@ -134,11 +116,11 @@ def evaluate_ranking(params: ModelParams, snap: Snapshot, split: DatasetSplit,
             result[f"ndcg@{n}"] = float("nan")
         return result
 
-    ranked = top_n(score_all(params, snap, users, masks), max(cutoffs))
+    ranked = top_n(score_all(snap, users, masks), max(cutoffs))
     is_held = np.zeros((len(users), held.num_items), dtype=bool)
     is_held[held.user_items.gather(users)] = True
     hits = np.take_along_axis(is_held, ranked, axis=1)
-    # the same scalar discounts, summed in the same order, as ndcg_at_n
+    # the scalar discounts 1 / log2(rank + 1), summed in rank order
     discounts = np.array([1.0 / np.log2(r + 1) for r in range(1, ranked.shape[1] + 1)])
     dcg = np.cumsum(hits * discounts, axis=1)
     ideal = np.cumsum(discounts)

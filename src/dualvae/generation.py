@@ -78,7 +78,6 @@ class ElboTerms:
 
     recon: Tensor  # scalar, batch-mean full-vector log-likelihood
     kl: Tensor     # scalar, batch-mean KL summed over aspects
-    beta: float
     loss: Tensor   # scalar, -(recon - beta * kl)
 
 
@@ -86,9 +85,8 @@ class ElboTerms:
 class SideForward:
     """Live-side quantities the contrastive constraint reuses."""
 
-    z: list          # per-aspect (b, d) sampled codes (tensors)
-    mu: list         # per-aspect (b, d) posterior means (tensors)
-    probs: Tensor    # (b, A) live aspect probabilities (constant if pinned)
+    z: Tensor      # (A * b, d) sampled codes, aspect-major
+    probs: Tensor  # (b, A) live aspect probabilities (constant if pinned)
 
 
 def side_loss(
@@ -100,7 +98,7 @@ def side_loss(
     frozen: FrozenSide,
     temp: float,
     beta: float,
-    eps_list,
+    eps,
     tape: "T.Tape | None",
 ) -> tuple[ElboTerms, SideForward]:
     """One batch of the alternating objective for whichever side is live.
@@ -110,8 +108,9 @@ def side_loss(
     encoder's input: the same rows, possibly after input dropout or
     normalization. ``live_protos`` is the prototype Parameter producing the
     live side's aspect probabilities, or None to pin them uniform (the
-    disentanglement ablations). ``eps_list`` carries one noise array per
-    aspect; None means evaluation mode (z = mu).
+    disentanglement ablations). ``eps`` is the (A * b, d) reparameterization
+    noise, aspect-major like every per-aspect array here; None means
+    evaluation mode (z = mu).
     """
     n_aspects = frozen.n_aspects
     batch, n_frozen = target.shape
@@ -119,32 +118,20 @@ def side_loss(
         raise ShapeError(f"target width {n_frozen} vs frozen side {frozen.means.shape[0]}")
     if rows.shape != target.shape:
         raise ShapeError(f"encoder rows {rows.shape} vs target {target.shape}")
-    dim = frozen.means.shape[2]
 
-    mu_list, z_list, kl_cols = [], [], []
-    for a in range(n_aspects):
-        masked = enc_mod.mask_sparse(rows, frozen.probs[:, a])
-        mu, logvar, sigma = enc_mod.encode(masked, live_enc, tape)
-        eps = T.Tensor(np.zeros((batch, dim), dtype=target.dtype)) if eps_list is None else T.constant(eps_list[a])
-        z = enc_mod.reparameterize(mu, sigma, eps)
-        mu_list.append(mu)
-        z_list.append(z)
-        kl_cols.append(enc_mod.kl_rows(mu, logvar))
-
+    mu, logvar, sigma = enc_mod.encode(enc_mod.mask_aspects(rows, frozen.probs), live_enc, tape)
+    z = mu if eps is None else enc_mod.reparameterize(mu, sigma, T.constant(eps))
     if live_protos is not None:
         proto_leaf = tape.leaf(live_protos) if tape is not None else T.constant(live_protos.value)
-        probs = aspects.aspect_probs_live(mu_list, proto_leaf, temp)
+        probs = aspects.aspect_probs_live(mu, proto_leaf, temp)
     else:
         probs = T.constant(aspects.uniform_probs(batch, n_aspects, target.dtype))
 
-    codes = [T.concat_cols([z, decode(z, live_dec, tape)]) for z in z_list]
+    codes = T.concat_cols([z, decode(z, live_dec, tape)])
     recon = poisson_loglik(codes, probs, frozen, target)
-    kl_sum = kl_cols[0]
-    for col in kl_cols[1:]:
-        kl_sum = T.add(kl_sum, col)
-    kl = T.mean_all(kl_sum)
+    kl = T.scale(T.sum_all(enc_mod.kl_rows(mu, logvar)), 1.0 / batch)
     loss = T.sub(T.scale(kl, beta), recon)
-    return ElboTerms(recon, kl, beta, loss), SideForward(z_list, mu_list, probs)
+    return ElboTerms(recon, kl, loss), SideForward(z, probs)
 
 
 def _skip_sigmoid(code: np.ndarray, frozen: FrozenSide, a: int) -> np.ndarray:
@@ -154,18 +141,19 @@ def _skip_sigmoid(code: np.ndarray, frozen: FrozenSide, a: int) -> np.ndarray:
     return T._logistic(s, out=s)
 
 
-def aspect_addends(z_list, images, probs: np.ndarray, frozen: FrozenSide):
+def aspect_addends(codes: np.ndarray, probs: np.ndarray, frozen: FrozenSide):
     """Per-aspect addends of the pair scores of a batch against every frozen entity.
 
     The pair score is g = sum_a p_a * c_a * sigmoid(<z_a, m_a> + <f(z_a), f(m_a)>),
-    where ``z_list`` and ``images`` hold the batch's per-aspect (b, d) codes
-    and decoder images, ``probs`` its (b, A) aspect probabilities, and
-    ``frozen`` the other side's means, images and probabilities, all plain
-    arrays. Yields the (b, N) addend of each aspect in turn, each in one
-    fresh array, so that a caller summing them holds one at a time.
+    where ``codes`` holds the batch's (A * b, 2d) codes [z_a, f(z_a)],
+    aspect-major, ``probs`` its (b, A) aspect probabilities, and ``frozen``
+    the other side's means, images and probabilities, all plain arrays.
+    Yields the (b, N) addend of each aspect in turn, each in one fresh array,
+    so that a caller summing them holds one at a time.
     """
-    for a, (z, image) in enumerate(zip(z_list, images)):
-        out = _skip_sigmoid(np.concatenate([z, image], axis=1), frozen, a)
+    batch = probs.shape[0]
+    for a in range(probs.shape[1]):
+        out = _skip_sigmoid(codes[a * batch:(a + 1) * batch], frozen, a)
         out *= frozen.probs[:, a]
         out *= probs[:, a:a + 1]
         yield out
@@ -175,37 +163,38 @@ def poisson_loglik(codes, probs, frozen: FrozenSide, target) -> Tensor:
     """Batch mean of the Poisson log-likelihood sum_j r_j * log g_j - g_j of
     each row's whole interaction vector, as one (1, 1) tape op.
 
-    ``codes`` holds each aspect's (b, 2d) ``[z_a, f(z_a)]``, ``probs`` the
-    batch's (b, A) aspect probabilities (tensors, on the tape or constant),
-    ``frozen`` the other side, and ``target`` the batch's interactions r as
-    scipy CSR. g is the pair score of ``aspect_addends``, but no (b, N)
-    matrix of it is built: g is formed only at r's stored entries, and
-    sum_j g_j = sum_a p_a * (sigmoid_a @ c_a). Only those entries are
-    logged, so a score that underflows to 0 where r = 0 is harmless; a
-    score <= 0 at a stored entry raises DomainError.
+    ``codes`` holds the batch's (A * b, 2d) codes ``[z_a, f(z_a)]``,
+    aspect-major, ``probs`` its (b, A) aspect probabilities (tensors, on the
+    tape or constant), ``frozen`` the other side, and ``target`` the batch's
+    interactions r as scipy CSR. g is the pair score of ``aspect_addends``,
+    but no (b, N) matrix of it is built: g is formed only at r's stored
+    entries, and sum_j g_j = sum_a p_a * (sigmoid_a @ c_a). Only those
+    entries are logged, so a score that underflows to 0 where r = 0 is
+    harmless; a score <= 0 at a stored entry raises DomainError.
 
     Backward, with k = upstream / b, the gradient wrt the aspect-a skip score
     is k * p_a * c_a * sigmoid_a' * (r / g - 1): a dense part that needs no
     g, sigmoid_a' @ (c_a * keys_a^T), plus a sparse one at the stored entries.
     """
-    tape = T._tape_of(*codes, probs)
-    dtype = T._dtype_of(*codes)
-    pv = T._val(probs, dtype)
+    tape = T._tape_of(codes, probs)
+    dtype = T._dtype_of(codes)
+    cv, pv = T._val(codes, dtype), T._val(probs, dtype)
     cprobs, keys = frozen.probs, frozen.keys
     shape, indptr, cols, r = target.shape, target.indptr, target.indices, target.data
-    batch = shape[0]
-    if len(codes) != keys.shape[0] or pv.shape != (batch, keys.shape[0]) or shape[1] != keys.shape[2]:
-        raise ShapeError(f"poisson_loglik: {len(codes)} codes, probs {pv.shape}, target {shape} "
-                         f"vs {keys.shape[0]} aspects and {keys.shape[2]} frozen entities")
+    batch, n_aspects = shape[0], keys.shape[0]
+    if cv.shape[0] != n_aspects * batch or pv.shape != (batch, n_aspects) or shape[1] != keys.shape[2]:
+        raise ShapeError(f"poisson_loglik: codes {cv.shape}, probs {pv.shape}, target {shape} "
+                         f"vs {n_aspects} aspects and {keys.shape[2]} frozen entities")
     entry_row = np.repeat(np.arange(batch), np.diff(indptr))
+    blocks = [slice(a * batch, (a + 1) * batch) for a in range(n_aspects)]
 
     # per aspect: the (b, N) sigmoids, the same at the stored entries, and
     # each row's sigmoid @ c_a
     sigmoids, stored, masses = [], [], []
     g_stored = np.zeros(len(cols), dtype)
     row_sums = np.zeros(batch, dtype)  # sum_j g_j of each row
-    for a, code in enumerate(codes):
-        sig = _skip_sigmoid(T._val(code, dtype), frozen, a)
+    for a, block in enumerate(blocks):
+        sig = _skip_sigmoid(cv[block], frozen, a)
         sigmoids.append(sig)
         stored.append(sig[entry_row, cols])
         masses.append(sig @ cprobs[:, a])
@@ -215,32 +204,31 @@ def poisson_loglik(codes, probs, frozen: FrozenSide, target) -> Tensor:
     if np.any(g_stored <= 0.0):
         raise DomainError("poisson_loglik: pair score must be strictly positive where r > 0")
     value = np.full((1, 1), (np.dot(r, np.log(g_stored)) - row_sums.sum()) / batch, dtype)
-    live = T._live(tape, *codes, probs)
+    live = T._live(tape, codes, probs)
     if not live:
         return Tensor(value)
     positions = tuple(pos for pos, _ in live)
-    n_aspects = len(codes)
 
     def vjp(g):
         k = g[0, 0] / batch
         ratio = k * r / g_stored  # the sparse part of dL/dg
         spread = sp.csr_matrix((ratio, cols, indptr), shape=shape)
-        d_probs = np.empty((batch, n_aspects), dtype) if n_aspects in positions else None
-        d_codes = []
-        for a in range(n_aspects):
+        d_probs = np.empty((batch, n_aspects), dtype) if 1 in positions else None
+        d_codes = np.empty_like(cv) if 0 in positions else None
+        for a, block in enumerate(blocks):
             sig, sig_stored, c_a = sigmoids[a], stored[a], cprobs[:, a]
             share = ratio * c_a[cols] * sig_stored  # k * r / g * c_a * sigmoid_a
             if d_probs is not None:
                 d_probs[:, a] = np.bincount(entry_row, share, minlength=batch) - k * masses[a]
-            if a not in positions:
+            if d_codes is None:
                 continue
             deriv = np.subtract(1.0, sig)
             deriv *= sig
-            d_code = deriv @ (keys[a].T * c_a[:, None])
+            d_code = d_codes[block]
+            np.matmul(deriv, keys[a].T * c_a[:, None], out=d_code)
             d_code *= -k * pv[:, a:a + 1]
             spread.data = share * (1.0 - sig_stored) * pv[entry_row, a]
             d_code += spread @ keys[a].T
-            d_codes.append(d_code)
-        return d_codes if d_probs is None else d_codes + [d_probs]
+        return [grad for grad in (d_codes, d_probs) if grad is not None]
 
     return T._emit(tape, value, [t for _, t in live], vjp)

@@ -106,8 +106,8 @@ def run_gradcheck(seed: int = 0, num_users: int = 8, num_items: int = 12,
     snap = model_mod.refresh(matrix, params, snap.C, snap.P, cfg.temp)
 
     eps = {
-        "user": [rng.derive(1, a).standard_normal(num_users, dim) for a in range(aspects)],
-        "item": [rng.derive(2, a).standard_normal(num_items, dim) for a in range(aspects)],
+        "user": rng.derive(1).standard_normal(aspects * num_users, dim),
+        "item": rng.derive(2).standard_normal(aspects * num_items, dim),
     }
 
     groups = {

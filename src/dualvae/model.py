@@ -85,10 +85,11 @@ def compute_side_state(matrix: InteractionMatrix, side: str, params: ModelParams
         idx = np.arange(start, min(start + block, n_entities))
         rows = (matrix.sparse_users(idx, dtype) if side == "user"
                 else matrix.sparse_items(idx, dtype))
-        for a in range(n_aspects):
-            mu, _, _ = enc_mod.encode(enc_mod.mask_sparse(rows, mask_probs[:, a]), enc)
-            means[idx, a, :] = mu.value
-            decoded[idx, a, :] = gen.decode(mu, dec).value
+        # one encoder pass over the block's (A * b) aspect-major rows, put
+        # back in the (b, A, d) layout
+        mu, _, _ = enc_mod.encode(enc_mod.mask_aspects(rows, mask_probs), enc)
+        means[idx] = mu.value.reshape(n_aspects, len(idx), -1).transpose(1, 0, 2)
+        decoded[idx] = gen.decode(mu, dec).value.reshape(n_aspects, len(idx), -1).transpose(1, 0, 2)
     return means, decoded
 
 

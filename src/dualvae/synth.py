@@ -12,7 +12,6 @@ rescaled so chance sits at 0 and perfect recovery at 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -59,6 +58,9 @@ def generate(m: int, n: int, n_true_aspects: int, density: float, seed: int,
     """
     if not (0.0 < density < 1.0):
         raise ConfigError(f"density must lie in (0, 1), got {density}")
+    if min(m, n, n_true_aspects) < 1:
+        raise ConfigError(f"users, items and true aspects must be >= 1, "
+                          f"got {m}, {n} and {n_true_aspects}")
     rng = RngState(seed).derive(77)
     make = _one_hot_mixtures if one_hot else _dirichlet_mixtures
     user_mix = make(m, n_true_aspects, rng)
@@ -69,28 +71,12 @@ def generate(m: int, n: int, n_true_aspects: int, density: float, seed: int,
     return from_dense(dense), world
 
 
-def _best_accuracy_exhaustive(learned, planted, n_aspects):
-    best = 0
-    for perm in permutations(range(n_aspects)):
-        mapped = np.array(perm)[learned]
-        best = max(best, int((mapped == planted).sum()))
-    return best
-
-
-def _best_accuracy_matching(learned, planted, n_aspects):
-    confusion = np.zeros((n_aspects, n_aspects), dtype=np.int64)
-    for l, p in zip(learned, planted):
-        confusion[l, p] += 1
-    rows, cols = linear_sum_assignment(-confusion)
-    return int(confusion[rows, cols].sum())
-
-
-def aspect_recovery_score(learned: np.ndarray, planted: np.ndarray,
-                          n_aspects: int, method: str = "auto") -> float:
+def aspect_recovery_score(learned: np.ndarray, planted: np.ndarray, n_aspects: int) -> float:
     """Chance-adjusted best-permutation agreement in [-1, 1].
 
     1 means the learned argmax aspects equal the planted assignment up to a
     relabeling; 0 is what uniform random assignment scores in expectation.
+    The best relabeling is a maximum-weight matching on the confusion matrix.
     """
     learned = np.asarray(learned, dtype=np.int64)
     planted = np.asarray(planted, dtype=np.int64)
@@ -100,11 +86,10 @@ def aspect_recovery_score(learned: np.ndarray, planted: np.ndarray,
         raise ConfigError("need at least one aspect")
     if n_aspects == 1:
         return 1.0
-    if method == "exhaustive" or (method == "auto" and n_aspects <= 6):
-        hits = _best_accuracy_exhaustive(learned, planted, n_aspects)
-    else:
-        hits = _best_accuracy_matching(learned, planted, n_aspects)
-    acc = hits / learned.size
+    confusion = np.zeros((n_aspects, n_aspects), dtype=np.int64)
+    np.add.at(confusion, (learned, planted), 1)
+    rows, cols = linear_sum_assignment(-confusion)
+    acc = int(confusion[rows, cols].sum()) / learned.size
     chance = 1.0 / n_aspects
     return (acc - chance) / (1.0 - chance)
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ShapeError
+from .errors import ConfigError, ContractError, DomainError, ShapeError
 
 DEFAULT_DTYPE = np.float64
 
@@ -323,6 +323,18 @@ def transpose(x) -> Tensor:
     return _emit(tape, out, [x], lambda g: (np.ascontiguousarray(g.T),))
 
 
+def reshape(x, rows: int, cols: int) -> Tensor:
+    """The same values in C order as a (rows, cols) matrix."""
+    tape = _tape_of(x)
+    xv = _val(x, _dtype_of(x))
+    if xv.size != rows * cols:
+        raise ShapeError(f"reshape: {xv.shape} cannot become ({rows}, {cols})")
+    out = xv.reshape(rows, cols)
+    if tape is None:
+        return Tensor(out)
+    return _emit(tape, out, [x], lambda g: (g.reshape(xv.shape),))
+
+
 def _unary(x, f, df_from_out):
     """Pointwise op saving only what backward needs (the output)."""
     tape = _tape_of(x)
@@ -548,6 +560,8 @@ class RngState:
 
     def __init__(self, seed: int, _spawn_key: tuple = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         self.spawn_key = tuple(_spawn_key)
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.spawn_key)
         self._gen = np.random.Generator(np.random.PCG64(seq))
@@ -570,12 +584,6 @@ class RngState:
 
     def choice(self, n: int, k: int, replace: bool = False) -> np.ndarray:
         return self._gen.choice(n, size=k, replace=replace)
-
-
-def sample_standard_normal(rng: RngState, shape) -> Tensor:
-    """i.i.d. N(0, 1) constant tensor, deterministic under the rng state."""
-    rows, cols = (shape, 1) if isinstance(shape, int) else tuple(shape)
-    return Tensor(rng.standard_normal(rows, cols))
 
 
 def constant(x, dtype=None) -> Tensor:

@@ -193,14 +193,10 @@ def train_phase(side: str, train: InteractionMatrix, params: ModelParams, snap: 
             p.zero_grad()
         rows = batch.sparse(dtype)
         enc_rows = _encoder_rows(rows, cfg, noise_rng)
-        eps_list = [
-            noise_rng.standard_normal(len(batch.indices), params.dim, dtype)
-            for _ in range(params.n_aspects)
-        ]
+        # aspect-major (A * b, d): the stream of A successive (b, d) draws
+        eps = noise_rng.standard_normal(params.n_aspects * len(batch.indices), params.dim, dtype)
         tape = Tape()
-        terms, fwd = gen.side_loss(
-            rows, enc_rows, enc, dec, protos, frozen, cfg.temp, beta, eps_list, tape
-        )
+        terms, fwd = gen.side_loss(rows, enc_rows, enc, dec, protos, frozen, cfg.temp, beta, eps, tape)
         closs = None
         if gamma > 0.0:
             o = nrc.batch_neighborhood_reprs(rows, frozen.probs, frozen.means)
@@ -317,11 +313,7 @@ def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = Fa
                     best_metric=float(metric),
                     dataset=dict(dataset_info),
                     params=copy.deepcopy(params),
-                    snapshot=Snapshot(
-                        snap.C.copy(), snap.P.copy(),
-                        snap.user_means.copy(), snap.user_decoded.copy(),
-                        snap.item_means.copy(), snap.item_decoded.copy(),
-                    ),
+                    snapshot=copy.deepcopy(snap),
                 )
             else:
                 since_improve += 1

@@ -7,10 +7,12 @@ paths it checks, apart from the small adapters marked as such.
 
 import functools
 import hashlib
+from itertools import permutations
 
 import numpy as np
+import scipy.sparse as sp
 
-from dualvae import data, generation as gen, tensor as T
+from dualvae import data, encoder as enc_mod, generation as gen, tensor as T
 from dualvae.gradcheck import finite_difference  # noqa: F401  (re-exported for the tests)
 
 
@@ -45,8 +47,10 @@ def paired_scores(P, C, skips):
     P, C, skips = (np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in (P, C, skips))
     n, A = P.shape
     frozen = gen.FrozenSide(np.ones((n, A, 1)), np.zeros((n, A, 1)), C)
-    terms = list(gen.aspect_addends([skips[:, a:a + 1] for a in range(A)],
-                                    [np.zeros((n, 1))] * A, P, frozen))
+    # aspect a's codes [z_a, f(z_a)] = [skip_a, 0], stacked aspect-major
+    codes = np.concatenate([np.concatenate([skips[:, a:a + 1], np.zeros((n, 1))], axis=1)
+                            for a in range(A)])
+    terms = list(gen.aspect_addends(codes, P, frozen))
     g = functools.reduce(np.add, terms)
     return np.diag(g), np.stack([np.diag(t) for t in terms], axis=1)
 
@@ -54,7 +58,8 @@ def paired_scores(P, C, skips):
 def dense_poisson_loglik(codes, probs, frozen, r):
     """Reference for ``generation.poisson_loglik``: the batch-mean
     likelihood composed from generic tape ops over the dense (b, N) scores g
-    and the dense target ``r``, which logs every score."""
+    and the dense target ``r``, which logs every score. ``codes`` is a list
+    of A per-aspect (b, 2d) code tensors."""
     addends = []
     for a, code in enumerate(codes):
         live_w = T.slice_cols(probs, a, a + 1)
@@ -62,6 +67,122 @@ def dense_poisson_loglik(codes, probs, frozen, r):
         addends.append(T.mul(T.mul(T.sigmoid(T.matmul(code, frozen.keys[a])), frozen_w), live_w))
     g = functools.reduce(T.add, addends)
     return T.mean_all(T.sum_rows(T.sub(T.mul(r, T.log(g)), g)))
+
+
+def per_aspect_probs(means_per_aspect, protos, temp):
+    """Reference for ``aspects.aspect_probs_live``: one cosine column per
+    aspect against that aspect's prototype row, from generic tape ops."""
+    cols = []
+    for a, mean in enumerate(means_per_aspect):
+        proto_row = T.slice_rows(protos, a, a + 1)
+        ones = np.ones((mean.shape[0], 1), mean.dtype)
+        cols.append(T.cosine_rows(mean, T.matmul(ones, proto_row)))
+    return T.softmax_rows(T.scale(T.concat_cols(cols), 1.0 / temp))
+
+
+def per_aspect_side_loss(target, rows, enc, dec, protos, frozen, temp, beta, eps_list, tape):
+    """Reference for ``generation.side_loss``: the objective composed aspect
+    by aspect (A masked CSR copies, A encoder passes, A KL columns, A codes),
+    with the likelihood of ``dense_poisson_loglik``. Returns
+    (loss, recon, kl, per-aspect z, probs)."""
+    batch, _ = target.shape
+    n_aspects, dim = frozen.n_aspects, frozen.means.shape[2]
+    mus, zs, kls = [], [], []
+    for a in range(n_aspects):
+        col = frozen.probs[:, a]
+        masked = sp.csr_matrix(((rows.data * col[rows.indices]).astype(rows.dtype),
+                                rows.indices, rows.indptr), shape=rows.shape)
+        mu, logvar, sigma = enc_mod.encode(masked, enc, tape)
+        eps = np.zeros((batch, dim), target.dtype) if eps_list is None else eps_list[a]
+        mus.append(mu)
+        zs.append(enc_mod.reparameterize(mu, sigma, T.constant(eps)))
+        kls.append(enc_mod.kl_rows(mu, logvar))
+    if protos is not None:
+        proto_leaf = tape.leaf(protos) if tape is not None else T.constant(protos.value)
+        probs = per_aspect_probs(mus, proto_leaf, temp)
+    else:
+        probs = T.constant(np.full((batch, n_aspects), 1.0 / n_aspects, target.dtype))
+    codes = [T.concat_cols([z, gen.decode(z, dec, tape)]) for z in zs]
+    recon = dense_poisson_loglik(codes, probs, frozen, target.toarray())
+    kl = T.mean_all(functools.reduce(T.add, kls))
+    loss = T.sub(T.scale(kl, beta), recon)
+    return loss, recon, kl, zs, probs
+
+
+def loop_stored_probs(means, protos, temp):
+    """Reference for ``aspects.item_aspect_probs`` / ``user_aspect_probs``:
+    numpy cosines of each aspect's (n, d) means to its prototype, a zero-norm
+    side scoring 0, then the temperature softmax."""
+    n, n_aspects, _ = means.shape
+    aff = np.empty((n, n_aspects), dtype=means.dtype)
+    for a in range(n_aspects):
+        mn = np.linalg.norm(means[:, a, :], axis=1)
+        pn = np.linalg.norm(protos[a])
+        denom = np.where(mn > 0.0, mn, 1.0) * (pn if pn > 0.0 else 1.0)
+        cos = means[:, a, :] @ protos[a] / denom
+        cos[(mn == 0.0) | (pn == 0.0)] = 0.0
+        aff[:, a] = cos
+    aff /= temp
+    aff -= aff.max(axis=1, keepdims=True)
+    e = np.exp(aff)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def kl_gaussian(mu, sigma) -> float:
+    """Scalar closed-form KL( N(mu, sigma) || N(0, I) ) of plain arrays."""
+    mu = np.asarray(mu, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    var = sigma * sigma
+    return float(0.5 * np.sum(var + mu * mu - 1.0 - np.log(var)))
+
+
+def neighborhood_repr(neighbors, weight_col, latents):
+    """Single entity, single aspect: sum of weighted neighbor latents.
+
+    ``weight_col`` and ``latents`` are indexed over the whole frozen side;
+    an empty neighbor set yields the zero vector.
+    """
+    if len(neighbors) == 0:
+        return np.zeros(latents.shape[1], dtype=latents.dtype)
+    return (weight_col[neighbors, None] * latents[neighbors]).sum(axis=0)
+
+
+def recall_at_n(topn_row, test_items, n: int) -> float:
+    """|topN ∩ test| / min(N, |test|)."""
+    test = set(int(i) for i in test_items)
+    if not test:
+        raise ValueError("recall undefined for a user with no test items")
+    hits = sum(1 for i in topn_row[:n] if int(i) in test)
+    return hits / min(n, len(test))
+
+
+def ndcg_at_n(topn_row, test_items, n: int) -> float:
+    """Position-discounted gain over the ideal prefix ordering."""
+    test = set(int(i) for i in test_items)
+    if not test:
+        raise ValueError("ndcg undefined for a user with no test items")
+    dcg = 0.0
+    for rank, item in enumerate(topn_row[:n], start=1):
+        if int(item) in test:
+            dcg += 1.0 / np.log2(rank + 1)
+    ideal = sum(1.0 / np.log2(r + 1) for r in range(1, min(n, len(test)) + 1))
+    return dcg / ideal
+
+
+def best_accuracy_exhaustive(learned, planted, n_aspects):
+    """Most agreements between a relabeling of ``learned`` and ``planted``,
+    by trying every permutation of the aspect labels."""
+    best = 0
+    for perm in permutations(range(n_aspects)):
+        mapped = np.array(perm)[learned]
+        best = max(best, int((mapped == planted).sum()))
+    return best
+
+
+def sample_standard_normal(rng, shape):
+    """i.i.d. N(0, 1) constant tensor, deterministic under the rng state."""
+    rows, cols = (shape, 1) if isinstance(shape, int) else tuple(shape)
+    return T.Tensor(rng.standard_normal(rows, cols))
 
 
 def tape_grads(build_loss, params):

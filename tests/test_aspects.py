@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualvae import aspects, tensor as T
 from dualvae.errors import ShapeError
 
-from helpers import finite_difference, max_rel_err
+from helpers import finite_difference, loop_stored_probs, max_rel_err, per_aspect_probs
 
 RNG = np.random.default_rng(7)
 
@@ -98,32 +100,72 @@ def test_live_probs_match_eval_path_and_gradcheck():
     A, d, b = 3, 4, 5
     rng = T.RngState(0)
     protos = aspects.Prototypes(A, d, rng)
-    mean_params = [T.Parameter(f"mu{a}", RNG.standard_normal((b, d))) for a in range(A)]
+    # the (A * b, d) aspect-major stack of the per-aspect means
+    mean_param = T.Parameter("mu", RNG.standard_normal((A * b, d)))
     weights = RNG.standard_normal((b, A))
 
     def build(tape):
-        means = [tape.leaf(p) for p in mean_params]
-        probs = aspects.aspect_probs_live(means, tape.leaf(protos.user_protos), temp=0.4)
+        probs = aspects.aspect_probs_live(tape.leaf(mean_param), tape.leaf(protos.user_protos),
+                                          temp=0.4)
         return T.sum_all(T.mul(probs, weights))
 
     tape = T.Tape()
     live = build(tape)
-    stacked = np.stack([p.value for p in mean_params], axis=1)
-    eval_probs = aspects.user_aspect_probs(stacked, protos.user_protos.value, 0.4)
+    stored = mean_param.value.reshape(A, b, d).transpose(1, 0, 2)  # (b, A, d)
+    eval_probs = aspects.user_aspect_probs(stored, protos.user_protos.value, 0.4)
     probs_again = aspects.aspect_probs_live(
-        [T.constant(p.value) for p in mean_params], T.constant(protos.user_protos.value), 0.4
+        T.constant(mean_param.value), T.constant(protos.user_protos.value), 0.4
     )
     np.testing.assert_allclose(probs_again.value, eval_probs, atol=1e-12)
 
     # gradients reach both the prototypes and the latent means
-    checked = mean_params + [protos.user_protos]
+    checked = [mean_param, protos.user_protos]
     for p in checked:
         p.zero_grad()
     tape.backward(live)
     analytic = [p.grad.copy() for p in checked]
     numeric = finite_difference(lambda: build(T.Tape()).item(), checked)
     assert max_rel_err(analytic, numeric) < 1e-4
-    assert all(np.any(g != 0) for g in analytic)
+    assert all(np.any(g != 0) for g in np.split(analytic[0], A) + analytic[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 9), st.integers(1, 5), st.integers(1, 4),
+       st.floats(0.05, 2.0))
+def test_refresh_probs_match_numpy_cosines(seed, n, A, d, temp):
+    rng = np.random.default_rng(seed)
+    means = rng.standard_normal((n, A, d))
+    means[rng.random((n, A)) < 0.2] = 0.0  # zero-norm means score cosine 0
+    protos = rng.standard_normal((A, d))
+    protos[rng.random(A) < 0.2] = 0.0
+    want = loop_stored_probs(means, protos, temp)
+    np.testing.assert_allclose(aspects.item_aspect_probs(means, protos, temp), want,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(aspects.user_aspect_probs(means, protos, temp), want,
+                               rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 7), st.integers(1, 4), st.integers(1, 4))
+def test_live_probs_match_per_aspect_composition(seed, b, A, d):
+    rng = np.random.default_rng(seed)
+    means = T.Parameter("mu", rng.standard_normal((A * b, d)))
+    protos = T.Parameter("protos", rng.standard_normal((A, d)))
+    weights = rng.standard_normal((b, A))
+
+    def value_and_grads(probs_of):
+        for q in (means, protos):
+            q.zero_grad()
+        tape = T.Tape()
+        loss = T.sum_all(T.mul(probs_of(tape.leaf(means), tape.leaf(protos)), weights))
+        tape.backward(loss)
+        return [loss.value, means.grad.copy(), protos.grad.copy()]
+
+    got = value_and_grads(lambda m, p: aspects.aspect_probs_live(m, p, 0.3))
+    want = value_and_grads(lambda m, p: per_aspect_probs(
+        [T.slice_rows(m, a * b, (a + 1) * b) for a in range(A)], p, 0.3))
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
 
 def test_entropy_report_cases():

@@ -115,6 +115,28 @@ def test_deterministic_is_not_a_config_key(tmp_path):
     assert "unknown key 'deterministic'" in out.stderr
 
 
+@pytest.mark.parametrize("flags, edit", [
+    (["--seed", "-1"], lambda ini: ini),
+    ([], lambda ini: ini.replace("seed = 1", "seed = -1")),
+    ([], lambda ini: ini + "\n[split]\nseed = -1\n"),
+], ids=["train-flag", "train-ini", "split-ini"])
+def test_negative_seed_exit_code_1(workspace, tmp_path, flags, edit):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(edit((workspace / "run.ini").read_text()))
+    out = run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags)
+    assert out.returncode == 1
+    assert "config error" in out.stderr and "seed" in out.stderr
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-3"), ("--true-aspects", "0"),
+                                         ("--users", "0"), ("--items", "0")])
+def test_bad_synthetic_ingest_exit_code_1(tmp_path, flag, value):
+    out = run_cli("ingest", "--synthetic", flag, value, "--out", str(tmp_path / "data"))
+    assert out.returncode == 1
+    assert "config error" in out.stderr
+    assert not (tmp_path / "data" / "interactions.tsv").exists()
+
+
 @pytest.mark.parametrize("cutoffs", ["", "0", "-5,20"])
 def test_nonpositive_or_empty_cutoffs_exit_code_1(workspace, tmp_path, cutoffs):
     cfg = tmp_path / "run.ini"
@@ -242,7 +264,7 @@ def test_recommend_addends_sum_to_score(workspace):
     item_index = {iid: k for k, iid in enumerate(split.train.item_ids)}
     for ln in lines[1:]:
         user, _, item, score = ln.split("\t")[:4]
-        want = evaluation.score_all(ckpt.params, ckpt.snapshot, [user_index[user]],
+        want = evaluation.score_all(ckpt.snapshot, [user_index[user]],
                                     masks=[split.train])[0, item_index[item]]
         assert score == f"{want:.6f}"
 

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from dualvae import contrast, tensor as T, trainer
 from dualvae.errors import ConfigError
 
-from helpers import finite_difference, max_rel_err
+from helpers import finite_difference, max_rel_err, neighborhood_repr
 
 RNG = np.random.default_rng(55)
 
@@ -53,19 +53,19 @@ def test_singleton_neighborhood_with_unit_weight():
     latents = RNG.standard_normal((5, 3))
     weights = np.zeros(5)
     weights[2] = 1.0
-    out = contrast.neighborhood_repr(np.array([2]), weights, latents)
+    out = neighborhood_repr(np.array([2]), weights, latents)
     np.testing.assert_array_equal(out, latents[2])
 
 
 def test_opposite_neighbors_cancel():
     latents = np.array([[1.0, -2.0], [-1.0, 2.0]])
     weights = np.array([0.5, 0.5])
-    out = contrast.neighborhood_repr(np.array([0, 1]), weights, latents)
+    out = neighborhood_repr(np.array([0, 1]), weights, latents)
     np.testing.assert_allclose(out, np.zeros(2), atol=1e-15)
 
 
 def test_empty_neighborhood_is_zero_vector():
-    out = contrast.neighborhood_repr(np.array([], dtype=int), np.ones(4), RNG.standard_normal((4, 3)))
+    out = neighborhood_repr(np.array([], dtype=int), np.ones(4), RNG.standard_normal((4, 3)))
     np.testing.assert_array_equal(out, np.zeros(3))
 
 
@@ -79,7 +79,7 @@ def test_batch_reprs_match_single_entity_loops():
     for row in range(b):
         neigh = np.nonzero(slab[row])[0]
         for a in range(A):
-            want = contrast.neighborhood_repr(neigh, probs[:, a], means[:, a, :])
+            want = neighborhood_repr(neigh, probs[:, a], means[:, a, :])
             np.testing.assert_allclose(got[row, a], want, atol=1e-12)
 
 
@@ -88,6 +88,12 @@ def test_batch_reprs_match_single_entity_loops():
 
 def as_tensors(z):
     return [T.constant(np.ascontiguousarray(z[:, a, :])) for a in range(z.shape[1])]
+
+
+def as_stacked(z):
+    """(b, A, d) codes as the aspect-major (A * b, d) constant that
+    ``batch_contrast`` takes."""
+    return T.constant(np.ascontiguousarray(z.transpose(1, 0, 2)).reshape(-1, z.shape[2]))
 
 
 def test_no_negatives_means_zero_loss():
@@ -154,10 +160,10 @@ def test_loss_drops_as_positive_aligns():
     b, A, d = 4, 2, 5
     z = RNG.standard_normal((b, A, d))
     o = RNG.standard_normal((b, A, d))
-    base = contrast.batch_contrast(as_tensors(z), o, cfg(), np.ones(b, dtype=bool)).item()
+    base = contrast.batch_contrast(as_stacked(z), o, cfg(), np.ones(b, dtype=bool)).item()
     aligned = o.copy()
     aligned[:, 0, :] = 3.0 * z[:, 0, :]  # positive similarity -> 1 under aspect 0
-    better = contrast.batch_contrast(as_tensors(z), aligned, cfg(), np.ones(b, dtype=bool)).item()
+    better = contrast.batch_contrast(as_stacked(z), aligned, cfg(), np.ones(b, dtype=bool)).item()
     assert better < base
 
 
@@ -170,25 +176,24 @@ def test_participation_excludes_entities_and_pool():
     want = brute_force_infonce(z, o, 0.2, True, True, participate=part)
     for a in range(A):
         np.testing.assert_allclose(got[a].value[part, 0], want[part, a], atol=1e-10)
-    total = contrast.batch_contrast(as_tensors(z), o, cfg(), part).item()
+    total = contrast.batch_contrast(as_stacked(z), o, cfg(), part).item()
     np.testing.assert_allclose(total, want[part].sum(axis=1).mean(), atol=1e-10)
 
 
 def test_empty_participation_contributes_nothing():
     z = RNG.standard_normal((3, 2, 4))
     o = RNG.standard_normal((3, 2, 4))
-    out = contrast.batch_contrast(as_tensors(z), o, cfg(), np.zeros(3, dtype=bool))
+    out = contrast.batch_contrast(as_stacked(z), o, cfg(), np.zeros(3, dtype=bool))
     assert out.item() == 0.0
 
 
 def test_gradients_flow_through_live_codes():
     b, A, d = 4, 3, 4
     o = RNG.standard_normal((b, A, d))
-    zparams = [T.Parameter(f"z{a}", RNG.standard_normal((b, d))) for a in range(A)]
+    zparams = [T.Parameter("z", RNG.standard_normal((A * b, d)))]
 
     def build(tape):
-        z_list = [tape.leaf(p) for p in zparams]
-        return contrast.batch_contrast(z_list, o, cfg(), np.ones(b, dtype=bool))
+        return contrast.batch_contrast(tape.leaf(zparams[0]), o, cfg(), np.ones(b, dtype=bool))
 
     for p in zparams:
         p.zero_grad()
@@ -197,14 +202,14 @@ def test_gradients_flow_through_live_codes():
     analytic = [p.grad.copy() for p in zparams]
     numeric = finite_difference(lambda: build(T.Tape()).item(), zparams)
     assert max_rel_err(analytic, numeric) < 1e-5
-    assert all(np.any(g != 0.0) for g in analytic)
+    assert all(np.any(g != 0.0) for g in np.split(analytic[0], A))  # every aspect's block
 
 
 def test_total_loss_combination():
     from dualvae.generation import ElboTerms
 
     recon, kl = T.constant(-4.0), T.constant(1.0)
-    elbo = ElboTerms(recon, kl, 1.0, T.constant(5.0))
+    elbo = ElboTerms(recon, kl, T.constant(5.0))
     assert contrast.total_loss(elbo, T.constant(2.0), 0.1).item() == pytest.approx(5.2)
     assert contrast.total_loss(elbo, T.constant(2.0), 0.0).item() == 5.0
     assert contrast.total_loss(elbo, None, 0.0).item() == 5.0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from dualvae import encoder, tensor as T
 from dualvae.errors import NumericError, ShapeError
 
-from helpers import finite_difference, max_rel_err
+from helpers import finite_difference, kl_gaussian, max_rel_err
 
 RNG = np.random.default_rng(31)
 
@@ -47,13 +47,16 @@ def test_mask_decomposition_identity(seed, n_aspects):
     np.testing.assert_allclose(total, rows, atol=1e-12)
 
 
-def test_mask_sparse_matches_dense_mask():
+def test_mask_aspects_stacks_dense_masks():
     rows = (RNG.random((5, 9)) < 0.4).astype(float)
-    col = RNG.random(9)
-    got = encoder.mask_sparse(sp.csr_matrix(rows), col)
-    np.testing.assert_array_equal(got.toarray(), encoder.mask_interactions(rows, col))
+    probs = RNG.random((9, 3))
+    got = encoder.mask_aspects(sp.csr_matrix(rows), probs)
+    assert got.shape == (15, 9)
+    for a in range(3):  # rows a*b .. a*b + b - 1 hold aspect a
+        np.testing.assert_array_equal(got[5 * a:5 * (a + 1)].toarray(),
+                                      encoder.mask_interactions(rows, probs[:, a]))
     with pytest.raises(ShapeError):
-        encoder.mask_sparse(sp.csr_matrix(rows), np.ones(8))
+        encoder.mask_aspects(sp.csr_matrix(rows), np.ones((8, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +69,7 @@ def test_csr_encode_matches_dense_encode(seed):
     rows = (rng.random((6, 30)) < 0.2).astype(float)
     rows[0] = 0.0  # an empty row
     col = rng.random(30)
-    sparse = encoder.encode(encoder.mask_sparse(sp.csr_matrix(rows), col), enc)
+    sparse = encoder.encode(encoder.mask_aspects(sp.csr_matrix(rows), col[:, None]), enc)
     dense = encoder.encode(encoder.mask_interactions(rows, col), enc)
     for got, want in zip(sparse, dense):
         np.testing.assert_allclose(got.value, want.value, rtol=0, atol=1e-12)
@@ -184,11 +187,11 @@ def test_reparam_gradients_flow():
 # KL
 
 def test_kl_standard_posterior_is_zero():
-    assert encoder.kl_gaussian(np.zeros(3), np.ones(3)) == 0.0
+    assert kl_gaussian(np.zeros(3), np.ones(3)) == 0.0
 
 
 def test_kl_closed_form_hand_case():
-    assert abs(encoder.kl_gaussian([1.0, 0.0], [1.0, 1.0]) - 0.5) < 1e-12
+    assert abs(kl_gaussian([1.0, 0.0], [1.0, 1.0]) - 0.5) < 1e-12
 
 
 def test_kl_rows_matches_scalar_form():
@@ -196,7 +199,7 @@ def test_kl_rows_matches_scalar_form():
     logvar = 0.5 * RNG.standard_normal((4, 3))
     rows = encoder.kl_rows(T.constant(mu), T.constant(logvar)).value
     for r in range(4):
-        want = encoder.kl_gaussian(mu[r], np.exp(0.5 * logvar[r]))
+        want = kl_gaussian(mu[r], np.exp(0.5 * logvar[r]))
         assert abs(rows[r, 0] - want) < 1e-10
     assert np.all(rows >= 0.0)
 
@@ -206,7 +209,7 @@ def test_kl_monte_carlo_oracle():
     for _ in range(50):
         mu = rng.uniform(-1.5, 1.5, size=3)
         sigma = rng.uniform(0.4, 1.8, size=3)
-        closed = encoder.kl_gaussian(mu, sigma)
+        closed = kl_gaussian(mu, sigma)
         z = mu + sigma * rng.standard_normal((100_000, 3))
         log_q = -0.5 * (((z - mu) / sigma) ** 2 + np.log(2 * np.pi)) - np.log(sigma)
         log_p = -0.5 * (z ** 2 + np.log(2 * np.pi))
@@ -219,4 +222,4 @@ def test_kl_nonnegative_property():
     for _ in range(200):
         mu = rng.standard_normal(4)
         sigma = np.exp(0.5 * rng.uniform(-3, 3, 4))
-        assert encoder.kl_gaussian(mu, sigma) >= 0.0
+        assert kl_gaussian(mu, sigma) >= 0.0

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from dualvae import data, evaluation as ev, generation as gen, model, tensor as T
 
+from helpers import ndcg_at_n, recall_at_n
+
 
 def brute_force_metrics(order, test_set, n):
     """Set/loop arithmetic straight from the definitions."""
@@ -17,31 +19,31 @@ def brute_force_metrics(order, test_set, n):
 
 def test_recall_all_hits_and_no_hits():
     top = np.array([3, 1, 4, 0, 5])
-    assert ev.recall_at_n(top, {3, 1, 4}, 5) == 1.0
-    assert ev.recall_at_n(top, {9, 8}, 5) == 0.0
+    assert recall_at_n(top, {3, 1, 4}, 5) == 1.0
+    assert recall_at_n(top, {9, 8}, 5) == 0.0
 
 
 def test_recall_two_of_three_hits():
     top = np.arange(20)
-    assert abs(ev.recall_at_n(top, {0, 5, 99}, 20) - 2 / 3) < 1e-12
+    assert abs(recall_at_n(top, {0, 5, 99}, 20) - 2 / 3) < 1e-12
 
 
 def test_recall_capped_denominator():
     # more test items than the cutoff: denominator is N, not |test|
     top = np.arange(5)
-    assert ev.recall_at_n(top, set(range(50)), 5) == 1.0
+    assert recall_at_n(top, set(range(50)), 5) == 1.0
 
 
 def test_ndcg_rank_one_and_rank_two():
-    assert ev.ndcg_at_n(np.array([7, 3, 9]), {7}, 20) == 1.0
-    got = ev.ndcg_at_n(np.concatenate([[3], [7], np.arange(100, 118)]), {7}, 20)
+    assert ndcg_at_n(np.array([7, 3, 9]), {7}, 20) == 1.0
+    got = ndcg_at_n(np.concatenate([[3], [7], np.arange(100, 118)]), {7}, 20)
     assert abs(got - 1.0 / np.log2(3)) < 1e-12
 
 
 def test_ndcg_perfect_prefix():
     for k in (1, 3, 5):
         top = np.arange(20)
-        assert abs(ev.ndcg_at_n(top, set(range(k)), 20) - 1.0) < 1e-12
+        assert abs(ndcg_at_n(top, set(range(k)), 20) - 1.0) < 1e-12
 
 
 def test_metrics_match_brute_force_on_random_instances():
@@ -53,8 +55,8 @@ def test_metrics_match_brute_force_on_random_instances():
         n_test = int(rng.integers(1, 8))
         test_set = set(int(x) for x in rng.choice(n_items, n_test, replace=False))
         want_r, want_n = brute_force_metrics(list(order), test_set, cutoff)
-        assert abs(ev.recall_at_n(order, test_set, cutoff) - want_r) < 1e-12
-        assert abs(ev.ndcg_at_n(order, test_set, cutoff) - want_n) < 1e-12
+        assert abs(recall_at_n(order, test_set, cutoff) - want_r) < 1e-12
+        assert abs(ndcg_at_n(order, test_set, cutoff) - want_n) < 1e-12
 
 
 def test_metric_monotonicity_add_a_hit():
@@ -67,15 +69,15 @@ def test_metric_monotonicity_add_a_hit():
         if not out_top:
             continue
         promoted = set(test_set) | {int(out_top[0])}
-        assert ev.recall_at_n(order, promoted, 10) >= ev.recall_at_n(order, test_set, 10) - 1e-12
-        assert ev.ndcg_at_n(order, promoted, 10) >= ev.ndcg_at_n(order, test_set, 10) - 1e-12
+        assert recall_at_n(order, promoted, 10) >= recall_at_n(order, test_set, 10) - 1e-12
+        assert ndcg_at_n(order, promoted, 10) >= ndcg_at_n(order, test_set, 10) - 1e-12
 
 
 def test_ndcg_demotion_never_helps():
     order = list(range(20))
     for pos in range(19):
-        better = ev.ndcg_at_n(np.array(order), {pos}, 20)
-        worse = ev.ndcg_at_n(np.array(order), {pos + 1}, 20)
+        better = ndcg_at_n(np.array(order), {pos}, 20)
+        worse = ndcg_at_n(np.array(order), {pos + 1}, 20)
         assert better >= worse
 
 
@@ -126,16 +128,16 @@ def loop_ranking(params, snap, split, target, cutoffs):
     if not users:
         return {**result, **{f"{metric}@{n}": float("nan")
                              for metric in ("recall", "ndcg") for n in cutoffs}}
-    scores = ev.score_block(params, snap, users)
+    scores = ev.score_block(snap, users)
     for k, u in enumerate(users):
         for m in masks:
             scores[k, m.user_items[u]] = -np.inf
     ranked = stable_top_n(scores, max(cutoffs))
     for n in cutoffs:
         result[f"recall@{n}"] = float(np.mean(
-            [ev.recall_at_n(ranked[k], held.user_items[u], n) for k, u in enumerate(users)]))
+            [recall_at_n(ranked[k], held.user_items[u], n) for k, u in enumerate(users)]))
         result[f"ndcg@{n}"] = float(np.mean(
-            [ev.ndcg_at_n(ranked[k], held.user_items[u], n) for k, u in enumerate(users)]))
+            [ndcg_at_n(ranked[k], held.user_items[u], n) for k, u in enumerate(users)]))
     return result
 
 
@@ -156,9 +158,9 @@ def test_evaluate_ranking_matches_per_user_loop(seed, m, n, target, cutoffs):
 
 def test_metrics_reject_empty_test_set():
     with pytest.raises(ValueError):
-        ev.recall_at_n(np.arange(5), set(), 5)
+        recall_at_n(np.arange(5), set(), 5)
     with pytest.raises(ValueError):
-        ev.ndcg_at_n(np.arange(5), set(), 5)
+        ndcg_at_n(np.arange(5), set(), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +181,8 @@ def scored_world(seed=0, m=12, n=15):
 def test_scores_repeatable_and_in_range():
     _, split, params, snap = scored_world()
     users = np.arange(split.train.num_users)
-    s1 = ev.score_block(params, snap, users)
-    s2 = ev.score_block(params, snap, users)
+    s1 = ev.score_block(snap, users)
+    s2 = ev.score_block(snap, users)
     np.testing.assert_array_equal(s1, s2)
     assert np.all(s1 > 0.0) and np.all(s1 < 1.0)
 
@@ -197,12 +199,11 @@ def test_training_and_ranking_score_the_same_pairs():
     rows = matrix.sparse_users(users)
     terms, fwd = gen.side_loss(
         rows, rows, params.enc_u, params.dec_u,
-        None, snap.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=None,
+        None, snap.frozen_items(), temp=0.5, beta=1.0, eps=None, tape=None,
     )
-    scores = ev.score_block(params, snap, users)
-    images = [gen.decode(z, params.dec_u).value for z in fwd.z]
-    training = sum(gen.aspect_addends([z.value for z in fwd.z], images, fwd.probs.value,
-                                      snap.frozen_items()))
+    scores = ev.score_block(snap, users)
+    codes = np.concatenate([fwd.z.value, gen.decode(fwd.z, params.dec_u).value], axis=1)
+    training = sum(gen.aspect_addends(codes, fwd.probs.value, snap.frozen_items()))
     np.testing.assert_allclose(training, scores, rtol=0.0, atol=1e-12)
     # and the fused likelihood is the Poisson term of those very scores
     r = matrix.densify_users(users)
@@ -214,15 +215,15 @@ def test_float32_snapshot_scores_in_float32():
     _, split, params, snap = scored_world(seed=2)
     snap32 = model.Snapshot(**{k: v.astype(np.float32) for k, v in vars(snap).items()})
     users = np.arange(split.train.num_users)
-    got = ev.score_all(params, snap32, users, [split.train])
+    got = ev.score_all(snap32, users, [split.train])
     assert got.dtype == np.float32
-    np.testing.assert_allclose(got, ev.score_all(params, snap, users, [split.train]), rtol=1e-5)
+    np.testing.assert_allclose(got, ev.score_all(snap, users, [split.train]), rtol=1e-5)
 
 
 def test_masked_items_never_ranked():
     _, split, params, snap = scored_world(seed=3)
     users = np.arange(split.train.num_users)
-    scores = ev.score_all(params, snap, users, [split.train, split.valid])
+    scores = ev.score_all(snap, users, [split.train, split.valid])
     ranked = ev.top_n(scores, 5)
     for k, u in enumerate(users):
         banned = set(split.train.user_items[u]) | set(split.valid.user_items[u])

@@ -6,11 +6,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualvae import data, generation as gen, model, tensor as T, trainer
+from dualvae import aspects, data, encoder, generation as gen, model, tensor as T, trainer
 from dualvae.errors import DomainError
 
-from helpers import (dense_poisson_loglik, finite_difference, max_rel_err, paired_scores,
-                     reference_sigmoid)
+from helpers import (dense_poisson_loglik, finite_difference, kl_gaussian, max_rel_err,
+                     paired_scores, per_aspect_side_loss, reference_sigmoid)
 
 RNG = np.random.default_rng(77)
 
@@ -39,8 +39,8 @@ def one_aspect_frozen(zb, dec_b):
 def one_aspect_addends(za, zb, dec_a, dec_b):
     """(b_a, b_b) addends sigmoid(<za, zb> + <f(za), f(zb)>) of one aspect."""
     probs = np.ones((za.shape[0], 1))
-    return next(gen.aspect_addends([za], [gen.decode(za, dec_a).value], probs,
-                                   one_aspect_frozen(zb, dec_b)))
+    code = np.concatenate([za, gen.decode(za, dec_a).value], axis=1)
+    return next(gen.aspect_addends(code, probs, one_aspect_frozen(zb, dec_b)))
 
 
 def test_skip_zero_latents_zero_bias():
@@ -72,7 +72,7 @@ def test_skip_gradient_wrt_latent():
     def build(tape):
         z = tape.leaf(za)
         code = T.concat_cols([z, gen.decode(z, dec_a, tape)])
-        return gen.poisson_loglik([code], probs, frozen, sp.csr_matrix((4, 4)))
+        return gen.poisson_loglik(code, probs, frozen, sp.csr_matrix((4, 4)))
 
     za.zero_grad()
     tape = T.Tape()
@@ -124,7 +124,7 @@ def loglik_at(r, g):
     with a zero code (sigmoid 0.5), p = 1 and c = 2g."""
     frozen = gen.FrozenSide(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)), np.array([[2.0 * g]]))
     target = sp.csr_matrix(np.array([[float(r)]]))
-    return gen.poisson_loglik([T.constant(np.zeros((1, 2)))], T.constant(np.ones((1, 1))),
+    return gen.poisson_loglik(T.constant(np.zeros((1, 2))), T.constant(np.ones((1, 1))),
                               frozen, target)
 
 
@@ -161,25 +161,29 @@ def test_fused_likelihood_matches_dense_composition(seed, b, n, A, d, pinned, dt
                             rng.dirichlet(np.ones(A), n).astype(dtype))
     r = (rng.random((b, n)) < 0.3).astype(dtype)
     r[rng.random(b) < 0.3] = 0.0  # empty rows
-    xs = [T.Parameter(f"x{a}", 2.0 * rng.standard_normal((b, 2 * d)).astype(dtype))
-          for a in range(A)]
+    # the A aspects' (b, 2d) codes, stacked aspect-major
+    x = T.Parameter("x", 2.0 * rng.standard_normal((A * b, 2 * d)).astype(dtype))
     p = T.Parameter("p", rng.dirichlet(np.ones(A), b).astype(dtype))
 
+    def dense_of_slices(codes, probs, frozen, target):
+        blocks = [T.slice_rows(codes, a * b, (a + 1) * b) for a in range(A)]
+        return dense_poisson_loglik(blocks, probs, frozen, target)
+
     def value_and_grads(likelihood, target):
-        for q in xs + [p]:
+        for q in (x, p):
             q.zero_grad()
         tape = T.Tape()
         probs = T.constant(p.value) if pinned else tape.leaf(p)
-        value = likelihood([tape.leaf(x) for x in xs], probs, frozen, target)
+        value = likelihood(tape.leaf(x), probs, frozen, target)
         tape.backward(T.scale(value, 1.7))  # an upstream gradient other than 1
-        return [value.value] + [q.grad.copy() for q in xs + [p]]
+        return [value.value] + [q.grad.copy() for q in (x, p)]
 
     got = value_and_grads(gen.poisson_loglik, sp.csr_matrix(r))
-    want = value_and_grads(dense_poisson_loglik, r)
+    want = value_and_grads(dense_of_slices, r)
     # the r/g and -g parts can cancel (with b = n = A = 1, r = 1 and p = c = 1
     # the gradient is (1 - s)^2 of two terms near 1 - s, s the sigmoid), so
     # the absolute tolerance scales with the -g part: the empty-target values
-    cancelling = value_and_grads(dense_poisson_loglik, np.zeros_like(r))
+    cancelling = value_and_grads(dense_of_slices, np.zeros_like(r))
     tol = 1e-12 if dtype == np.float64 else 1e-4
     for g, w, c in zip(got, want, cancelling):
         assert g.dtype == dtype
@@ -198,14 +202,14 @@ def test_underflowed_score_logged_only_where_observed(dtype, far):
     r = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]], dtype)
 
     tape = T.Tape()
-    value = gen.poisson_loglik([tape.leaf(x)], probs, frozen, sp.csr_matrix(r))
+    value = gen.poisson_loglik(tape.leaf(x), probs, frozen, sp.csr_matrix(r))
     tape.backward(value)
     assert np.isfinite(value.item()) and np.all(np.isfinite(x.grad))
     with pytest.raises(DomainError):  # the dense composition logs every score
         dense_poisson_loglik([T.constant(x.value)], probs, frozen, r)
     r[1, 2] = 1.0  # an interaction at the underflowed pair
     with pytest.raises(DomainError):
-        gen.poisson_loglik([T.constant(x.value)], probs, frozen, sp.csr_matrix(r))
+        gen.poisson_loglik(T.constant(x.value), probs, frozen, sp.csr_matrix(r))
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +217,8 @@ def test_underflowed_score_logged_only_where_observed(dtype, far):
 
 def forward_scores(fwd, dec, frozen):
     """The (b, N) pair scores of a side_loss forward, through aspect_addends."""
-    images = [gen.decode(z, dec).value for z in fwd.z]
-    return functools.reduce(np.add, gen.aspect_addends([z.value for z in fwd.z], images,
-                                                       fwd.probs.value, frozen))
+    codes = np.concatenate([fwd.z.value, gen.decode(fwd.z, dec).value], axis=1)
+    return functools.reduce(np.add, gen.aspect_addends(codes, fwd.probs.value, frozen))
 
 
 def test_user_loss_closed_form_all_zero_rows():
@@ -224,7 +227,7 @@ def test_user_loss_closed_form_all_zero_rows():
     empty = sp.csr_matrix((1, matrix.num_items))
     terms, fwd = gen.side_loss(
         empty, empty, params.enc_u, params.dec_u, params.protos.user_protos,
-        snap.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=None,
+        snap.frozen_items(), temp=0.5, beta=1.0, eps=None, tape=None,
     )
     scores = forward_scores(fwd, params.dec_u, snap.frozen_items())
     np.testing.assert_allclose(terms.recon.item(), -scores.sum(), atol=1e-12)
@@ -240,13 +243,13 @@ def test_user_loss_kl_is_sum_of_per_aspect_kls():
     rows = matrix.sparse_users(users)
     terms, fwd = gen.side_loss(
         rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
-        snap.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=None,
+        snap.frozen_items(), temp=0.5, beta=1.0, eps=None, tape=None,
     )
     want = 0.0
     for a in range(params.n_aspects):
         masked = enc_mod.mask_interactions(slab, snap.C[:, a])
         mu, logvar, sigma = enc_mod.encode(masked, params.enc_u)
-        want += np.array([enc_mod.kl_gaussian(mu.value[k], sigma.value[k]) for k in range(len(users))])
+        want += np.array([kl_gaussian(mu.value[k], sigma.value[k]) for k in range(len(users))])
     np.testing.assert_allclose(terms.kl.item(), want.mean(), atol=1e-10)
 
 
@@ -255,7 +258,7 @@ def test_elbo_terms_sign_convention():
     rows = matrix.sparse_users([0, 1, 2])
     terms, _ = gen.side_loss(
         rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
-        snap.frozen_items(), temp=0.5, beta=0.7, eps_list=None, tape=None,
+        snap.frozen_items(), temp=0.5, beta=0.7, eps=None, tape=None,
     )
     np.testing.assert_allclose(
         terms.loss.item(), -(terms.recon.item() - 0.7 * terms.kl.item()), atol=1e-12
@@ -265,14 +268,14 @@ def test_elbo_terms_sign_convention():
 def test_user_loss_gradient_matches_finite_differences():
     matrix, params, snap = tiny_world(m=4, n=6, A=2, d=3, hidden=4, seed=8)
     rows = matrix.sparse_users([0, 1, 2, 3])
-    eps = [RNG.standard_normal((4, 3)) for _ in range(2)]
+    eps = RNG.standard_normal((2 * 4, 3))  # A = 2 aspects of 4 users, aspect-major
     frozen = snap.frozen_items()
     live = params.user_group()
 
     def build(tape):
         terms, _ = gen.side_loss(
             rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
-            frozen, temp=0.5, beta=1.0, eps_list=eps, tape=tape,
+            frozen, temp=0.5, beta=1.0, eps=eps, tape=tape,
         )
         return terms.loss
 
@@ -293,7 +296,7 @@ def test_frozen_side_gets_zero_gradient():
     tape = T.Tape()
     terms, _ = gen.side_loss(
         rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
-        snap.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=tape,
+        snap.frozen_items(), temp=0.5, beta=1.0, eps=None, tape=tape,
     )
     tape.backward(terms.loss)
     for p in params.item_group():
@@ -336,12 +339,12 @@ def test_item_loss_equals_user_loss_on_transposed_data():
     terms_item, _ = gen.side_loss(
         matrix.sparse_items(items), matrix.sparse_items(items),
         params.enc_i, params.dec_i, params.protos.item_protos,
-        snap.frozen_users(), temp=0.5, beta=1.0, eps_list=None, tape=None,
+        snap.frozen_users(), temp=0.5, beta=1.0, eps=None, tape=None,
     )
     terms_user_t, _ = gen.side_loss(
         matrix_t.sparse_users(items), matrix_t.sparse_users(items),
         params_t.enc_u, params_t.dec_u, params_t.protos.user_protos,
-        snap_t.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=None,
+        snap_t.frozen_items(), temp=0.5, beta=1.0, eps=None, tape=None,
     )
     assert abs(terms_item.loss.item() - terms_user_t.loss.item()) < 1e-9
 
@@ -350,8 +353,8 @@ def test_eval_mode_scores_are_deterministic():
     matrix, params, snap = tiny_world(seed=13)
     rows = matrix.sparse_users([0, 1])
     args = (rows, rows, params.enc_u, params.dec_u, params.protos.user_protos, snap.frozen_items())
-    _, fwd1 = gen.side_loss(*args, temp=0.5, beta=1.0, eps_list=None, tape=None)
-    _, fwd2 = gen.side_loss(*args, temp=0.5, beta=1.0, eps_list=None, tape=None)
+    _, fwd1 = gen.side_loss(*args, temp=0.5, beta=1.0, eps=None, tape=None)
+    _, fwd2 = gen.side_loss(*args, temp=0.5, beta=1.0, eps=None, tape=None)
     np.testing.assert_array_equal(forward_scores(fwd1, params.dec_u, snap.frozen_items()),
                                   forward_scores(fwd2, params.dec_u, snap.frozen_items()))
 
@@ -366,7 +369,7 @@ def test_frozen_perturbation_moves_loss_but_not_accumulators():
         s = model.refresh(matrix, params, snap.C, snap.P, temp=0.5)
         terms, _ = gen.side_loss(
             rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
-            s.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=None,
+            s.frozen_items(), temp=0.5, beta=1.0, eps=None, tape=None,
         )
         return terms.loss.item()
 
@@ -381,10 +384,77 @@ def test_frozen_perturbation_moves_loss_but_not_accumulators():
     tape = T.Tape()
     terms, _ = gen.side_loss(
         rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
-        snap.frozen_items(), temp=0.5, beta=1.0, eps_list=None, tape=tape,
+        snap.frozen_items(), temp=0.5, beta=1.0, eps=None, tape=tape,
     )
     tape.backward(terms.loss)
     np.testing.assert_array_equal(params.enc_i.w1.grad, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6), st.integers(1, 4), st.integers(1, 4),
+       st.booleans(), st.booleans(), st.sampled_from([np.float64, np.float32]))
+def test_stacked_side_loss_matches_per_aspect_composition(seed, b, A, d, pinned, noisy, dtype):
+    rng = np.random.default_rng(seed)
+    n, hidden = 7, 5
+    rows = sp.csr_matrix((rng.random((b, n)) < 0.4).astype(dtype))
+    frozen = gen.FrozenSide(rng.standard_normal((n, A, d)).astype(dtype),
+                            np.tanh(rng.standard_normal((n, A, d))).astype(dtype),
+                            rng.dirichlet(np.ones(A), n).astype(dtype))
+    streams = T.RngState(seed)
+    enc = encoder.EncoderParams("enc", n, hidden, d, streams.derive(1), dtype)
+    dec = gen.DecoderParams("dec", d, streams.derive(2), dtype)
+    protos = aspects.Prototypes(A, d, streams.derive(3), dtype).user_protos
+    live = enc.params() + dec.params() + [protos]
+    eps = rng.standard_normal((A * b, d)).astype(dtype) if noisy else None
+    eps_list = None if eps is None else np.split(eps, A)
+    pinned_or_live = None if pinned else protos
+
+    def value_and_grads(objective):
+        for q in live:
+            q.zero_grad()
+        tape = T.Tape()
+        loss = objective(tape)
+        tape.backward(T.scale(loss, 1.3))  # an upstream gradient other than 1
+        return [loss.value] + [q.grad.copy() for q in live]
+
+    got = value_and_grads(lambda tape: gen.side_loss(
+        rows, rows, enc, dec, pinned_or_live, frozen, 0.5, 0.8, eps, tape)[0].loss)
+    want = value_and_grads(lambda tape: per_aspect_side_loss(
+        rows, rows, enc, dec, pinned_or_live, frozen, 0.5, 0.8, eps_list, tape)[0])
+    tol = 1e-12 if dtype == np.float64 else 1e-4
+    for g, w in zip(got, want):
+        assert g.dtype == dtype
+        np.testing.assert_allclose(g, w, rtol=tol, atol=tol * np.abs(w).max())
+
+
+def test_side_loss_tape_does_not_grow_with_aspects():
+    nodes = []
+    for A in (1, 2, 4):
+        matrix, params, snap = tiny_world(A=A, seed=2)
+        rows = matrix.sparse_users([0, 1, 2])
+        tape = T.Tape()
+        gen.side_loss(rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
+                      snap.frozen_items(), temp=0.5, beta=1.0,
+                      eps=RNG.standard_normal((A * 3, params.dim)), tape=tape)
+        nodes.append(len(tape.nodes))
+    assert nodes[0] == nodes[1] == nodes[2]
+
+
+@pytest.mark.parametrize("side", ["user", "item"])
+def test_stacked_side_state_matches_single_aspect_encodes(side):
+    matrix, params, snap = tiny_world(m=7, n=9, A=3, d=2, seed=31)
+    n_entities = matrix.num_users if side == "user" else matrix.num_items
+    mask_probs, enc, dec = ((snap.C, params.enc_u, params.dec_u) if side == "user"
+                            else (snap.P, params.enc_i, params.dec_i))
+    means, decoded = model.compute_side_state(matrix, side, params, mask_probs, block=4)
+    rows = (matrix.sparse_users if side == "user" else matrix.sparse_items)(np.arange(n_entities))
+    for a in range(3):
+        col = mask_probs[:, a]
+        masked = sp.csr_matrix((rows.data * col[rows.indices], rows.indices, rows.indptr),
+                               shape=rows.shape)
+        mu, _, _ = encoder.encode(masked, enc)
+        np.testing.assert_allclose(means[:, a], mu.value, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(decoded[:, a], gen.decode(mu, dec).value, rtol=1e-13, atol=1e-15)
 
 
 def test_aspect_weight_bound_equality_only_for_matching_one_hots():
@@ -419,12 +489,12 @@ def test_float32_batch_records_only_float32_nodes():
     users = [0, 1, 2, 3]
     rows = matrix.sparse_users(users, f32)
     frozen = snap.frozen_items()
-    eps = [T.RngState(3).derive(a).standard_normal(len(users), d, f32) for a in range(A)]
+    eps = T.RngState(3).standard_normal(A * len(users), d, f32)
 
     tape = T.Tape()
     terms, fwd = gen.side_loss(
         rows, rows, params.enc_u, params.dec_u,
-        params.protos.user_protos, frozen, temp=0.5, beta=1.0, eps_list=eps, tape=tape,
+        params.protos.user_protos, frozen, temp=0.5, beta=1.0, eps=eps, tape=tape,
     )
     o = contrast.batch_neighborhood_reprs(rows, frozen.probs, frozen.means)
     closs = contrast.batch_contrast(fwd.z, o, trainer.TrainConfig(), np.diff(rows.indptr) > 0)

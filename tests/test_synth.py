@@ -4,6 +4,8 @@ import pytest
 from dualvae import synth
 from dualvae.errors import ConfigError
 
+from helpers import best_accuracy_exhaustive
+
 
 def test_single_true_aspect_is_plain_bernoulli():
     matrix, world = synth.generate(200, 200, 1, density=0.05, seed=1)
@@ -36,6 +38,12 @@ def test_density_validation():
         synth.generate(10, 10, 2, density=0.0, seed=0)
 
 
+@pytest.mark.parametrize("m, n, aspects", [(0, 10, 2), (10, 0, 2), (10, 10, 0), (-1, 10, 2)])
+def test_size_validation(m, n, aspects):
+    with pytest.raises(ConfigError):
+        synth.generate(m, n, aspects, density=0.1, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # recovery score
 
@@ -61,8 +69,9 @@ def test_recovery_exhaustive_equals_matching():
         learned = planted.copy()
         flip = rng.random(500) < 0.3
         learned[flip] = rng.integers(0, n_aspects, int(flip.sum()))
-        a = synth.aspect_recovery_score(learned, planted, n_aspects, method="exhaustive")
-        b = synth.aspect_recovery_score(learned, planted, n_aspects, method="matching")
+        chance = 1.0 / n_aspects
+        a = (best_accuracy_exhaustive(learned, planted, n_aspects) / 500 - chance) / (1.0 - chance)
+        b = synth.aspect_recovery_score(learned, planted, n_aspects)
         assert a == pytest.approx(b)
 
 

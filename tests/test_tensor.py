@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualvae import tensor as T
-from dualvae.errors import ContractError, DomainError, ShapeError
+from dualvae.errors import ConfigError, ContractError, DomainError, ShapeError
 
-from helpers import finite_difference, max_rel_err, reference_sigmoid, tape_grads
+from helpers import (finite_difference, max_rel_err, reference_sigmoid, sample_standard_normal,
+                     tape_grads)
 
 RNG = np.random.default_rng(20240517)
 
@@ -247,6 +248,20 @@ def test_grad_concat_slice_rows_transpose():
     _check_op(build, [a, b])
 
 
+def test_grad_reshape():
+    a = rand_param("a", 6, 1)
+    w = RNG.standard_normal((2, 3))
+
+    def build(t):
+        folded = T.reshape(t.leaf(a), 2, 3)
+        np.testing.assert_array_equal(folded.value, a.value.reshape(2, 3))
+        return T.sum_all(T.mul(T.mul(folded, folded), w))
+
+    _check_op(build, [a])
+    with pytest.raises(ShapeError):
+        T.reshape(a.value, 4, 2)
+
+
 def test_grad_cosine_rows():
     a = rand_param("a", 4, 3)
     b = rand_param("b", 4, 3)
@@ -369,7 +384,24 @@ def test_rng_derive_independent_and_stable():
     assert not np.array_equal(x, z)
 
 
+def test_negative_seed_is_config_error():
+    with pytest.raises(ConfigError, match="seed"):
+        T.RngState(-1)
+    T.RngState(0).derive(3)  # derived keys are not seeds
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_stacked_noise_draw_equals_per_aspect_draws(dtype):
+    # training draws one aspect-major (A * b, d) block where it drew A (b, d) ones
+    A, b, d = 4, 37, 5
+    stacked = T.RngState(11).derive(2, 0).standard_normal(A * b, d, dtype)
+    rng = T.RngState(11).derive(2, 0)
+    per_aspect = np.concatenate([rng.standard_normal(b, d, dtype) for _ in range(A)])
+    assert stacked.dtype == dtype
+    np.testing.assert_array_equal(stacked, per_aspect)
+
+
 def test_standard_normal_moments():
-    x = T.sample_standard_normal(T.RngState(123), (1_000_000, 1)).value
+    x = sample_standard_normal(T.RngState(123), (1_000_000, 1)).value
     assert abs(x.mean()) < 0.01
     assert abs(x.var() - 1.0) < 0.01

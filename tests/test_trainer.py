@@ -9,6 +9,8 @@ from dualvae import data, evaluation, synth, trainer
 from dualvae.errors import CheckpointError, ConfigError, NumericError
 from dualvae.tensor import Parameter, RngState
 
+from helpers import recall_at_n
+
 
 def small_cfg(**kw):
     base = dict(aspects=2, dim=4, hidden=8, lr=1e-2, batch_size=16, epochs=3,
@@ -252,8 +254,8 @@ def test_checkpoint_roundtrip_identical_scores(tmp_path):
     loaded = trainer.load_checkpoint(path)
     rng = np.random.default_rng(0)
     users = rng.integers(0, split.train.num_users, 100)
-    s_orig = evaluation.score_block(ckpt.params, ckpt.snapshot, users)
-    s_load = evaluation.score_block(loaded.params, loaded.snapshot, users)
+    s_orig = evaluation.score_block(ckpt.snapshot, users)
+    s_load = evaluation.score_block(loaded.snapshot, users)
     np.testing.assert_array_equal(s_orig, s_load)
     assert loaded.dataset["digest"] == ckpt.dataset["digest"]
 
@@ -453,10 +455,10 @@ def test_unmasked_train_recall_memorizes_tiny_data():
                               patience=100, seed=6).validate()
     ck = trainer.fit(split, cfg).checkpoint
     users = [u for u in range(30) if len(split.train.user_items[u])]
-    scores = evaluation.score_all(ck.params, ck.snapshot, users, masks=[])
+    scores = evaluation.score_all(ck.snapshot, users, masks=[])
     ranked = evaluation.top_n(scores, 20)
     train_recall = np.mean([
-        evaluation.recall_at_n(ranked[k], split.train.user_items[u], 20)
+        recall_at_n(ranked[k], split.train.user_items[u], 20)
         for k, u in enumerate(users)
     ])
     assert train_recall > 0.8  # chance at this cutoff is 1/3
