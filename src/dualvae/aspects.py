@@ -66,25 +66,27 @@ def aspect_probs_live(means, protos, temp: float) -> Tensor:
     return T.softmax_rows(T.scale(folded, 1.0 / temp))
 
 
-def _stored_probs(means: np.ndarray, protos: np.ndarray, temp: float) -> np.ndarray:
-    """``aspect_probs_live`` on (n, A, d) stored means and plain prototypes."""
-    n, n_aspects, dim = means.shape
+def _stored_probs(codes: np.ndarray, protos: np.ndarray, temp: float) -> np.ndarray:
+    """``aspect_probs_live`` on the means of stored (A, n, 2d) codes
+    [means | images] and plain prototypes."""
+    n_aspects, n, width = codes.shape
+    dim = width // 2
     if protos.shape != (n_aspects, dim):
-        raise ShapeError(f"prototype shape {protos.shape} vs means {means.shape}")
-    stacked = means.transpose(1, 0, 2).reshape(n_aspects * n, dim)
+        raise ShapeError(f"prototype shape {protos.shape} vs codes {codes.shape}")
+    stacked = codes[:, :, :dim].reshape(n_aspects * n, dim)
     if not (np.all((stacked * stacked).sum(axis=1)) and np.all((protos * protos).sum(axis=1))):
         log.warning("zero-norm vector in aspect affinity; cosine treated as 0")
     return aspect_probs_live(T.constant(stacked), T.constant(protos), temp).value
 
 
-def item_aspect_probs(item_means: np.ndarray, item_protos: np.ndarray, temp: float) -> np.ndarray:
-    """Evaluation-mode item aspect matrix C (items x aspects) from stored means."""
-    return _stored_probs(item_means, item_protos, temp)
+def item_aspect_probs(item_codes: np.ndarray, item_protos: np.ndarray, temp: float) -> np.ndarray:
+    """Evaluation-mode item aspect matrix C (items x aspects) from stored codes."""
+    return _stored_probs(item_codes, item_protos, temp)
 
 
-def user_aspect_probs(user_means: np.ndarray, user_protos: np.ndarray, temp: float) -> np.ndarray:
-    """Evaluation-mode user aspect matrix P (users x aspects) from stored means."""
-    return _stored_probs(user_means, user_protos, temp)
+def user_aspect_probs(user_codes: np.ndarray, user_protos: np.ndarray, temp: float) -> np.ndarray:
+    """Evaluation-mode user aspect matrix P (users x aspects) from stored codes."""
+    return _stored_probs(user_codes, user_protos, temp)
 
 
 def uniform_probs(n: int, n_aspects: int, dtype=np.float64) -> np.ndarray:

@@ -26,28 +26,28 @@ if TYPE_CHECKING:
     from .trainer import TrainConfig
 
 
-def batch_neighborhood_reprs(rows, frozen_probs: np.ndarray,
-                             frozen_means: np.ndarray) -> np.ndarray:
+def batch_neighborhood_reprs(rows, frozen: gen.FrozenSide) -> np.ndarray:
     """Neighborhood representations for a batch, all aspects at once.
 
     ``rows`` is the batch's interaction rows over the frozen side as scipy
-    CSR, so row b of the result under aspect a is sum_j rows[b, j] *
-    probs[j, a] * means[j, a, :].
+    CSR, so row b of the (A, b, d) result's block a is sum_j rows[b, j] *
+    probs[j, a] * means_a[j, :], the means being the first half of the
+    frozen codes.
     """
     b, n = rows.shape
-    n_aspects, dim = frozen_means.shape[1], frozen_means.shape[2]
-    if frozen_probs.shape != (n, n_aspects):
-        raise ShapeError("frozen prob matrix does not match row width")
-    out = np.empty((b, n_aspects, dim), dtype=frozen_means.dtype)
+    n_aspects, dim = frozen.n_aspects, frozen.codes.shape[2] // 2
+    if frozen.probs.shape != (n, n_aspects) or frozen.codes.shape[1] != n:
+        raise ShapeError("frozen side does not match row width")
+    out = np.empty((n_aspects, b, dim), dtype=frozen.codes.dtype)
     for a in range(n_aspects):
-        out[:, a, :] = rows @ (frozen_probs[:, a, None] * frozen_means[:, a, :])
+        out[a] = rows @ (frozen.probs[:, a, None] * frozen.codes[a, :, :dim])
     return out
 
 
 def infonce_losses(z_list, o, cfg: TrainConfig, participate: np.ndarray):
     """Per-entity InfoNCE losses, one (b, 1) column per aspect.
 
-    ``z_list`` holds the live per-aspect codes; ``o`` is the (b, A, d)
+    ``z_list`` holds the live per-aspect codes; ``o`` is the (A, b, d)
     neighborhood array. ``cfg`` gives the temperature ``tau`` and the
     ablations: ``no_nps`` ignores ``o`` (the codes themselves then act as
     both positives and negative pool), ``no_ans`` drops the other aspects'
@@ -62,7 +62,7 @@ def infonce_losses(z_list, o, cfg: TrainConfig, participate: np.ndarray):
     def partner(a):
         if "no_nps" in cfg.ablate:
             return z_list[a]
-        return T.constant(np.ascontiguousarray(o[:, a, :]))
+        return T.constant(o[a])
 
     dtype = z_list[0].dtype
     part_col = participate.astype(dtype).reshape(batch, 1)
@@ -90,7 +90,7 @@ def infonce_losses(z_list, o, cfg: TrainConfig, participate: np.ndarray):
 def batch_contrast(z, o, cfg: TrainConfig, participate: np.ndarray) -> Tensor:
     """Aspect-summed InfoNCE averaged over participating batch entities.
 
-    ``z`` is the live side's (A * b, d) aspect-major codes, ``o`` the (b, A, d)
+    ``z`` is the live side's (A * b, d) aspect-major codes, ``o`` the (A, b, d)
     neighborhood array and ``participate`` the (b,) mask of entities with a
     train neighborhood.
     """
@@ -99,7 +99,7 @@ def batch_contrast(z, o, cfg: TrainConfig, participate: np.ndarray) -> Tensor:
     if count == 0:
         return T.constant(np.zeros((1, 1), dtype))
     batch = len(participate)
-    z_list = [T.slice_rows(z, a * batch, (a + 1) * batch) for a in range(o.shape[1])]
+    z_list = [T.slice_rows(z, a * batch, (a + 1) * batch) for a in range(o.shape[0])]
     per_aspect = infonce_losses(z_list, o, cfg, participate)
     total = per_aspect[0]
     for col in per_aspect[1:]:

@@ -25,9 +25,7 @@ def user_addends(snap: Snapshot, users):
     against all items: a generator of (b, n_items) arrays, which sum to the
     scores in aspect order."""
     users = np.asarray(users, dtype=np.int64)
-    # (b, A, 2d) [means | images] rows, made aspect-major (A * b, 2d)
-    codes = np.concatenate([snap.user_means[users], snap.user_decoded[users]], axis=2)
-    codes = codes.transpose(1, 0, 2).reshape(-1, codes.shape[2])
+    codes = snap.user_codes[:, users].reshape(-1, snap.user_codes.shape[2])
     return gen.aspect_addends(codes, snap.P[users], snap.frozen_items())
 
 
@@ -47,7 +45,7 @@ def score_all(snap: Snapshot, users, masks, block: int = 256) -> np.ndarray:
     of them is removed from the ranking candidates.
     """
     users = np.asarray(users, dtype=np.int64)
-    out = np.empty((len(users), snap.item_means.shape[0]), dtype=snap.item_means.dtype)
+    out = np.empty((len(users), snap.item_codes.shape[1]), dtype=snap.item_codes.dtype)
     for start in range(0, len(users), block):
         out[start: start + block] = score_block(snap, users[start: start + block])
     for m in masks:

@@ -4,9 +4,12 @@ A pair's score aggregates per-aspect agreement: the aspect probabilities of
 the user and the item weight a sigmoid of a skip-connection score, which sums
 the raw inner product of the two latents with the inner product of their
 nonlinearly mapped images. The raw term keeps gradients alive when the
-nonlinear path saturates (latent-collapse guard). ``aspect_addends`` is the
-score that ranking and ``recommend`` compute from snapshot arrays, and its
-per-aspect addends are the explanation ``recommend`` prints.
+nonlinear path saturates (latent-collapse guard). Both sides hold their
+codes [z_a, f(z_a)] aspect-major, the live batch as (A * b, 2d) rows and the
+frozen side as the snapshot's (A, N, 2d) array, so each aspect's skip scores
+are one product. ``aspect_addends`` is the score that ranking and
+``recommend`` compute from snapshot arrays, and its per-aspect addends are
+the explanation ``recommend`` prints.
 
 Training scores each batch row's whole interaction vector under a Poisson
 likelihood, sum_j r_j * log g_j - g_j, whose log r! term vanishes for binary
@@ -16,8 +19,8 @@ r * log g is needed only at its stored entries, and the -g term only needs
 each row's sum of g.
 
 Training alternates sides: while one side's parameters are optimized, the
-other side's latents, decoded images and aspect probabilities enter as plain
-constants, so their gradient accumulators provably stay zero.
+other side's codes and aspect probabilities enter as plain constants, so
+their gradient accumulators provably stay zero.
 """
 
 from __future__ import annotations
@@ -55,17 +58,8 @@ def decode(z, dec: DecoderParams, tape: "T.Tape | None" = None) -> Tensor:
 class FrozenSide:
     """Evaluation-mode snapshot of the side not being trained this phase."""
 
-    means: np.ndarray    # (N, A, d) posterior means
-    decoded: np.ndarray  # (N, A, d) tanh decoder images of the means
-    probs: np.ndarray    # (N, A) aspect probabilities (C or P)
-
-    def __post_init__(self):
-        # per aspect, one contiguous (2d, N) block [means | images]^T, so that a
-        # single product gives both inner products of the skip score
-        n, n_aspects, dim = self.means.shape
-        self.keys = np.empty((n_aspects, 2 * dim, n), dtype=self.means.dtype)
-        self.keys[:, :dim] = self.means.transpose(1, 2, 0)
-        self.keys[:, dim:] = self.decoded.transpose(1, 2, 0)
+    codes: np.ndarray  # (A, N, 2d) [posterior means | tanh decoder images], aspect-major
+    probs: np.ndarray  # (N, A) aspect probabilities (C or P)
 
     @property
     def n_aspects(self):
@@ -114,8 +108,8 @@ def side_loss(
     """
     n_aspects = frozen.n_aspects
     batch, n_frozen = target.shape
-    if frozen.means.shape[0] != n_frozen:
-        raise ShapeError(f"target width {n_frozen} vs frozen side {frozen.means.shape[0]}")
+    if frozen.codes.shape[1] != n_frozen:
+        raise ShapeError(f"target width {n_frozen} vs frozen side {frozen.codes.shape[1]}")
     if rows.shape != target.shape:
         raise ShapeError(f"encoder rows {rows.shape} vs target {target.shape}")
 
@@ -137,7 +131,7 @@ def side_loss(
 def _skip_sigmoid(code: np.ndarray, frozen: FrozenSide, a: int) -> np.ndarray:
     """sigmoid(<z_a, m_a> + <f(z_a), f(m_a)>) of a batch's (b, 2d) aspect-a
     codes [z_a, f(z_a)] against every frozen entity, in one fresh (b, N) array."""
-    s = code @ frozen.keys[a]
+    s = code @ frozen.codes[a].T
     return T._logistic(s, out=s)
 
 
@@ -147,7 +141,7 @@ def aspect_addends(codes: np.ndarray, probs: np.ndarray, frozen: FrozenSide):
     The pair score is g = sum_a p_a * c_a * sigmoid(<z_a, m_a> + <f(z_a), f(m_a)>),
     where ``codes`` holds the batch's (A * b, 2d) codes [z_a, f(z_a)],
     aspect-major, ``probs`` its (b, A) aspect probabilities, and ``frozen``
-    the other side's means, images and probabilities, all plain arrays.
+    the other side's codes and probabilities, all plain arrays.
     Yields the (b, N) addend of each aspect in turn, each in one fresh array,
     so that a caller summing them holds one at a time.
     """
@@ -174,17 +168,17 @@ def poisson_loglik(codes, probs, frozen: FrozenSide, target) -> Tensor:
 
     Backward, with k = upstream / b, the gradient wrt the aspect-a skip score
     is k * p_a * c_a * sigmoid_a' * (r / g - 1): a dense part that needs no
-    g, sigmoid_a' @ (c_a * keys_a^T), plus a sparse one at the stored entries.
+    g, sigmoid_a' @ (c_a * codes_a), plus a sparse one at the stored entries.
     """
     tape = T._tape_of(codes, probs)
     dtype = T._dtype_of(codes)
     cv, pv = T._val(codes, dtype), T._val(probs, dtype)
-    cprobs, keys = frozen.probs, frozen.keys
+    cprobs, fcodes = frozen.probs, frozen.codes
     shape, indptr, cols, r = target.shape, target.indptr, target.indices, target.data
-    batch, n_aspects = shape[0], keys.shape[0]
-    if cv.shape[0] != n_aspects * batch or pv.shape != (batch, n_aspects) or shape[1] != keys.shape[2]:
+    batch, n_aspects = shape[0], fcodes.shape[0]
+    if cv.shape[0] != n_aspects * batch or pv.shape != (batch, n_aspects) or shape[1] != fcodes.shape[1]:
         raise ShapeError(f"poisson_loglik: codes {cv.shape}, probs {pv.shape}, target {shape} "
-                         f"vs {n_aspects} aspects and {keys.shape[2]} frozen entities")
+                         f"vs {n_aspects} aspects and {fcodes.shape[1]} frozen entities")
     entry_row = np.repeat(np.arange(batch), np.diff(indptr))
     blocks = [slice(a * batch, (a + 1) * batch) for a in range(n_aspects)]
 
@@ -225,10 +219,10 @@ def poisson_loglik(codes, probs, frozen: FrozenSide, target) -> Tensor:
             deriv = np.subtract(1.0, sig)
             deriv *= sig
             d_code = d_codes[block]
-            np.matmul(deriv, keys[a].T * c_a[:, None], out=d_code)
+            np.matmul(deriv, fcodes[a] * c_a[:, None], out=d_code)
             d_code *= -k * pv[:, a:a + 1]
             spread.data = share * (1.0 - sig_stored) * pv[entry_row, a]
-            d_code += spread @ keys[a].T
+            d_code += spread @ fcodes[a]
         return [grad for grad in (d_codes, d_probs) if grad is not None]
 
     return T._emit(tape, value, [t for _, t in live], vjp)

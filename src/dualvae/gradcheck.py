@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import contrast as nrc, generation as gen, model as model_mod, synth, trainer
+from .data import InteractionMatrix
 from .tensor import RngState, Tape
 
 
@@ -30,7 +31,7 @@ def _side_objective(side, matrix, params, snap, cfg, eps):
         enc, dec = params.enc_i, params.dec_i
         protos = params.protos.item_protos
 
-    o = nrc.batch_neighborhood_reprs(rows, frozen.probs, frozen.means)
+    o = nrc.batch_neighborhood_reprs(rows, frozen)
     participate = np.diff(rows.indptr) > 0
 
     def build(tape):
@@ -90,19 +91,16 @@ def run_gradcheck(seed: int = 0, num_users: int = 8, num_items: int = 12,
     matrix, _ = synth.generate(num_users, num_items, aspects, density=0.3, seed=seed)
     # entities with no interactions put their posterior mean exactly on the
     # cosine-normalization kink where the objective is not differentiable;
-    # guarantee coverage like k-core-filtered real data has
-    dense = matrix.densify_users(range(num_users))
-    for u in range(num_users):
-        dense[u, u % num_items] = 1.0
-    for i in range(num_items):
-        dense[i % num_users, i] = 1.0
-    from .data import from_dense
-
-    matrix = from_dense(dense)
+    # guarantee coverage like k-core-filtered real data has: pairs (u, u % n)
+    # and (i % m, i)
+    users, items = matrix._coords()
+    u, i = np.arange(num_users), np.arange(num_items)
+    matrix = InteractionMatrix(num_users, num_items, np.concatenate([users, u, i % num_users]),
+                               np.concatenate([items, u % num_items, i]))
     rng = RngState(seed)
     params = model_mod.ModelParams(num_users, num_items, aspects, dim, hidden,
                                    rng.derive(0), np.float64)
-    snap = model_mod.bootstrap(matrix, params, cfg.temp)
+    snap = model_mod.bootstrap(matrix, params)
     snap = model_mod.refresh(matrix, params, snap.C, snap.P, cfg.temp)
 
     eps = {

@@ -1,10 +1,11 @@
 """Parameter container and evaluation-mode state assembly.
 
-A Snapshot is the phase-boundary view of the model: both sides' posterior
-means (computed under the previous aspect probabilities), their decoder
-images, and the refreshed aspect probability matrices. The side being
-trained next reads the other side's half of the snapshot as constants, and
-the same snapshot is what scoring, checkpointing and exports consume.
+A Snapshot is the phase-boundary view of the model: both sides' codes
+[posterior means | decoder images] (the means computed under the previous
+aspect probabilities), aspect-major as training makes them, and the
+refreshed aspect probability matrices. The side being trained next reads
+the other side's half of the snapshot as constants, and the same snapshot
+is what scoring, checkpointing and exports consume.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import aspects, encoder as enc_mod, generation as gen
+from . import aspects, encoder as enc_mod, generation as gen, tensor as T
 from .data import InteractionMatrix
 from .errors import ShapeError
 from .tensor import RngState
@@ -52,23 +53,22 @@ class ModelParams:
 class Snapshot:
     """Phase-boundary evaluation state; see module docstring."""
 
-    C: np.ndarray             # (n, A) item aspect probabilities
-    P: np.ndarray             # (m, A) user aspect probabilities
-    user_means: np.ndarray    # (m, A, d)
-    user_decoded: np.ndarray  # (m, A, d)
-    item_means: np.ndarray    # (n, A, d)
-    item_decoded: np.ndarray  # (n, A, d)
+    C: np.ndarray           # (n, A) item aspect probabilities
+    P: np.ndarray           # (m, A) user aspect probabilities
+    user_codes: np.ndarray  # (A, m, 2d) [means | images], aspect-major
+    item_codes: np.ndarray  # (A, n, 2d)
 
     def frozen_items(self) -> gen.FrozenSide:
-        return gen.FrozenSide(self.item_means, self.item_decoded, self.C)
+        return gen.FrozenSide(self.item_codes, self.C)
 
     def frozen_users(self) -> gen.FrozenSide:
-        return gen.FrozenSide(self.user_means, self.user_decoded, self.P)
+        return gen.FrozenSide(self.user_codes, self.P)
 
 
 def compute_side_state(matrix: InteractionMatrix, side: str, params: ModelParams,
-                       mask_probs: np.ndarray, block: int = 512, dtype=np.float64):
-    """Evaluation-mode posterior means and decoder images for one whole side."""
+                       mask_probs: np.ndarray, block: int = 512, dtype=np.float64) -> np.ndarray:
+    """Evaluation-mode codes [posterior means | decoder images] of one whole
+    side, as one (A, N, 2d) array."""
     if side == "user":
         n_entities, enc, dec = matrix.num_users, params.enc_u, params.dec_u
     elif side == "item":
@@ -79,47 +79,39 @@ def compute_side_state(matrix: InteractionMatrix, side: str, params: ModelParams
     if mask_probs.shape[1] != n_aspects:
         raise ShapeError("mask probability column count != aspect count")
 
-    means = np.empty((n_entities, n_aspects, params.dim), dtype=dtype)
-    decoded = np.empty_like(means)
+    codes = np.empty((n_aspects, n_entities, 2 * params.dim), dtype=dtype)
     for start in range(0, n_entities, block):
         idx = np.arange(start, min(start + block, n_entities))
         rows = (matrix.sparse_users(idx, dtype) if side == "user"
                 else matrix.sparse_items(idx, dtype))
-        # one encoder pass over the block's (A * b) aspect-major rows, put
-        # back in the (b, A, d) layout
+        # one encoder pass over the block's (A * b) aspect-major rows
         mu, _, _ = enc_mod.encode(enc_mod.mask_aspects(rows, mask_probs), enc)
-        means[idx] = mu.value.reshape(n_aspects, len(idx), -1).transpose(1, 0, 2)
-        decoded[idx] = gen.decode(mu, dec).value.reshape(n_aspects, len(idx), -1).transpose(1, 0, 2)
-    return means, decoded
+        block_codes = T.concat_cols([mu, gen.decode(mu, dec)]).value
+        codes[:, start:start + len(idx)] = block_codes.reshape(n_aspects, len(idx), -1)
+    return codes
 
 
 def refresh(matrix: InteractionMatrix, params: ModelParams, C: np.ndarray, P: np.ndarray,
-            temp: float, pin_c: bool = False, pin_p: bool = False,
-            first_pass: bool = False, dtype=np.float64) -> Snapshot:
-    """Recompute both sides' states under the current masks, then the probs.
-
-    On the very first pass (no trained state yet) the probability matrices
-    stay uniform, which breaks the circular dependency between latents and
-    aspect assignments.
-    """
-    item_means, item_decoded = compute_side_state(matrix, "item", params, P, dtype=dtype)
-    user_means, user_decoded = compute_side_state(matrix, "user", params, C, dtype=dtype)
-    if first_pass or pin_c:
+            temp: float, pin_c: bool = False, pin_p: bool = False, dtype=np.float64) -> Snapshot:
+    """Recompute both sides' codes under the current masks, then the probs;
+    a pinned side's probabilities stay uniform."""
+    item_codes = compute_side_state(matrix, "item", params, P, dtype=dtype)
+    user_codes = compute_side_state(matrix, "user", params, C, dtype=dtype)
+    if pin_c:
         new_C = aspects.uniform_probs(matrix.num_items, params.n_aspects, dtype)
     else:
-        new_C = aspects.item_aspect_probs(item_means, params.protos.item_protos.value, temp).astype(dtype)
-    if first_pass or pin_p:
+        new_C = aspects.item_aspect_probs(item_codes, params.protos.item_protos.value, temp).astype(dtype)
+    if pin_p:
         new_P = aspects.uniform_probs(matrix.num_users, params.n_aspects, dtype)
     else:
-        new_P = aspects.user_aspect_probs(user_means, params.protos.user_protos.value, temp).astype(dtype)
-    return Snapshot(new_C, new_P, user_means, user_decoded, item_means, item_decoded)
+        new_P = aspects.user_aspect_probs(user_codes, params.protos.user_protos.value, temp).astype(dtype)
+    return Snapshot(new_C, new_P, user_codes, item_codes)
 
 
-def bootstrap(matrix: InteractionMatrix, params: ModelParams, temp: float,
-              pin_c: bool = False, pin_p: bool = False, dtype=np.float64) -> Snapshot:
-    """First-pass snapshot: uniform aspect probabilities throughout."""
-    A = params.n_aspects
-    C0 = aspects.uniform_probs(matrix.num_items, A, dtype)
-    P0 = aspects.uniform_probs(matrix.num_users, A, dtype)
-    snap = refresh(matrix, params, C0, P0, temp, pin_c, pin_p, first_pass=True, dtype=dtype)
-    return snap
+def bootstrap(matrix: InteractionMatrix, params: ModelParams, dtype=np.float64) -> Snapshot:
+    """First-pass snapshot: a refresh under uniform aspect probabilities with
+    both sides pinned, which breaks the circular dependency between latents
+    and aspect assignments. No temperature is read."""
+    C0 = aspects.uniform_probs(matrix.num_items, params.n_aspects, dtype)
+    P0 = aspects.uniform_probs(matrix.num_users, params.n_aspects, dtype)
+    return refresh(matrix, params, C0, P0, None, pin_c=True, pin_p=True, dtype=dtype)

@@ -363,10 +363,6 @@ def _logistic(v: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
     return out
 
 
-def sigmoid(x) -> Tensor:
-    return _unary(x, _logistic, lambda g, y: g * y * (1.0 - y))
-
-
 def tanh(x) -> Tensor:
     return _unary(x, np.tanh, lambda g, y: g * (1.0 - y * y))
 
@@ -430,16 +426,6 @@ def sum_rows(x) -> Tensor:
     if tape is None:
         return Tensor(out)
     return _emit(tape, out, [x], lambda g: (np.broadcast_to(g, xv.shape).copy(),))
-
-
-def mean_all(x) -> Tensor:
-    tape = _tape_of(x)
-    xv = _val(x, _dtype_of(x))
-    out = xv.mean().reshape(1, 1)
-    if tape is None:
-        return Tensor(out)
-    inv = 1.0 / xv.size
-    return _emit(tape, out, [x], lambda g: (np.full_like(xv, g[0, 0] * inv),))
 
 
 def dot_rows(a, b) -> Tensor:

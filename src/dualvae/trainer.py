@@ -199,7 +199,7 @@ def train_phase(side: str, train: InteractionMatrix, params: ModelParams, snap: 
         terms, fwd = gen.side_loss(rows, enc_rows, enc, dec, protos, frozen, cfg.temp, beta, eps, tape)
         closs = None
         if gamma > 0.0:
-            o = nrc.batch_neighborhood_reprs(rows, frozen.probs, frozen.means)
+            o = nrc.batch_neighborhood_reprs(rows, frozen)
             participate = np.diff(rows.indptr) > 0
             closs = nrc.batch_contrast(fwd.z, o, cfg, participate)
         loss = nrc.total_loss(terms, closs, gamma)
@@ -266,7 +266,7 @@ def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = Fa
                          cfg.hidden, rng.derive(0), dtype)
     opt_u = Adam(params.user_group(), cfg.lr)
     opt_i = Adam(params.item_group(), cfg.lr)
-    snap = model_mod.bootstrap(train, params, cfg.temp, cfg.pin_c, cfg.pin_p, dtype)
+    snap = model_mod.bootstrap(train, params, dtype)
 
     dataset_info = {
         "digest": train.digest(),
@@ -331,7 +331,7 @@ def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = Fa
 # checkpoint serialization
 
 _MAGIC = b"DVCK"
-_VERSION = 2
+_VERSION = 3
 _DTYPE_CODES = {"float64": 0, "float32": 1}
 _CODE_DTYPES = {0: np.float64, 1: np.float32}
 
@@ -436,8 +436,7 @@ def load_checkpoint(path, dtype: "str | None" = None) -> Checkpoint:
     params = ModelParams(m, n, A, d, cfg.hidden, RngState(0), cfg.np_dtype)
     shapes = {p.name: p.value.shape for p in params.all_params()}
     shapes.update({"state.C": (n, A), "state.P": (m, A),
-                   "state.user_means": (m, A, d), "state.user_decoded": (m, A, d),
-                   "state.item_means": (n, A, d), "state.item_decoded": (n, A, d)})
+                   "state.user_codes": (A, m, 2 * d), "state.item_codes": (A, n, 2 * d)})
     for name, shape in shapes.items():
         if name not in tensors:
             raise CheckpointError(f"{path}: missing tensor {name}")

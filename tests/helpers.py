@@ -32,6 +32,31 @@ def max_rel_err(analytic, numeric, zero_floor=1e-7, zero_atol=1e-8):
     return worst
 
 
+def sigmoid(x):
+    """Tape op, not an oracle: the logistic function, with the library's
+    ``tensor._logistic`` forward and the backward g * y * (1 - y)."""
+    return T._unary(x, T._logistic, lambda g, y: g * y * (1.0 - y))
+
+
+def mean_all(x):
+    """Tape op, not an oracle: the mean of every entry, as (1, 1)."""
+    tape = T._tape_of(x)
+    xv = T._val(x, T._dtype_of(x))
+    out = xv.mean().reshape(1, 1)
+    if tape is None:
+        return T.Tensor(out)
+    inv = 1.0 / xv.size
+    return T._emit(tape, out, [x], lambda g: (np.full_like(xv, g[0, 0] * inv),))
+
+
+def stacked_codes(means, images=None):
+    """Adapter, not an oracle: the (A, N, 2d) aspect-major codes
+    [means | images] that snapshots and ``generation.FrozenSide`` hold, from
+    (N, A, d) means and images (zeros when None)."""
+    images = np.zeros_like(means) if images is None else images
+    return np.ascontiguousarray(np.concatenate([means, images], axis=2).transpose(1, 0, 2))
+
+
 def reference_sigmoid(v):
     """Logistic function written out: exp of -|v| never overflows."""
     e = np.exp(-np.abs(v))
@@ -46,7 +71,7 @@ def paired_scores(P, C, skips):
     code z_a itself."""
     P, C, skips = (np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in (P, C, skips))
     n, A = P.shape
-    frozen = gen.FrozenSide(np.ones((n, A, 1)), np.zeros((n, A, 1)), C)
+    frozen = gen.FrozenSide(stacked_codes(np.ones((n, A, 1))), C)
     # aspect a's codes [z_a, f(z_a)] = [skip_a, 0], stacked aspect-major
     codes = np.concatenate([np.concatenate([skips[:, a:a + 1], np.zeros((n, 1))], axis=1)
                             for a in range(A)])
@@ -64,9 +89,9 @@ def dense_poisson_loglik(codes, probs, frozen, r):
     for a, code in enumerate(codes):
         live_w = T.slice_cols(probs, a, a + 1)
         frozen_w = frozen.probs[:, a][None, :]
-        addends.append(T.mul(T.mul(T.sigmoid(T.matmul(code, frozen.keys[a])), frozen_w), live_w))
+        addends.append(T.mul(T.mul(sigmoid(T.matmul(code, frozen.codes[a].T)), frozen_w), live_w))
     g = functools.reduce(T.add, addends)
-    return T.mean_all(T.sum_rows(T.sub(T.mul(r, T.log(g)), g)))
+    return mean_all(T.sum_rows(T.sub(T.mul(r, T.log(g)), g)))
 
 
 def per_aspect_probs(means_per_aspect, protos, temp):
@@ -86,7 +111,7 @@ def per_aspect_side_loss(target, rows, enc, dec, protos, frozen, temp, beta, eps
     with the likelihood of ``dense_poisson_loglik``. Returns
     (loss, recon, kl, per-aspect z, probs)."""
     batch, _ = target.shape
-    n_aspects, dim = frozen.n_aspects, frozen.means.shape[2]
+    n_aspects, dim = frozen.n_aspects, frozen.codes.shape[2] // 2
     mus, zs, kls = [], [], []
     for a in range(n_aspects):
         col = frozen.probs[:, a]
@@ -104,7 +129,7 @@ def per_aspect_side_loss(target, rows, enc, dec, protos, frozen, temp, beta, eps
         probs = T.constant(np.full((batch, n_aspects), 1.0 / n_aspects, target.dtype))
     codes = [T.concat_cols([z, gen.decode(z, dec, tape)]) for z in zs]
     recon = dense_poisson_loglik(codes, probs, frozen, target.toarray())
-    kl = T.mean_all(functools.reduce(T.add, kls))
+    kl = mean_all(functools.reduce(T.add, kls))
     loss = T.sub(T.scale(kl, beta), recon)
     return loss, recon, kl, zs, probs
 

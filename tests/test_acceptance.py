@@ -27,7 +27,7 @@ from dualvae import aspects, contrast, data, encoder, synth, trainer
 from dualvae.gradcheck import run_gradcheck
 from dualvae.tensor import RngState
 
-from helpers import kl_gaussian, ndcg_at_n, paired_scores, recall_at_n
+from helpers import kl_gaussian, ndcg_at_n, paired_scores, recall_at_n, stacked_codes
 
 pytestmark = pytest.mark.acceptance
 
@@ -59,7 +59,7 @@ def test_criterion_2_simplex_and_decomposition():
     rng = np.random.default_rng(2)
     means = 2.0 * rng.standard_normal((1000, 5, 7))
     protos = rng.standard_normal((5, 7))
-    C = aspects.item_aspect_probs(means, protos, temp=0.1)
+    C = aspects.item_aspect_probs(stacked_codes(means), protos, temp=0.1)
     sums = C.sum(axis=1)
     simplex_ok = bool(np.all(np.abs(sums - 1.0) <= 1e-9) and np.all(C > 0.0))
 
@@ -130,7 +130,8 @@ def test_criterion_4_infonce_oracle():
         z = rng.standard_normal((b, A, d))
         o = rng.standard_normal((b, A, d))
         zs = [np.ascontiguousarray(z[:, a, :]) for a in range(A)]
-        got = contrast.infonce_losses([_const(x) for x in zs], o, cfg, np.ones(b, dtype=bool))
+        got = contrast.infonce_losses([_const(x) for x in zs], o.transpose(1, 0, 2), cfg,
+                                      np.ones(b, dtype=bool))
         want = _brute_infonce(z, o, cfg.tau)
         for a in range(A):
             worst = max(worst, float(np.max(np.abs(got[a].value[:, 0] - want[:, a]))))
@@ -141,7 +142,7 @@ def test_criterion_4_infonce_oracle():
     z = np.tile(v, (b, A, 1))
     o = np.tile(-3.0 * v, (b, A, 1)) * -1.0
     got = contrast.infonce_losses([_const(np.ascontiguousarray(z[:, a, :])) for a in range(A)],
-                                  o, cfg, np.ones(b, dtype=bool))
+                                  o.transpose(1, 0, 2), cfg, np.ones(b, dtype=bool))
     sym_dev = max(float(np.max(np.abs(col.value - np.log(A + b - 1)))) for col in got)
     ok = worst < 1e-10 and sym_dev < 1e-10
     verdict(4, "InfoNCE oracle", ok, f"(loop dev {worst:.1e}, symmetric dev {sym_dev:.1e})")

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from dualvae import aspects, tensor as T
 from dualvae.errors import ShapeError
 
-from helpers import finite_difference, loop_stored_probs, max_rel_err, per_aspect_probs
+from helpers import (finite_difference, loop_stored_probs, max_rel_err, per_aspect_probs,
+                     stacked_codes)
 
 RNG = np.random.default_rng(7)
 
@@ -30,12 +31,13 @@ def test_uniform_when_affinities_equal():
     A, d = 4, 3
     means = np.tile(RNG.standard_normal((1, 1, d)), (5, A, 1))
     protos = np.tile(RNG.standard_normal((1, d)), (A, 1))
-    C = aspects.item_aspect_probs(means, protos, temp=0.7)
+    C = aspects.item_aspect_probs(stacked_codes(means), protos, temp=0.7)
     np.testing.assert_allclose(C, np.full((5, A), 0.25), atol=1e-12)
 
 
 def test_single_aspect_is_degenerate_simplex():
-    C = aspects.item_aspect_probs(RNG.standard_normal((6, 1, 4)), RNG.standard_normal((1, 4)), 1.0)
+    C = aspects.item_aspect_probs(stacked_codes(RNG.standard_normal((6, 1, 4))),
+                                  RNG.standard_normal((1, 4)), 1.0)
     np.testing.assert_allclose(C, np.ones((6, 1)))
 
 
@@ -45,7 +47,7 @@ def test_two_aspect_hand_softmax():
     means[0, 0] = [2.0, 0.0]
     means[0, 1] = [0.0, 3.0]
     protos = np.array([[1.0, 0.0], [5.0, 0.0]])
-    C = aspects.item_aspect_probs(means, protos, temp=1.0)
+    C = aspects.item_aspect_probs(stacked_codes(means), protos, temp=1.0)
     np.testing.assert_allclose(C[0], [0.7311, 0.2689], atol=1e-4)
 
 
@@ -54,20 +56,20 @@ def test_orthogonal_latent_gives_uniform_row():
     means[0, :, 0] = 1.0
     protos = np.zeros((2, 3))
     protos[:, 1] = 1.0
-    P = aspects.user_aspect_probs(means, protos, temp=0.3)
+    P = aspects.user_aspect_probs(stacked_codes(means), protos, temp=0.3)
     np.testing.assert_allclose(P[0], [0.5, 0.5], atol=1e-12)
 
 
 def test_matches_loop_oracle():
     means = RNG.standard_normal((20, 5, 6))
     protos = RNG.standard_normal((5, 6))
-    got = aspects.user_aspect_probs(means, protos, temp=0.1)
+    got = aspects.user_aspect_probs(stacked_codes(means), protos, temp=0.1)
     np.testing.assert_allclose(got, loop_probs(means, protos, 0.1), atol=1e-12)
 
 
 def test_simplex_invariant_random_rows():
     means = 3.0 * RNG.standard_normal((1000, 4, 5))
-    C = aspects.item_aspect_probs(means, RNG.standard_normal((4, 5)), temp=0.1)
+    C = aspects.item_aspect_probs(stacked_codes(means), RNG.standard_normal((4, 5)), temp=0.1)
     assert np.all(C > 0.0)
     np.testing.assert_allclose(C.sum(axis=1), np.ones(1000), atol=1e-9)
 
@@ -76,8 +78,8 @@ def test_aspect_permutation_equivariance():
     means = RNG.standard_normal((9, 4, 3))
     protos = RNG.standard_normal((4, 3))
     perm = np.array([2, 0, 3, 1])
-    base = aspects.item_aspect_probs(means, protos, 0.5)
-    permuted = aspects.item_aspect_probs(means[:, perm, :], protos[perm], 0.5)
+    base = aspects.item_aspect_probs(stacked_codes(means), protos, 0.5)
+    permuted = aspects.item_aspect_probs(stacked_codes(means[:, perm, :]), protos[perm], 0.5)
     np.testing.assert_allclose(permuted, base[:, perm], atol=1e-12)
 
 
@@ -86,14 +88,15 @@ def test_zero_norm_pairs_warn_and_score_zero(caplog):
     means[1] = RNG.standard_normal((2, 3))
     protos = RNG.standard_normal((2, 3))
     with caplog.at_level("WARNING"):
-        C = aspects.item_aspect_probs(means, protos, 1.0)
+        C = aspects.item_aspect_probs(stacked_codes(means), protos, 1.0)
     assert "zero-norm" in caplog.text
     np.testing.assert_allclose(C[0], [0.5, 0.5])
 
 
 def test_temperature_must_be_positive():
     with pytest.raises(ShapeError):
-        aspects.item_aspect_probs(RNG.standard_normal((2, 2, 2)), RNG.standard_normal((2, 2)), 0.0)
+        aspects.item_aspect_probs(stacked_codes(RNG.standard_normal((2, 2, 2))),
+                                  RNG.standard_normal((2, 2)), 0.0)
 
 
 def test_live_probs_match_eval_path_and_gradcheck():
@@ -112,7 +115,7 @@ def test_live_probs_match_eval_path_and_gradcheck():
     tape = T.Tape()
     live = build(tape)
     stored = mean_param.value.reshape(A, b, d).transpose(1, 0, 2)  # (b, A, d)
-    eval_probs = aspects.user_aspect_probs(stored, protos.user_protos.value, 0.4)
+    eval_probs = aspects.user_aspect_probs(stacked_codes(stored), protos.user_protos.value, 0.4)
     probs_again = aspects.aspect_probs_live(
         T.constant(mean_param.value), T.constant(protos.user_protos.value), 0.4
     )
@@ -139,9 +142,9 @@ def test_refresh_probs_match_numpy_cosines(seed, n, A, d, temp):
     protos = rng.standard_normal((A, d))
     protos[rng.random(A) < 0.2] = 0.0
     want = loop_stored_probs(means, protos, temp)
-    np.testing.assert_allclose(aspects.item_aspect_probs(means, protos, temp), want,
+    np.testing.assert_allclose(aspects.item_aspect_probs(stacked_codes(means), protos, temp), want,
                                rtol=0, atol=1e-12)
-    np.testing.assert_allclose(aspects.user_aspect_probs(means, protos, temp), want,
+    np.testing.assert_allclose(aspects.user_aspect_probs(stacked_codes(means), protos, temp), want,
                                rtol=0, atol=1e-12)
 
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dualvae import contrast, tensor as T, trainer
+from dualvae import contrast, generation as gen, tensor as T, trainer
 from dualvae.errors import ConfigError
 
-from helpers import finite_difference, max_rel_err, neighborhood_repr
+from helpers import finite_difference, max_rel_err, neighborhood_repr, stacked_codes
 
 RNG = np.random.default_rng(55)
 
@@ -75,12 +75,14 @@ def test_batch_reprs_match_single_entity_loops():
     probs = RNG.random((n, A))
     probs /= probs.sum(axis=1, keepdims=True)
     means = RNG.standard_normal((n, A, d))
-    got = contrast.batch_neighborhood_reprs(sp.csr_matrix(slab), probs, means)
+    # the images, the codes' second half, must not enter
+    frozen = gen.FrozenSide(stacked_codes(means, np.tanh(means)), probs)
+    got = contrast.batch_neighborhood_reprs(sp.csr_matrix(slab), frozen)
     for row in range(b):
         neigh = np.nonzero(slab[row])[0]
         for a in range(A):
             want = neighborhood_repr(neigh, probs[:, a], means[:, a, :])
-            np.testing.assert_allclose(got[row, a], want, atol=1e-12)
+            np.testing.assert_allclose(got[a, row], want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -90,16 +92,22 @@ def as_tensors(z):
     return [T.constant(np.ascontiguousarray(z[:, a, :])) for a in range(z.shape[1])]
 
 
+def aspect_major(x):
+    """A (b, A, d) array in the (A, b, d) layout of the library's
+    neighbourhood arrays."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2))
+
+
 def as_stacked(z):
     """(b, A, d) codes as the aspect-major (A * b, d) constant that
     ``batch_contrast`` takes."""
-    return T.constant(np.ascontiguousarray(z.transpose(1, 0, 2)).reshape(-1, z.shape[2]))
+    return T.constant(aspect_major(z).reshape(-1, z.shape[2]))
 
 
 def test_no_negatives_means_zero_loss():
     z = RNG.standard_normal((1, 1, 4))
     o = RNG.standard_normal((1, 1, 4))
-    losses = contrast.infonce_losses(as_tensors(z), o, cfg(), np.ones(1, dtype=bool))
+    losses = contrast.infonce_losses(as_tensors(z), aspect_major(o), cfg(), np.ones(1, dtype=bool))
     assert abs(losses[0].value[0, 0]) < 1e-12
 
 
@@ -109,7 +117,7 @@ def test_symmetric_case_closed_form():
     v = RNG.standard_normal(d)
     z = np.tile(v, (b, A, 1))
     o = np.tile(2.5 * v, (b, A, 1))
-    losses = contrast.infonce_losses(as_tensors(z), o, cfg(), np.ones(b, dtype=bool))
+    losses = contrast.infonce_losses(as_tensors(z), aspect_major(o), cfg(), np.ones(b, dtype=bool))
     want = np.log(A + b - 1)
     for col in losses:
         np.testing.assert_allclose(col.value, np.full((b, 1), want), atol=1e-10)
@@ -125,7 +133,7 @@ def test_matches_brute_force_oracle():
         use_a = bool(RNG.integers(0, 2))
         use_e = bool(RNG.integers(0, 2))
         c = cfg(use_aspect_negs=use_a, use_user_negs=use_e)
-        got = contrast.infonce_losses(as_tensors(z), o, c, np.ones(b, dtype=bool))
+        got = contrast.infonce_losses(as_tensors(z), aspect_major(o), c, np.ones(b, dtype=bool))
         want = brute_force_infonce(z, o, c.tau, use_a, use_e)
         for a in range(A):
             np.testing.assert_allclose(got[a].value[:, 0], want[:, a], atol=1e-10)
@@ -133,7 +141,7 @@ def test_matches_brute_force_oracle():
 
 def test_flags_shrink_denominator():
     b, A, d = 4, 3, 5
-    z, o = RNG.standard_normal((b, A, d)), RNG.standard_normal((b, A, d))
+    z, o = RNG.standard_normal((b, A, d)), aspect_major(RNG.standard_normal((b, A, d)))
     ones = np.ones(b, dtype=bool)
     full = contrast.infonce_losses(as_tensors(z), o, cfg(), ones)
     no_aspect = contrast.infonce_losses(as_tensors(z), o, cfg(use_aspect_negs=False), ones)
@@ -149,7 +157,7 @@ def test_self_positive_variant_uses_latents():
     z = RNG.standard_normal((b, A, d))
     o = RNG.standard_normal((b, A, d))
     got = contrast.infonce_losses(
-        as_tensors(z), o, cfg(use_neighbor_pos=False), np.ones(b, dtype=bool)
+        as_tensors(z), aspect_major(o), cfg(use_neighbor_pos=False), np.ones(b, dtype=bool)
     )
     want = brute_force_infonce(z, z, 0.2, True, True)  # o replaced by z wholesale
     for a in range(A):
@@ -160,10 +168,11 @@ def test_loss_drops_as_positive_aligns():
     b, A, d = 4, 2, 5
     z = RNG.standard_normal((b, A, d))
     o = RNG.standard_normal((b, A, d))
-    base = contrast.batch_contrast(as_stacked(z), o, cfg(), np.ones(b, dtype=bool)).item()
+    ones = np.ones(b, dtype=bool)
+    base = contrast.batch_contrast(as_stacked(z), aspect_major(o), cfg(), ones).item()
     aligned = o.copy()
     aligned[:, 0, :] = 3.0 * z[:, 0, :]  # positive similarity -> 1 under aspect 0
-    better = contrast.batch_contrast(as_stacked(z), aligned, cfg(), np.ones(b, dtype=bool)).item()
+    better = contrast.batch_contrast(as_stacked(z), aspect_major(aligned), cfg(), ones).item()
     assert better < base
 
 
@@ -172,24 +181,24 @@ def test_participation_excludes_entities_and_pool():
     z = RNG.standard_normal((b, A, d))
     o = RNG.standard_normal((b, A, d))
     part = np.array([True, True, False, True, False])
-    got = contrast.infonce_losses(as_tensors(z), o, cfg(), part)
+    got = contrast.infonce_losses(as_tensors(z), aspect_major(o), cfg(), part)
     want = brute_force_infonce(z, o, 0.2, True, True, participate=part)
     for a in range(A):
         np.testing.assert_allclose(got[a].value[part, 0], want[part, a], atol=1e-10)
-    total = contrast.batch_contrast(as_stacked(z), o, cfg(), part).item()
+    total = contrast.batch_contrast(as_stacked(z), aspect_major(o), cfg(), part).item()
     np.testing.assert_allclose(total, want[part].sum(axis=1).mean(), atol=1e-10)
 
 
 def test_empty_participation_contributes_nothing():
     z = RNG.standard_normal((3, 2, 4))
     o = RNG.standard_normal((3, 2, 4))
-    out = contrast.batch_contrast(as_stacked(z), o, cfg(), np.zeros(3, dtype=bool))
+    out = contrast.batch_contrast(as_stacked(z), aspect_major(o), cfg(), np.zeros(3, dtype=bool))
     assert out.item() == 0.0
 
 
 def test_gradients_flow_through_live_codes():
     b, A, d = 4, 3, 4
-    o = RNG.standard_normal((b, A, d))
+    o = aspect_major(RNG.standard_normal((b, A, d)))
     zparams = [T.Parameter("z", RNG.standard_normal((A * b, d)))]
 
     def build(tape):

@@ -173,7 +173,7 @@ def scored_world(seed=0, m=12, n=15):
     matrix = data.from_dense(dense)
     split = data.split(matrix, 0.7, 0.1, seed=seed)
     params = model.ModelParams(m, n, 2, 3, 4, T.RngState(seed))
-    snap = model.bootstrap(matrix, params, temp=0.5)
+    snap = model.bootstrap(matrix, params)
     snap = model.refresh(split.train, params, snap.C, snap.P, temp=0.5)
     return matrix, split, params, snap
 
@@ -194,7 +194,7 @@ def test_training_and_ranking_score_the_same_pairs():
     rng = np.random.default_rng(4)
     matrix = data.from_dense((rng.random((9, 11)) < 0.4).astype(float))
     params = model.ModelParams(9, 11, 3, 4, 5, T.RngState(4))
-    snap = model.bootstrap(matrix, params, temp=0.5)
+    snap = model.bootstrap(matrix, params)
     users = np.array([0, 3, 4, 8])
     rows = matrix.sparse_users(users)
     terms, fwd = gen.side_loss(

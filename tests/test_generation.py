@@ -10,7 +10,7 @@ from dualvae import aspects, data, encoder, generation as gen, model, tensor as 
 from dualvae.errors import DomainError
 
 from helpers import (dense_poisson_loglik, finite_difference, kl_gaussian, max_rel_err,
-                     paired_scores, per_aspect_side_loss, reference_sigmoid)
+                     paired_scores, per_aspect_side_loss, reference_sigmoid, stacked_codes)
 
 RNG = np.random.default_rng(77)
 
@@ -22,7 +22,7 @@ def tiny_world(m=4, n=6, A=2, d=3, hidden=4, seed=0, density=0.5):
     dense[0, :] = 1.0
     matrix = data.from_dense(dense)
     params = model.ModelParams(m, n, A, d, hidden, T.RngState(seed))
-    snap = model.bootstrap(matrix, params, temp=0.5)
+    snap = model.bootstrap(matrix, params)
     snap = model.refresh(matrix, params, snap.C, snap.P, temp=0.5)
     return matrix, params, snap
 
@@ -32,7 +32,7 @@ def tiny_world(m=4, n=6, A=2, d=3, hidden=4, seed=0, density=0.5):
 # is sigmoid(skip)
 
 def one_aspect_frozen(zb, dec_b):
-    return gen.FrozenSide(zb[:, None, :], gen.decode(zb, dec_b).value[:, None, :],
+    return gen.FrozenSide(stacked_codes(zb[:, None, :], gen.decode(zb, dec_b).value[:, None, :]),
                           np.ones((zb.shape[0], 1)))
 
 
@@ -122,7 +122,7 @@ def test_joint_score_range_and_decomposition():
 def loglik_at(r, g):
     """poisson_loglik of one pair with observation r and score g: one aspect
     with a zero code (sigmoid 0.5), p = 1 and c = 2g."""
-    frozen = gen.FrozenSide(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)), np.array([[2.0 * g]]))
+    frozen = gen.FrozenSide(stacked_codes(np.zeros((1, 1, 1))), np.array([[2.0 * g]]))
     target = sp.csr_matrix(np.array([[float(r)]]))
     return gen.poisson_loglik(T.constant(np.zeros((1, 2))), T.constant(np.ones((1, 1))),
                               frozen, target)
@@ -156,8 +156,8 @@ def test_poisson_rejects_nonpositive_rate():
        st.integers(1, 3), st.booleans(), st.sampled_from([np.float64, np.float32]))
 def test_fused_likelihood_matches_dense_composition(seed, b, n, A, d, pinned, dtype):
     rng = np.random.default_rng(seed)
-    frozen = gen.FrozenSide(rng.standard_normal((n, A, d)).astype(dtype),
-                            np.tanh(rng.standard_normal((n, A, d))).astype(dtype),
+    frozen = gen.FrozenSide(stacked_codes(rng.standard_normal((n, A, d)).astype(dtype),
+                                          np.tanh(rng.standard_normal((n, A, d))).astype(dtype)),
                             rng.dirichlet(np.ones(A), n).astype(dtype))
     r = (rng.random((b, n)) < 0.3).astype(dtype)
     r[rng.random(b) < 0.3] = 0.0  # empty rows
@@ -194,8 +194,8 @@ def test_fused_likelihood_matches_dense_composition(seed, b, n, A, d, pinned, dt
 @pytest.mark.parametrize("dtype, far", [(np.float64, -1000.0), (np.float32, -120.0)])
 def test_underflowed_score_logged_only_where_observed(dtype, far):
     # item 2's skip score is far below where the sigmoid underflows to 0
-    frozen = gen.FrozenSide(np.array([0.5, -0.5, far], dtype).reshape(3, 1, 1),
-                            np.zeros((3, 1, 1), dtype), np.ones((3, 1), dtype))
+    frozen = gen.FrozenSide(stacked_codes(np.array([0.5, -0.5, far], dtype).reshape(3, 1, 1)),
+                            np.ones((3, 1), dtype))
     assert T._logistic(np.array([far], dtype))[0] == 0.0
     x = T.Parameter("x", np.array([[1.0, 0.0], [1.0, 0.0]], dtype))  # z = 1, image 0
     probs = T.constant(np.ones((2, 1), dtype))
@@ -330,9 +330,9 @@ def test_item_loss_equals_user_loss_on_transposed_data():
     params_t.protos.user_protos.value[...] = params.protos.item_protos.value
     params_t.protos.item_protos.value[...] = params.protos.user_protos.value
 
-    snap = model.bootstrap(matrix, params, temp=0.5)
+    snap = model.bootstrap(matrix, params)
     snap = model.refresh(matrix, params, snap.C, snap.P, temp=0.5)
-    snap_t = model.bootstrap(matrix_t, params_t, temp=0.5)
+    snap_t = model.bootstrap(matrix_t, params_t)
     snap_t = model.refresh(matrix_t, params_t, snap_t.C, snap_t.P, temp=0.5)
 
     items = list(range(n))
@@ -397,8 +397,8 @@ def test_stacked_side_loss_matches_per_aspect_composition(seed, b, A, d, pinned,
     rng = np.random.default_rng(seed)
     n, hidden = 7, 5
     rows = sp.csr_matrix((rng.random((b, n)) < 0.4).astype(dtype))
-    frozen = gen.FrozenSide(rng.standard_normal((n, A, d)).astype(dtype),
-                            np.tanh(rng.standard_normal((n, A, d))).astype(dtype),
+    frozen = gen.FrozenSide(stacked_codes(rng.standard_normal((n, A, d)).astype(dtype),
+                                          np.tanh(rng.standard_normal((n, A, d))).astype(dtype)),
                             rng.dirichlet(np.ones(A), n).astype(dtype))
     streams = T.RngState(seed)
     enc = encoder.EncoderParams("enc", n, hidden, d, streams.derive(1), dtype)
@@ -446,15 +446,23 @@ def test_stacked_side_state_matches_single_aspect_encodes(side):
     n_entities = matrix.num_users if side == "user" else matrix.num_items
     mask_probs, enc, dec = ((snap.C, params.enc_u, params.dec_u) if side == "user"
                             else (snap.P, params.enc_i, params.dec_i))
-    means, decoded = model.compute_side_state(matrix, side, params, mask_probs, block=4)
+    codes = model.compute_side_state(matrix, side, params, mask_probs, block=4)
+    d = params.dim
     rows = (matrix.sparse_users if side == "user" else matrix.sparse_items)(np.arange(n_entities))
     for a in range(3):
         col = mask_probs[:, a]
         masked = sp.csr_matrix((rows.data * col[rows.indices], rows.indices, rows.indptr),
                                shape=rows.shape)
         mu, _, _ = encoder.encode(masked, enc)
-        np.testing.assert_allclose(means[:, a], mu.value, rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(decoded[:, a], gen.decode(mu, dec).value, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(codes[a, :, :d], mu.value, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(codes[a, :, d:], gen.decode(mu, dec).value, rtol=1e-13, atol=1e-15)
+
+
+def test_frozen_sides_are_views_of_the_snapshot():
+    _, _, snap = tiny_world(seed=32)
+    for frozen, codes, probs in ((snap.frozen_items(), snap.item_codes, snap.C),
+                                 (snap.frozen_users(), snap.user_codes, snap.P)):
+        assert np.shares_memory(frozen.codes, codes) and np.shares_memory(frozen.probs, probs)
 
 
 def test_aspect_weight_bound_equality_only_for_matching_one_hots():
@@ -484,7 +492,7 @@ def test_float32_batch_records_only_float32_nodes():
     dense[0, :] = 1.0
     matrix = data.from_dense(dense)
     params = model.ModelParams(m, n, A, d, hidden, T.RngState(1), f32)
-    snap = model.bootstrap(matrix, params, temp=0.5, dtype=f32)
+    snap = model.bootstrap(matrix, params, dtype=f32)
     snap = model.refresh(matrix, params, snap.C, snap.P, temp=0.5, dtype=f32)
     users = [0, 1, 2, 3]
     rows = matrix.sparse_users(users, f32)
@@ -496,7 +504,7 @@ def test_float32_batch_records_only_float32_nodes():
         rows, rows, params.enc_u, params.dec_u,
         params.protos.user_protos, frozen, temp=0.5, beta=1.0, eps=eps, tape=tape,
     )
-    o = contrast.batch_neighborhood_reprs(rows, frozen.probs, frozen.means)
+    o = contrast.batch_neighborhood_reprs(rows, frozen)
     closs = contrast.batch_contrast(fwd.z, o, trainer.TrainConfig(), np.diff(rows.indptr) > 0)
     loss = contrast.total_loss(terms, closs, 0.1)
     tape.backward(loss)

@@ -118,7 +118,7 @@ def setup_run(cfg, split):
                                  cfg.aspects, cfg.dim, cfg.hidden, rng.derive(0), cfg.np_dtype)
     opt_u = trainer.Adam(params.user_group(), cfg.lr)
     opt_i = trainer.Adam(params.item_group(), cfg.lr)
-    snap = model_mod.bootstrap(split.train, params, cfg.temp, cfg.pin_c, cfg.pin_p, cfg.np_dtype)
+    snap = model_mod.bootstrap(split.train, params, cfg.np_dtype)
     return rng, params, opt_u, opt_i, snap
 
 
@@ -307,7 +307,9 @@ def test_checkpoint_version_mismatch_is_error(tmp_path):
     import struct
 
     _, _, path = fitted(tmp_path)
-    for version in (1, 99):  # 1: the format with the `no_*` fields and the `rng` block
+    # 1: the format with the `no_*` fields and the `rng` block; 2: the
+    # (N, A, d) `*_means` / `*_decoded` snapshot arrays
+    for version in (1, 2, 99):
         blob = bytearray(path.read_bytes())
         blob[4:8] = struct.pack("<I", version)
         bad = tmp_path / "vers.ckpt"
@@ -317,7 +319,7 @@ def test_checkpoint_version_mismatch_is_error(tmp_path):
 
 
 @pytest.mark.parametrize("name, cut", [
-    ("enc_u.w1", None), ("state.C", None), ("enc_i.b2", 1), ("state.C", 1), ("state.item_means", 2),
+    ("enc_u.w1", None), ("state.C", None), ("enc_i.b2", 1), ("state.C", 1), ("state.item_codes", 2),
 ])
 def test_missing_or_misshaped_tensor_is_checkpoint_error(tmp_path, monkeypatch, name, cut):
     # cut None drops the tensor; otherwise one entry of that axis goes
