@@ -28,7 +28,7 @@ class _Parser(argparse.ArgumentParser):
 def _pin_single_thread():
     for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
+        os.environ[var] = "1"
 
 
 def _config_epilog() -> str:

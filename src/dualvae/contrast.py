@@ -6,7 +6,12 @@ neighbors' latents from the other side. Negatives come from two pools, the
 same entity's neighborhood representations under other aspects (keeps
 aspects apart) and other in-batch entities' representations under the same
 aspect (keeps entities apart). The temperature-scaled cosine InfoNCE loss
-ties them together.
+ties them together, in the single-similarity-matrix form of NT-Xent (Chen
+et al., ICML 2020).
+
+The codes stay in their aspect-major (A * b, d) layout: the codes and their
+partners are normalised once, and each pool is one ``tensor.group_pairs``
+product, so the loss records the same handful of tape nodes for any A.
 
 Entities with an empty train neighborhood have no meaningful positive; they
 are excluded from the loss and from the in-batch negative pool.
@@ -44,68 +49,48 @@ def batch_neighborhood_reprs(rows, frozen: gen.FrozenSide) -> np.ndarray:
     return out
 
 
-def infonce_losses(z_list, o, cfg: TrainConfig, participate: np.ndarray):
-    """Per-entity InfoNCE losses, one (b, 1) column per aspect.
+def infonce_rows(z, o, cfg: TrainConfig, participate: np.ndarray) -> Tensor:
+    """Per-row InfoNCE losses of the live side's codes, as (A * b, 1).
 
-    ``z_list`` holds the live per-aspect codes; ``o`` is the (A, b, d)
-    neighborhood array. ``cfg`` gives the temperature ``tau`` and the
-    ablations: ``no_nps`` ignores ``o`` (the codes themselves then act as
-    both positives and negative pool), ``no_ans`` drops the other aspects'
-    negatives and ``no_uns`` the other in-batch entities' negatives (users
-    in a user batch, items in an item batch). Non participating entities
-    are masked out of the pairwise negative pool.
+    ``z`` holds the (A * b, d) aspect-major codes, ``o`` the (A, b, d)
+    neighborhood array and ``participate`` the (b,) mask of entities with a
+    train neighborhood. ``cfg`` gives the temperature ``tau`` and the
+    ablations: ``no_nps`` ignores ``o`` (the codes then act as both positives
+    and negative pool), ``no_ans`` drops the other aspects' negatives and
+    ``no_uns`` the other in-batch entities' negatives. Both pools are
+    grouped products of the normalised codes with their partners: across
+    the aspect blocks (which holds the positive too) and within each block,
+    where non participating entities and the entity itself are masked out.
     """
-    n_aspects = len(z_list)
-    batch = z_list[0].shape[0]
-    inv_tau = 1.0 / cfg.tau
-
-    def partner(a):
-        if "no_nps" in cfg.ablate:
-            return z_list[a]
-        return T.constant(o[a])
-
-    dtype = z_list[0].dtype
-    part_col = participate.astype(dtype).reshape(batch, 1)
-    losses = []
-    for a in range(n_aspects):
-        pos = T.cosine_rows(z_list[a], partner(a))
-        pos_scaled = T.scale(pos, inv_tau)
-        denom = T.exp(pos_scaled)
-        if "no_ans" not in cfg.ablate:
-            for b_asp in range(n_aspects):
-                if b_asp == a:
-                    continue
-                neg = T.cosine_rows(z_list[a], partner(b_asp))
-                denom = T.add(denom, T.exp(T.scale(neg, inv_tau)))
-        if "no_uns" not in cfg.ablate and batch > 1:
-            pairs = T.cosine_pairs(z_list[a], partner(a))
-            mask = np.outer(np.ones(batch, dtype), part_col[:, 0])
-            np.fill_diagonal(mask, 0.0)
-            offdiag = T.mul(T.exp(T.scale(pairs, inv_tau)), mask)
-            denom = T.add(denom, T.sum_rows(offdiag))
-        losses.append(T.sub(T.log(denom), pos_scaled))
-    return losses
+    n_aspects, batch, dim = o.shape
+    unit = T.row_normalize(z)
+    if "no_nps" in cfg.ablate:
+        partners = unit
+    else:
+        partners = T.row_normalize(T.constant(o.reshape(n_aspects * batch, dim)))
+    scaled = T.scale(unit, 1.0 / cfg.tau)
+    pos = T.dot_rows(scaled, partners)
+    if "no_ans" in cfg.ablate:
+        denom = T.exp(pos)
+    else:
+        denom = T.sum_rows(T.exp(T.group_pairs(scaled, partners, n_aspects, across=True)))
+    if "no_uns" not in cfg.ablate and batch > 1:
+        mask = np.tile(participate.astype(z.dtype), (batch, 1))
+        np.fill_diagonal(mask, 0.0)
+        pairs = T.exp(T.group_pairs(scaled, partners, n_aspects))
+        denom = T.add(denom, T.sum_rows(T.mul(pairs, np.tile(mask, (n_aspects, 1)))))
+    return T.sub(T.log(denom), pos)
 
 
 def batch_contrast(z, o, cfg: TrainConfig, participate: np.ndarray) -> Tensor:
-    """Aspect-summed InfoNCE averaged over participating batch entities.
-
-    ``z`` is the live side's (A * b, d) aspect-major codes, ``o`` the (A, b, d)
-    neighborhood array and ``participate`` the (b,) mask of entities with a
-    train neighborhood.
-    """
+    """Aspect-summed InfoNCE averaged over participating batch entities;
+    the arguments are those of ``infonce_rows``."""
     count = int(participate.sum())
-    dtype = z.dtype
     if count == 0:
-        return T.constant(np.zeros((1, 1), dtype))
-    batch = len(participate)
-    z_list = [T.slice_rows(z, a * batch, (a + 1) * batch) for a in range(o.shape[0])]
-    per_aspect = infonce_losses(z_list, o, cfg, participate)
-    total = per_aspect[0]
-    for col in per_aspect[1:]:
-        total = T.add(total, col)
-    masked = T.mul(total, participate.astype(dtype).reshape(-1, 1))
-    return T.scale(T.sum_all(masked), 1.0 / count)
+        return T.constant(np.zeros((1, 1), z.dtype))
+    rows = infonce_rows(z, o, cfg, participate)
+    mask = np.tile(participate.astype(z.dtype), o.shape[0]).reshape(-1, 1)
+    return T.scale(T.sum_all(T.mul(rows, mask)), 1.0 / count)
 
 
 def total_loss(elbo: "gen.ElboTerms", contrast: "Tensor | None", gamma: float) -> Tensor:

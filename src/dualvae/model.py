@@ -45,9 +45,6 @@ class ModelParams:
     def all_params(self):
         return self.user_group() + self.item_group()
 
-    def named(self):
-        return {p.name: p for p in self.all_params()}
-
 
 @dataclass
 class Snapshot:

@@ -2,9 +2,10 @@
 
 The operation vocabulary is fixed on purpose: it covers exactly what the
 dual-VAE computation graph needs (affine maps, one of them from constant
-sparse rows, pointwise nonlinearities, row softmax, row reductions, cosine
-machinery) and nothing else, which keeps every backward rule small enough
-to audit by hand. One fused op lives with the model instead:
+sparse rows, pointwise nonlinearities, row softmax, row reductions, row
+normalisation, grouped inner products of aspect-major arrays) and nothing
+else, which keeps every backward rule small enough to audit by hand. One
+fused op lives with the model instead:
 ``generation.poisson_loglik``, recorded through the same ``_emit`` and
 bound by the same ``_live`` rule.
 
@@ -146,14 +147,6 @@ class Tape:
             elif node.param is not None:
                 node.param.grad += g
         self.grads = grads
-
-    def grad(self, t: Tensor) -> np.ndarray | None:
-        """Gradient accumulated for a tensor during the last backward pass."""
-        if t.tape is not self:
-            raise ContractError("tensor does not belong to this tape")
-        if not self.grads:
-            return None
-        return self.grads[t.nid]
 
 
 # ---------------------------------------------------------------------------
@@ -464,14 +457,43 @@ def row_normalize(x) -> Tensor:
     return _emit(tape, out, [x], vjp)
 
 
-def cosine_rows(a, b) -> Tensor:
-    """Row-wise cosine similarity; pairs involving a zero row score 0."""
-    return dot_rows(row_normalize(a), row_normalize(b))
+def group_pairs(x, y, groups: int, across: bool = False) -> Tensor:
+    """Grouped inner products of two aspect-major (groups * b, d) arrays.
 
+    Row ``a * b + i`` is entity i's row in block a. Within the blocks (the
+    default) it meets every row of y's block a, giving (groups * b, b);
+    across them it meets entity i's row in each of y's blocks, giving
+    (groups * b, groups). One batched matmul over a 3-D view; the backward
+    is the same grouped product with g.
+    """
+    tape = _tape_of(x, y)
+    dtype = _dtype_of(x, y)
+    xv, yv = _val(x, dtype), _val(y, dtype)
+    rows, dim = xv.shape
+    if yv.shape != xv.shape or groups < 1 or rows % groups:
+        raise ShapeError(f"group_pairs: {xv.shape} x {yv.shape} in {groups} groups")
+    batch = rows // groups
 
-def cosine_pairs(a, b) -> Tensor:
-    """All-pairs cosine matrix (rows of a) x (rows of b)."""
-    return matmul(row_normalize(a), transpose(row_normalize(b)))
+    def split(v):  # the matmul's stack axis: blocks within, entities across
+        v3 = v.reshape(groups, batch, v.shape[1])
+        return v3.transpose(1, 0, 2) if across else v3
+
+    def join(v3):
+        return (v3.transpose(1, 0, 2) if across else v3).reshape(rows, -1)
+
+    x3, y3 = split(xv), split(yv)
+    out = join(np.matmul(x3, y3.transpose(0, 2, 1)))
+    live = _live(tape, x, y)
+    if not live:
+        return Tensor(out)
+    positions = tuple(pos for pos, _ in live)
+
+    def vjp(g):
+        g3 = split(g)
+        return [join(g3 @ y3) if pos == 0 else join(g3.transpose(0, 2, 1) @ x3)
+                for pos in positions]
+
+    return _emit(tape, out, [t for _, t in live], vjp)
 
 
 def slice_cols(x, j0: int, j1: int) -> Tensor:
@@ -486,23 +508,6 @@ def slice_cols(x, j0: int, j1: int) -> Tensor:
     def vjp(g):
         gx = np.zeros_like(xv)
         gx[:, j0:j1] = g
-        return (gx,)
-
-    return _emit(tape, out, [x], vjp)
-
-
-def slice_rows(x, i0: int, i1: int) -> Tensor:
-    tape = _tape_of(x)
-    xv = _val(x, _dtype_of(x))
-    if not (0 <= i0 < i1 <= xv.shape[0]):
-        raise ShapeError(f"slice_rows: [{i0}:{i1}] out of range for {xv.shape}")
-    out = np.ascontiguousarray(xv[i0:i1, :])
-    if tape is None:
-        return Tensor(out)
-
-    def vjp(g):
-        gx = np.zeros_like(xv)
-        gx[i0:i1, :] = g
         return (gx,)
 
     return _emit(tape, out, [x], vjp)

@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from dualvae import data, encoder as enc_mod, generation as gen, tensor as T
+from dualvae.errors import ShapeError
 from dualvae.gradcheck import finite_difference  # noqa: F401  (re-exported for the tests)
 
 
@@ -47,6 +48,38 @@ def mean_all(x):
         return T.Tensor(out)
     inv = 1.0 / xv.size
     return T._emit(tape, out, [x], lambda g: (np.full_like(xv, g[0, 0] * inv),))
+
+
+def cosine_rows(a, b):
+    """Tape op, not an oracle: row-wise cosine similarity from the library's
+    ``row_normalize`` and ``dot_rows``; pairs involving a zero row score 0."""
+    return T.dot_rows(T.row_normalize(a), T.row_normalize(b))
+
+
+def cosine_pairs(a, b):
+    """Tape op, not an oracle: the all-pairs cosine matrix (rows of a) x
+    (rows of b) from the library's ``row_normalize``, ``matmul`` and
+    ``transpose``."""
+    return T.matmul(T.row_normalize(a), T.transpose(T.row_normalize(b)))
+
+
+def slice_rows(x, i0, i1):
+    """Tape op, not an oracle: rows [i0, i1) of x; the backward scatters g
+    back into a zero array of x's shape."""
+    tape = T._tape_of(x)
+    xv = T._val(x, T._dtype_of(x))
+    if not (0 <= i0 < i1 <= xv.shape[0]):
+        raise ShapeError(f"slice_rows: [{i0}:{i1}] out of range for {xv.shape}")
+    out = np.ascontiguousarray(xv[i0:i1, :])
+    if tape is None:
+        return T.Tensor(out)
+
+    def vjp(g):
+        gx = np.zeros_like(xv)
+        gx[i0:i1, :] = g
+        return (gx,)
+
+    return T._emit(tape, out, [x], vjp)
 
 
 def stacked_codes(means, images=None):
@@ -94,14 +127,53 @@ def dense_poisson_loglik(codes, probs, frozen, r):
     return mean_all(T.sum_rows(T.sub(T.mul(r, T.log(g)), g)))
 
 
+def infonce_losses(z_list, o, cfg, participate):
+    """Reference for ``contrast.infonce_rows``: per-entity InfoNCE losses,
+    one (b, 1) column per aspect, composed aspect by aspect from cosine tape
+    ops (each z_a normalised A + 1 times). ``z_list`` holds the per-aspect
+    (b, d) codes, ``o`` the (A, b, d) neighbourhood array; ``cfg`` gives
+    ``tau`` and the ablations, and ``participate`` masks the in-batch
+    negative pool."""
+    n_aspects = len(z_list)
+    batch = z_list[0].shape[0]
+    inv_tau = 1.0 / cfg.tau
+
+    def partner(a):
+        if "no_nps" in cfg.ablate:
+            return z_list[a]
+        return T.constant(o[a])
+
+    dtype = z_list[0].dtype
+    part_col = participate.astype(dtype).reshape(batch, 1)
+    losses = []
+    for a in range(n_aspects):
+        pos = cosine_rows(z_list[a], partner(a))
+        pos_scaled = T.scale(pos, inv_tau)
+        denom = T.exp(pos_scaled)
+        if "no_ans" not in cfg.ablate:
+            for b_asp in range(n_aspects):
+                if b_asp == a:
+                    continue
+                neg = cosine_rows(z_list[a], partner(b_asp))
+                denom = T.add(denom, T.exp(T.scale(neg, inv_tau)))
+        if "no_uns" not in cfg.ablate and batch > 1:
+            pairs = cosine_pairs(z_list[a], partner(a))
+            mask = np.outer(np.ones(batch, dtype), part_col[:, 0])
+            np.fill_diagonal(mask, 0.0)
+            offdiag = T.mul(T.exp(T.scale(pairs, inv_tau)), mask)
+            denom = T.add(denom, T.sum_rows(offdiag))
+        losses.append(T.sub(T.log(denom), pos_scaled))
+    return losses
+
+
 def per_aspect_probs(means_per_aspect, protos, temp):
     """Reference for ``aspects.aspect_probs_live``: one cosine column per
     aspect against that aspect's prototype row, from generic tape ops."""
     cols = []
     for a, mean in enumerate(means_per_aspect):
-        proto_row = T.slice_rows(protos, a, a + 1)
+        proto_row = slice_rows(protos, a, a + 1)
         ones = np.ones((mean.shape[0], 1), mean.dtype)
-        cols.append(T.cosine_rows(mean, T.matmul(ones, proto_row)))
+        cols.append(cosine_rows(mean, T.matmul(ones, proto_row)))
     return T.softmax_rows(T.scale(T.concat_cols(cols), 1.0 / temp))
 
 

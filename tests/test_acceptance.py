@@ -129,29 +129,29 @@ def test_criterion_4_infonce_oracle():
         d = int(rng.integers(2, 6))
         z = rng.standard_normal((b, A, d))
         o = rng.standard_normal((b, A, d))
-        zs = [np.ascontiguousarray(z[:, a, :]) for a in range(A)]
-        got = contrast.infonce_losses([_const(x) for x in zs], o.transpose(1, 0, 2), cfg,
-                                      np.ones(b, dtype=bool))
+        got = contrast.infonce_rows(_stacked(z), o.transpose(1, 0, 2), cfg,
+                                    np.ones(b, dtype=bool))
         want = _brute_infonce(z, o, cfg.tau)
         for a in range(A):
-            worst = max(worst, float(np.max(np.abs(got[a].value[:, 0] - want[:, a]))))
+            worst = max(worst, float(np.max(np.abs(got.value.reshape(A, b)[a] - want[:, a]))))
 
     # symmetric case: all similarities equal -> log(A + |B| - 1)
     b, A, d = 6, 4, 5
     v = rng.standard_normal(d)
     z = np.tile(v, (b, A, 1))
     o = np.tile(-3.0 * v, (b, A, 1)) * -1.0
-    got = contrast.infonce_losses([_const(np.ascontiguousarray(z[:, a, :])) for a in range(A)],
-                                  o.transpose(1, 0, 2), cfg, np.ones(b, dtype=bool))
-    sym_dev = max(float(np.max(np.abs(col.value - np.log(A + b - 1)))) for col in got)
+    got = contrast.infonce_rows(_stacked(z), o.transpose(1, 0, 2), cfg, np.ones(b, dtype=bool))
+    sym_dev = max(float(np.max(np.abs(col - np.log(A + b - 1))))
+                  for col in got.value.reshape(A, b))
     ok = worst < 1e-10 and sym_dev < 1e-10
     verdict(4, "InfoNCE oracle", ok, f"(loop dev {worst:.1e}, symmetric dev {sym_dev:.1e})")
 
 
-def _const(x):
+def _stacked(z):
+    """(b, A, d) codes as the aspect-major (A * b, d) constant."""
     from dualvae.tensor import Tensor
 
-    return Tensor(np.ascontiguousarray(x))
+    return Tensor(np.ascontiguousarray(z.transpose(1, 0, 2)).reshape(-1, z.shape[2]))
 
 
 # ---------------------------------------------------------------------------

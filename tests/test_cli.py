@@ -1,6 +1,7 @@
 import configparser
 import dataclasses
 import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +114,55 @@ def test_deterministic_is_not_a_config_key(tmp_path):
     out = run_cli("train", "--config", str(cfg))
     assert out.returncode == 1
     assert "unknown key 'deterministic'" in out.stderr
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS")
+
+# prints the thread count of the OpenBLAS that numpy loaded, or -1
+BLAS_THREADS_PROBE = """
+import ctypes, sys
+from pathlib import Path
+from dualvae import cli
+if "--deterministic" in sys.argv:
+    cli._pin_single_thread()
+import numpy
+threads = -1
+for lib in sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+    handle = ctypes.CDLL(str(lib))
+    for fn in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+               "openblas_get_num_threads"):
+        if hasattr(handle, fn):
+            threads = int(getattr(handle, fn)())
+print(threads)
+"""
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # BLAS reads its thread count when numpy loads, so --deterministic can
+    # pin it only if importing the CLI module leaves numpy unloaded
+    code = "import sys, dualvae.cli; assert 'numpy' not in sys.modules"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
+def test_deterministic_pin_overrides_preset_thread_counts(monkeypatch):
+    from dualvae import cli
+
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "4")
+    cli._pin_single_thread()
+    assert [os.environ[var] for var in BLAS_THREAD_VARS] == ["1"] * len(BLAS_THREAD_VARS)
+
+
+def test_deterministic_blas_runs_one_thread(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    out = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE, "--deterministic"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    if int(out.stdout) == -1:
+        pytest.skip("numpy is not linked against a bundled OpenBLAS")
+    assert int(out.stdout) == 1
 
 
 @pytest.mark.parametrize("flags, edit", [

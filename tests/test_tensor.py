@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from dualvae import tensor as T
 from dualvae.errors import ConfigError, ContractError, DomainError, ShapeError
 
-from helpers import (finite_difference, max_rel_err, mean_all, reference_sigmoid,
-                     sample_standard_normal, sigmoid, tape_grads)
+from helpers import (cosine_pairs, cosine_rows, finite_difference, max_rel_err, mean_all,
+                     reference_sigmoid, sample_standard_normal, sigmoid, slice_rows, tape_grads)
 
 RNG = np.random.default_rng(20240517)
 
@@ -111,13 +111,13 @@ def test_row_normalize_zero_row():
 def test_cosine_rows_zero_row_scores_zero():
     a = np.array([[0.0, 0.0], [1.0, 0.0]])
     b = np.array([[1.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(T.cosine_rows(a, b).value, [[0.0], [1.0]])
+    np.testing.assert_allclose(cosine_rows(a, b).value, [[0.0], [1.0]])
 
 
 def test_cosine_pairs_matches_loops():
     a = RNG.standard_normal((4, 3))
     b = RNG.standard_normal((5, 3))
-    got = T.cosine_pairs(a, b).value
+    got = cosine_pairs(a, b).value
     for i in range(4):
         for j in range(5):
             want = a[i] @ b[j] / (np.linalg.norm(a[i]) * np.linalg.norm(b[j]))
@@ -166,6 +166,37 @@ def test_sigmoid_grad_at_zero_is_quarter():
     assert abs(p.grad[0, 0] - 0.25) < 1e-12
     fd = finite_difference(lambda: float(1 / (1 + np.exp(-p.value[0, 0]))), [p], h=1e-6)
     assert abs(fd[0][0, 0] - 0.25) < 1e-6
+
+
+def loop_group_pairs(x, y, groups, across):
+    """Explicit loops over the aspect-major blocks of x and y."""
+    b = x.shape[0] // groups
+    out = np.zeros((x.shape[0], groups if across else b))
+    for a in range(groups):
+        for i in range(b):
+            for k in range(out.shape[1]):
+                partner = y[k * b + i] if across else y[a * b + k]
+                out[a * b + i, k] = x[a * b + i] @ partner
+    return out
+
+
+@pytest.mark.parametrize("across", [False, True])
+@pytest.mark.parametrize("groups,b,d", [(1, 1, 3), (1, 5, 2), (4, 1, 3), (3, 4, 5)])
+def test_group_pairs_matches_loops(groups, b, d, across):
+    x = RNG.standard_normal((groups * b, d))
+    y = RNG.standard_normal((groups * b, d))
+    got = T.group_pairs(x, y, groups, across=across).value
+    np.testing.assert_allclose(got, loop_group_pairs(x, y, groups, across), rtol=1e-13,
+                               atol=1e-13)
+
+
+def test_group_pairs_shape_mismatch():
+    with pytest.raises(ShapeError):
+        T.group_pairs(np.zeros((6, 3)), np.zeros((6, 2)), 2)
+    with pytest.raises(ShapeError):
+        T.group_pairs(np.zeros((6, 3)), np.zeros((4, 3)), 2)
+    with pytest.raises(ShapeError):
+        T.group_pairs(np.zeros((6, 3)), np.zeros((6, 3)), 4, across=True)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +273,7 @@ def test_grad_concat_slice_rows_transpose():
 
     def build(t):
         cat = T.concat_cols([t.leaf(a), t.leaf(b)])
-        top = T.slice_rows(cat, 0, 1)
+        top = slice_rows(cat, 0, 1)
         return T.sum_all(T.matmul(top, T.transpose(top)))
 
     _check_op(build, [a, b])
@@ -268,7 +299,7 @@ def test_grad_cosine_rows():
     w = RNG.standard_normal((4, 1))
 
     def build(t):
-        return T.sum_all(T.mul(T.cosine_rows(t.leaf(a), t.leaf(b)), w))
+        return T.sum_all(T.mul(cosine_rows(t.leaf(a), t.leaf(b)), w))
 
     _check_op(build, [a, b])
 
@@ -279,9 +310,33 @@ def test_grad_cosine_pairs():
     w = RNG.standard_normal((3, 5))
 
     def build(t):
-        return T.sum_all(T.mul(T.cosine_pairs(t.leaf(a), t.leaf(b)), w))
+        return T.sum_all(T.mul(cosine_pairs(t.leaf(a), t.leaf(b)), w))
 
     _check_op(build, [a, b])
+
+
+@pytest.mark.parametrize("across", [False, True])
+@pytest.mark.parametrize("groups,b", [(1, 4), (3, 1), (3, 4)])
+def test_grad_group_pairs(groups, b, across):
+    x = rand_param("x", groups * b, 3)
+    y = rand_param("y", groups * b, 3)
+    w = RNG.standard_normal((groups * b, groups if across else b))
+
+    def build(t):
+        return T.sum_all(T.mul(T.group_pairs(t.leaf(x), t.leaf(y), groups, across=across), w))
+
+    _check_op(build, [x, y])
+
+
+def test_grad_group_pairs_same_operand_twice():
+    x = rand_param("x", 6, 3)
+    w = RNG.standard_normal((6, 3))
+
+    def build(t):
+        leaf = t.leaf(x)
+        return T.sum_all(T.mul(T.group_pairs(leaf, leaf, 2), w))
+
+    _check_op(build, [x])
 
 
 def test_grad_clip_passes_inside_range():
