@@ -28,16 +28,12 @@ class Prototypes:
     with std 1/sqrt(dim); no norm constraint is imposed, training shapes them.
     """
 
-    def __init__(self, n_aspects: int, dim: int, rng: RngState, dtype=np.float64):
+    def __init__(self, n_aspects: int, dim: int, rng: "RngState | None", dtype=np.float64):
         self.n_aspects = n_aspects
         self.dim = dim
         scale = 1.0 / float(np.sqrt(dim))
-        self.item_protos = Parameter(
-            "protos.item", scale * rng.standard_normal(n_aspects, dim, dtype)
-        )
-        self.user_protos = Parameter(
-            "protos.user", scale * rng.standard_normal(n_aspects, dim, dtype)
-        )
+        self.item_protos = Parameter("protos.item", T.init_weights(rng, n_aspects, dim, scale, dtype))
+        self.user_protos = Parameter("protos.user", T.init_weights(rng, n_aspects, dim, scale, dtype))
 
     def params(self):
         return [self.item_protos, self.user_protos]

@@ -110,18 +110,23 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_dataset(run_cfg):
-    from . import data
-
+def _ini_args(run_cfg):
+    """The [data] values as ``data.ingest`` takes them, and the [split]
+    values as ``data.split`` does."""
     path = run_cfg["data", "path"]
     if not path:
         raise_config("no [data] path configured")
-    fmt = run_cfg["data", "format"] or None
-    matrix = data.ingest(path, fmt, run_cfg["data", "min_user_core"],
-                         run_cfg["data", "min_item_core"])
-    split = data.split(matrix, run_cfg["split", "train_ratio"],
-                       run_cfg["split", "valid_of_test"], run_cfg["split", "seed"])
-    return matrix, split
+    return ((path, run_cfg["data", "format"] or None, run_cfg["data", "min_user_core"],
+             run_cfg["data", "min_item_core"]),
+            (run_cfg["split", "train_ratio"], run_cfg["split", "valid_of_test"],
+             run_cfg["split", "seed"]))
+
+
+def _load_dataset(run_cfg):
+    from . import data
+
+    data_args, split_args = _ini_args(run_cfg)
+    return data.split(data.ingest(*data_args), *split_args)
 
 
 def raise_config(msg):
@@ -131,21 +136,22 @@ def raise_config(msg):
 
 
 def _load_trained(args):
-    """The run config, the float64 checkpoint and the dataset split of a
-    trained model; a checkpoint trained on other data is a DataError."""
-    from . import config as config_mod, trainer
+    """The run config, the float64 checkpoint and the split stored in it. The
+    configured file and the [data] and [split] values must give the record
+    the checkpoint stores; otherwise it was trained on other data, a DataError."""
+    from . import config as config_mod, data, trainer
     from .errors import DataError
 
     run_cfg = config_mod.load_config(args.config)
     ckpt = trainer.load_checkpoint(args.checkpoint, dtype="float64")
-    _, split = _load_dataset(run_cfg)
-    digest = split.train.digest()
-    if ckpt.dataset["digest"] != digest:
-        raise DataError(
-            "checkpoint was trained on a different dataset "
-            f"(digest {ckpt.dataset['digest']} vs {digest}); id maps do not match"
-        )
-    return run_cfg, ckpt, split
+    data_args, split_args = _ini_args(run_cfg)
+    source = data.split_record(data.file_record(*data_args), *split_args)
+    stored = ckpt.split.source
+    if stored != source:
+        differ = sorted(k for k in source.keys() | stored.keys() if source.get(k) != stored.get(k))
+        raise DataError("checkpoint was trained on a different dataset "
+                        f"({', '.join(differ)} differ); id maps do not match")
+    return run_cfg, ckpt, ckpt.split
 
 
 def cmd_ingest(args) -> int:
@@ -191,7 +197,7 @@ def cmd_train(args) -> int:
     out = Path(run_cfg["output", "dir"])
     out.mkdir(parents=True, exist_ok=True)
     cfg = run_cfg.train_config()
-    _, split = _load_dataset(run_cfg)
+    split = _load_dataset(run_cfg)
 
     result = trainer.fit(split, cfg, log_path=out / "train_log.tsv", verbose=args.verbose)
     ckpt_path = out / "checkpoint.ckpt"
@@ -282,7 +288,7 @@ def cmd_sweep(args) -> int:
     from . import config as config_mod, trainer
 
     run_cfg = config_mod.load_config(args.config)
-    _, split = _load_dataset(run_cfg)
+    split = _load_dataset(run_cfg)
     lrs = [float(x) for x in args.lr_grid.split(",") if x.strip()]
     gammas = [float(x) for x in args.gamma_grid.split(",") if x.strip()]
     aspect_grid = [int(x) for x in args.aspects_grid.split(",") if x.strip()] or \

@@ -70,10 +70,13 @@ class InteractionMatrix:
     ``u`` touched, ``item_users[i]`` the sorted array of users that touched
     item ``i``. The two views always encode the same pair set. Original
     string ids are kept so results can be reported in the input vocabulary.
+    ``source`` is the ``file_record`` of an ingested matrix, else None.
     """
 
-    def __init__(self, num_users, num_items, users, items, user_ids=None, item_ids=None):
+    def __init__(self, num_users, num_items, users, items, user_ids=None, item_ids=None,
+                 source=None):
         """``users`` and ``items``: pair coordinates, in any order, repeats allowed."""
+        self.source = source
         self.num_users = int(num_users)
         self.num_items = int(num_items)
         self.user_ids = list(user_ids) if user_ids is not None else [str(u) for u in range(num_users)]
@@ -87,10 +90,12 @@ class InteractionMatrix:
         if bad.any():
             u, i = min(zip(users[bad].tolist(), items[bad].tolist()))
             raise DataError(f"pair ({u}, {i}) out of range")
-        rows, cols = np.divmod(np.unique(users * self.num_items + items), self.num_items)
-        by_item = np.argsort(cols, kind="stable")
+        # sorted keys: faster than np.unique (which hashes) or a stable argsort
+        keys = np.sort(users * self.num_items + items)
+        rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) != 0], self.num_items)
         self.user_items = Csr(rows, cols, self.num_users)
-        self.item_users = Csr(cols[by_item], rows[by_item], self.num_items)
+        self.item_users = Csr(*np.divmod(np.sort(cols * self.num_users + rows), self.num_users),
+                              self.num_items)
         self.nnz = len(cols)
 
     def _coords(self):
@@ -145,7 +150,7 @@ class DatasetSplit:
     train: InteractionMatrix
     valid: InteractionMatrix
     test: InteractionMatrix
-    seed: int
+    source: dict  # the split_record of how the three were made
 
 
 @dataclass
@@ -160,6 +165,33 @@ class Batch:
         return self._matrix.sparse_items(self.indices, dtype)
 
 
+def _resolve_format(path: Path, fmt):
+    """``fmt``, else the format of a file's suffix; the file must exist."""
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    if fmt is None:
+        fmt = "csv" if path.suffix.lower() == ".csv" else "tsv"
+    if fmt not in _DELIMS:
+        raise ConfigError(f"unknown format {fmt!r}; expected tsv or csv")
+    return fmt
+
+
+def file_record(path, fmt=None, min_user_core: int = 1, min_item_core: int = 1) -> dict:
+    """What ``ingest`` makes its matrix from, without the path: the file's
+    SHA-256 and size, the resolved format and the k-core thresholds."""
+    path = Path(path)
+    fmt = _resolve_format(path, fmt)
+    blob = path.read_bytes()
+    return {"sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob), "format": fmt,
+            "min_user_core": int(min_user_core), "min_item_core": int(min_item_core)}
+
+
+def split_record(source, train_ratio: float, valid_of_test: float, seed: int) -> dict:
+    """A matrix's ``source`` (None if not from a file) plus ``split``'s arguments."""
+    return {**(source or {}), "train_ratio": float(train_ratio),
+            "valid_of_test": float(valid_of_test), "seed": int(seed)}
+
+
 def read_pairs(path, fmt=None):
     """Parse ``user<delim>item[<delim>ignored...]`` lines into id pairs.
 
@@ -168,13 +200,7 @@ def read_pairs(path, fmt=None):
     non-numeric.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "tsv"
-    if fmt not in _DELIMS:
-        raise ConfigError(f"unknown format {fmt!r}; expected tsv or csv")
-    delim = _DELIMS[fmt]
+    delim = _DELIMS[_resolve_format(path, fmt)]
 
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, ln.rstrip("\n").rstrip("\r")) for n, ln in enumerate(fh, start=1)]
@@ -233,8 +259,10 @@ def _factorize(tokens: list):
 def ingest(path, fmt=None, min_user_core: int = 1, min_item_core: int = 1) -> InteractionMatrix:
     """Read interactions, dedup, k-core filter, and reindex contiguously.
 
-    Indices follow ``sorted`` order of the surviving string ids.
+    Indices follow ``sorted`` order of the surviving string ids, and the
+    matrix's ``source`` is the file's ``file_record``.
     """
+    source = file_record(path, fmt, min_user_core, min_item_core)
     raw = read_pairs(path, fmt)
     if not raw:
         raise DataError(f"{path}: no interactions parsed")
@@ -251,7 +279,7 @@ def ingest(path, fmt=None, min_user_core: int = 1, min_item_core: int = 1) -> In
     kept_items, items = np.unique(items, return_inverse=True)
     return InteractionMatrix(len(kept_users), len(kept_items), users, items,
                              [user_ids[k] for k in kept_users.tolist()],
-                             [item_ids[k] for k in kept_items.tolist()])
+                             [item_ids[k] for k in kept_items.tolist()], source)
 
 
 def from_dense(matrix: np.ndarray, user_ids=None, item_ids=None) -> InteractionMatrix:
@@ -297,7 +325,8 @@ def split(
         return InteractionMatrix(matrix.num_users, matrix.num_items, users[mask], items[mask],
                                  matrix.user_ids, matrix.item_ids)
 
-    return DatasetSplit(build(to_train), build(to_valid), build(~to_train & ~to_valid), seed)
+    return DatasetSplit(build(to_train), build(to_valid), build(~to_train & ~to_valid),
+                        split_record(matrix.source, train_ratio, valid_of_test, seed))
 
 
 def make_batches(matrix: InteractionMatrix, side: str, batch_size: int, seed: int, epoch: int = 0):

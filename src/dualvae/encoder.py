@@ -29,14 +29,14 @@ class EncoderParams:
     """input -> tanh hidden -> [mu; logvar] affine head."""
 
     def __init__(self, name: str, input_dim: int, hidden_dim: int, latent_dim: int,
-                 rng: RngState, dtype=np.float64):
+                 rng: "RngState | None", dtype=np.float64):
         self.name = name
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.latent_dim = latent_dim
-        self.w1 = Parameter(f"{name}.w1", rng.standard_normal(input_dim, hidden_dim, dtype) * (1.0 / float(np.sqrt(input_dim))))
+        self.w1 = Parameter(f"{name}.w1", T.init_weights(rng, input_dim, hidden_dim, 1.0 / float(np.sqrt(input_dim)), dtype))
         self.b1 = Parameter(f"{name}.b1", np.zeros((1, hidden_dim), dtype=dtype))
-        self.w2 = Parameter(f"{name}.w2", rng.standard_normal(hidden_dim, 2 * latent_dim, dtype) * (1.0 / float(np.sqrt(hidden_dim))))
+        self.w2 = Parameter(f"{name}.w2", T.init_weights(rng, hidden_dim, 2 * latent_dim, 1.0 / float(np.sqrt(hidden_dim)), dtype))
         self.b2 = Parameter(f"{name}.b2", np.zeros((1, 2 * latent_dim), dtype=dtype))
 
     def params(self):

@@ -61,18 +61,19 @@ def top_n(score_rows: np.ndarray, n: int) -> np.ndarray:
 
     Equals ``np.argsort(-score_rows, kind="stable")[:, :n]``. Rows are ranked
     ``_RANK_BLOCK`` at a time, so the negated copy and the partition's index
-    matrix never span the whole input.
+    matrix never span the whole input; every block is negated into one buffer.
     """
     score_rows = np.asarray(score_rows)
-    return np.concatenate([_top_n_rows(score_rows[start: start + _RANK_BLOCK], n)
-                           for start in range(0, max(len(score_rows), 1), _RANK_BLOCK)])
+    buf = np.empty_like(score_rows[:_RANK_BLOCK])
+    blocks = (score_rows[start: start + _RANK_BLOCK]
+              for start in range(0, max(len(score_rows), 1), _RANK_BLOCK))
+    return np.concatenate([_top_n_rows(np.negative(b, out=buf[:len(b)]), n) for b in blocks])
 
 
-def _top_n_rows(score_rows: np.ndarray, n: int) -> np.ndarray:
-    """``top_n`` of one block: each row's n best come from a partition and
-    are sorted by (-score, index); a row whose n-th best value also lies
-    outside them (a tie) is sorted in full."""
-    neg = -score_rows
+def _top_n_rows(neg: np.ndarray, n: int) -> np.ndarray:
+    """``top_n`` of one block, given its negated scores: each row's n best
+    come from a partition and are sorted by (-score, index); a row whose
+    n-th best value also lies outside them (a tie) is sorted in full."""
     if not 0 < n < neg.shape[1]:
         return np.argsort(neg, axis=1, kind="stable")[:, :n]
     best = np.sort(np.argpartition(neg, n - 1, axis=1)[:, :n], axis=1)

@@ -21,20 +21,22 @@ from .tensor import RngState
 
 
 class ModelParams:
-    """All trainable tensors, split into user-related and item-related groups."""
+    """All trainable tensors, split into user-related and item-related groups;
+    with no ``rng`` the weights are unset, for ``load_checkpoint`` to assign."""
 
     def __init__(self, num_users: int, num_items: int, n_aspects: int, dim: int,
-                 hidden: int, rng: RngState, dtype=np.float64):
+                 hidden: int, rng: "RngState | None", dtype=np.float64):
         self.num_users = num_users
         self.num_items = num_items
         self.n_aspects = n_aspects
         self.dim = dim
         self.hidden = hidden
-        self.enc_u = enc_mod.EncoderParams("enc_u", num_items, hidden, dim, rng.derive(1), dtype)
-        self.enc_i = enc_mod.EncoderParams("enc_i", num_users, hidden, dim, rng.derive(2), dtype)
-        self.dec_u = gen.DecoderParams("dec_u", dim, rng.derive(3), dtype)
-        self.dec_i = gen.DecoderParams("dec_i", dim, rng.derive(4), dtype)
-        self.protos = aspects.Prototypes(n_aspects, dim, rng.derive(5), dtype)
+        streams = [None] * 5 if rng is None else [rng.derive(k) for k in range(1, 6)]
+        self.enc_u = enc_mod.EncoderParams("enc_u", num_items, hidden, dim, streams[0], dtype)
+        self.enc_i = enc_mod.EncoderParams("enc_i", num_users, hidden, dim, streams[1], dtype)
+        self.dec_u = gen.DecoderParams("dec_u", dim, streams[2], dtype)
+        self.dec_i = gen.DecoderParams("dec_i", dim, streams[3], dtype)
+        self.protos = aspects.Prototypes(n_aspects, dim, streams[4], dtype)
 
     def user_group(self):
         return self.enc_u.params() + self.dec_u.params() + [self.protos.user_protos]

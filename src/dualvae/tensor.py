@@ -541,6 +541,11 @@ def scale(x, c: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # random numbers
 
+def init_weights(rng: "RngState | None", rows: int, cols: int, std: float, dtype) -> np.ndarray:
+    """i.i.d. normal weights of standard deviation ``std``; unset if no ``rng``."""
+    return np.empty((rows, cols), dtype) if rng is None else rng.standard_normal(rows, cols, dtype) * std
+
+
 class RngState:
     """Seedable PRNG stream (PCG64 behind numpy's Generator).
 

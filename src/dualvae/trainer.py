@@ -4,22 +4,25 @@ Each epoch runs a user phase (item state and C frozen) and an item phase
 (user state and P frozen); aspect probabilities refresh only at phase
 boundaries. Validation Recall@20 drives best-checkpoint retention and
 patience-based early stopping. Checkpoints are a small self-describing
-binary: magic, version, a JSON config block, then named little-endian
-tensors.
+binary (magic, version, checksum, a JSON header, little-endian tensors)
+that holds the split it was trained on, written atomically.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
+import os
 import struct
+import zlib
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import contrast as nrc, evaluation, generation as gen, model as model_mod
 from .data import DatasetSplit, InteractionMatrix
-from .errors import CheckpointError, ConfigError, ContractError, NumericError
+from .errors import CheckpointError, ConfigError, ContractError, DataError, NumericError
 from .model import ModelParams, Snapshot
 from .tensor import RngState, Tape
 
@@ -244,7 +247,7 @@ class Checkpoint:
     config: TrainConfig
     epoch: int
     best_metric: float
-    dataset: dict
+    split: DatasetSplit  # the split the model was trained and validated on
     params: ModelParams
     snapshot: Snapshot
 
@@ -267,13 +270,6 @@ def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = Fa
     opt_u = Adam(params.user_group(), cfg.lr)
     opt_i = Adam(params.item_group(), cfg.lr)
     snap = model_mod.bootstrap(train, params, dtype)
-
-    dataset_info = {
-        "digest": train.digest(),
-        "num_users": train.num_users,
-        "num_items": train.num_items,
-        "nnz": train.nnz,
-    }
 
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     if log_fh:
@@ -311,7 +307,7 @@ def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = Fa
                     config=copy.deepcopy(cfg),
                     epoch=epoch,
                     best_metric=float(metric),
-                    dataset=dict(dataset_info),
+                    split=split,
                     params=copy.deepcopy(params),
                     snapshot=copy.deepcopy(snap),
                 )
@@ -331,120 +327,151 @@ def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = Fa
 # checkpoint serialization
 
 _MAGIC = b"DVCK"
-_VERSION = 3
-_DTYPE_CODES = {"float64": 0, "float32": 1}
-_CODE_DTYPES = {0: np.float64, 1: np.float32}
+_VERSION = 4
+_PREAMBLE = struct.Struct("<4sIIQ")  # magic, version, crc32 of the payload, payload bytes
+_DTYPES = ("<f8", "<f4", "<i4")
+_SPLIT_PARTS = ("train", "valid", "test")
 
 
 def _checkpoint_tensors(ckpt: Checkpoint) -> dict:
     out = {p.name: p.value for p in ckpt.params.all_params()}
     out.update({f"state.{f.name}": getattr(ckpt.snapshot, f.name) for f in fields(Snapshot)})
+    for part in _SPLIT_PARTS:
+        rows = getattr(ckpt.split, part).user_items
+        out[f"split.{part}.indptr"] = rows.indptr.astype(np.int32)
+        out[f"split.{part}.indices"] = rows.indices.astype(np.int32)
     return out
 
 
-def save_checkpoint(ckpt: Checkpoint, path):
-    tensors = _checkpoint_tensors(ckpt)
-    header = {
-        "config": asdict(ckpt.config),
-        "epoch": ckpt.epoch,
-        "best_metric": ckpt.best_metric,
-        "dataset": ckpt.dataset,
-        "tensors": sorted(tensors),
-    }
+def _encode(ckpt: Checkpoint) -> list:
+    """The payload as buffers: the JSON header's length and bytes, then the
+    tensors' little-endian bytes in the order of the header's tensor table."""
+    tensors = {name: np.ascontiguousarray(arr, arr.dtype.newbyteorder("<"))
+               for name, arr in sorted(_checkpoint_tensors(ckpt).items())}
+    header = {"config": asdict(ckpt.config), "epoch": ckpt.epoch, "best_metric": ckpt.best_metric,
+              "source": ckpt.split.source, "user_ids": ckpt.split.train.user_ids,
+              "item_ids": ckpt.split.train.item_ids,
+              "tensors": {name: [arr.dtype.str, arr.shape] for name, arr in tensors.items()}}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name])
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", _DTYPE_CODES[arr.dtype.name]))
-            fh.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+    return [struct.pack("<I", len(blob)), blob, *(a.reshape(-1).view(np.uint8)
+                                                  for a in tensors.values())]
 
 
-def _read_exact(fh, n, what):
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return buf
+def save_checkpoint(ckpt: Checkpoint, path):
+    """Write ``ckpt`` to a temporary file next to ``path``, flush and fsync
+    it, then rename it over ``path``: a reader finds the old file or the new
+    one, never part of one."""
+    pieces = _encode(ckpt)
+    crc = 0
+    for piece in pieces:
+        crc = zlib.crc32(piece, crc)
+    size = sum(memoryview(piece).nbytes for piece in pieces)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_PREAMBLE.pack(_MAGIC, _VERSION, crc, size))
+            for piece in pieces:
+                fh.write(piece)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
-def _require(block: dict, keys, what: str, path):
-    missing = sorted(set(keys) - set(block))
-    if missing:
-        raise CheckpointError(f"{path}: {what} lacks {missing}")
+def _read(path) -> "tuple[dict, dict]":
+    """The JSON header and the named tensors of a checkpoint file whose
+    magic, version, length and checksum all check out. Each tensor is read
+    straight into its own array once the tensor table is known to fill the
+    payload, and the checksum is compared before anything is returned."""
+    with open(path, "rb") as fh:
+        preamble = fh.read(_PREAMBLE.size)
+        if preamble[:4] != _MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+        if len(preamble) < _PREAMBLE.size:
+            raise CheckpointError(f"{path}: truncated checkpoint while reading the preamble")
+        _, version, crc, size = _PREAMBLE.unpack(preamble)
+        if version != _VERSION:
+            raise CheckpointError(f"{path}: checkpoint version {version} cannot be read by this "
+                                  f"build (version {_VERSION}); retrain to get a readable one")
+        stored = os.fstat(fh.fileno()).st_size - _PREAMBLE.size
+        if stored != size:
+            state = "truncated" if stored < size else "trailing bytes in"
+            raise CheckpointError(f"{path}: {state} checkpoint ({stored} payload bytes, "
+                                  f"{size} expected)")
+        try:
+            head = fh.read(4)
+            (blob_len,) = struct.unpack("<I", head)
+            blob = fh.read(min(blob_len, size - 4))
+            header = json.loads(blob)
+            table = header["tensors"]
+            if any(dt not in _DTYPES or min(shape, default=0) < 0 for dt, shape in table.values()):
+                raise ValueError("a tensor of unknown type or negative size")
+            if 4 + blob_len + sum(np.dtype(dt).itemsize * math.prod(shape)
+                                  for dt, shape in table.values()) != size:
+                raise ValueError("the tensor table does not fill the payload")
+            tensors = {name: np.empty(shape, dt) for name, (dt, shape) in table.items()}
+            seen = zlib.crc32(blob, zlib.crc32(head))
+            for arr in tensors.values():
+                fh.readinto(arr)
+                seen = zlib.crc32(arr, seen)
+        except (AttributeError, KeyError, TypeError, ValueError, struct.error) as e:
+            raise CheckpointError(f"{path}: malformed payload ({e!r})") from e
+    if seen != crc:
+        raise CheckpointError(f"{path}: checksum mismatch; the checkpoint is corrupted")
+    return header, tensors
 
 
 def load_checkpoint(path, dtype: "str | None" = None) -> Checkpoint:
     """Read a checkpoint; ``dtype='float64'`` widens float32 tensors on load."""
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != _MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != _VERSION:
-            raise CheckpointError(f"{path}: checkpoint version {version} cannot be read by this "
-                                  f"build (version {_VERSION}); retrain to get a readable one")
-        (blob_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
-        try:
-            header = json.loads(_read_exact(fh, blob_len, "header"))
-        except json.JSONDecodeError as e:
-            raise CheckpointError(f"{path}: corrupt header ({e})") from e
-        _require(header, ("config", "epoch", "best_metric", "dataset", "tensors"), "header", path)
-        _require(header["dataset"], ("digest", "num_users", "num_items"), "dataset block", path)
-        tensors = {}
-        for _ in header["tensors"]:
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "tensor name length"))
-            name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
-            (code,) = struct.unpack("<B", _read_exact(fh, 1, "dtype"))
-            if code not in _CODE_DTYPES:
-                raise CheckpointError(f"{path}: unknown dtype code {code}")
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "ndim"))
-            shape = tuple(
-                struct.unpack("<I", _read_exact(fh, 4, "dim"))[0] for _ in range(ndim)
-            )
-            arr_dtype = _CODE_DTYPES[code]
-            nbytes = int(np.prod(shape)) * np.dtype(arr_dtype).itemsize
-            arr = np.frombuffer(_read_exact(fh, nbytes, f"tensor {name}"), dtype=arr_dtype)
-            tensors[name] = arr.reshape(shape).copy()
+    header, tensors = _read(path)
+    missing = sorted({"config", "epoch", "best_metric", "source", "user_ids", "item_ids"}
+                     - set(header))
+    if missing:
+        raise CheckpointError(f"{path}: header lacks {missing}")
+    if not isinstance(header["source"], dict):
+        raise CheckpointError(f"{path}: the split record is not a JSON object")
 
-    cfg_fields = {f.name for f in fields(TrainConfig)}
-    stored_cfg = header["config"]
-    unknown = set(stored_cfg) - cfg_fields
-    if unknown:
-        raise CheckpointError(f"{path}: unknown config keys {sorted(unknown)}")
     try:
-        cfg = TrainConfig(**stored_cfg).validate()
-    except ConfigError as e:
+        cfg = TrainConfig(**header["config"]).validate()
+    except (ConfigError, TypeError) as e:  # TypeError: a key TrainConfig lacks
         raise CheckpointError(f"{path}: invalid stored config ({e})") from e
+    if dtype is not None:
+        if np.dtype(dtype) not in (np.dtype(cfg.dtype), np.dtype(np.float64)):
+            raise CheckpointError("only float32 -> float64 widening is supported")
+        cfg.dtype = np.dtype(dtype).name
+    tensors = {k: v.astype(cfg.np_dtype if v.dtype.kind == "f" else np.int64, copy=False)
+               for k, v in tensors.items()}
 
-    target_dtype = np.dtype(dtype or cfg.dtype)
-    if target_dtype == np.float64 and cfg.dtype == "float32":
-        tensors = {k: v.astype(np.float64) for k, v in tensors.items()}
-        cfg.dtype = "float64"
-    elif dtype is not None and np.dtype(dtype) != np.dtype(cfg.dtype):
-        raise CheckpointError("only float32 -> float64 widening is supported")
-
-    ds = header["dataset"]
-    m, n, A, d = ds["num_users"], ds["num_items"], cfg.aspects, cfg.dim
-    params = ModelParams(m, n, A, d, cfg.hidden, RngState(0), cfg.np_dtype)
+    user_ids, item_ids = header["user_ids"], header["item_ids"]
+    m, n, A, d = len(user_ids), len(item_ids), cfg.aspects, cfg.dim
+    params = ModelParams(m, n, A, d, cfg.hidden, None, cfg.np_dtype)
     shapes = {p.name: p.value.shape for p in params.all_params()}
     shapes.update({"state.C": (n, A), "state.P": (m, A),
                    "state.user_codes": (A, m, 2 * d), "state.item_codes": (A, n, 2 * d)})
+    for part in _SPLIT_PARTS:  # indices: one entry per pair
+        shapes.update({f"split.{part}.indptr": (m + 1,), f"split.{part}.indices": None})
     for name, shape in shapes.items():
         if name not in tensors:
             raise CheckpointError(f"{path}: missing tensor {name}")
-        if tensors[name].shape != shape:
+        if shape is not None and tensors[name].shape != shape:
             raise CheckpointError(f"{path}: tensor {name} has shape {tensors[name].shape}, "
                                   f"expected {shape}")
-    for p in params.all_params():
+    for p in params.all_params():  # the grads stay the zeros ModelParams made
         p.value = tensors[p.name]
-        p.grad = np.zeros_like(p.value)
     snap = Snapshot(**{f.name: tensors[f"state.{f.name}"] for f in fields(Snapshot)})
-    return Checkpoint(cfg, header["epoch"], header["best_metric"], ds, params, snap)
+
+    def part(name):
+        indptr, indices = tensors[f"split.{name}.indptr"], tensors[f"split.{name}.indices"]
+        try:
+            if indices.ndim != 1 or indptr[0] != 0 or indptr[-1] != len(indices):
+                raise DataError("not a CSR pair set")
+            return InteractionMatrix(m, n, np.repeat(np.arange(m), np.diff(indptr)), indices,
+                                     user_ids, item_ids)
+        except (DataError, ValueError) as e:  # np.repeat refuses a decreasing indptr
+            raise CheckpointError(f"{path}: split.{name}: {e}") from e
+
+    split = DatasetSplit(*map(part, _SPLIT_PARTS), header["source"])
+    return Checkpoint(cfg, header["epoch"], header["best_metric"], split, params, snap)

@@ -1,6 +1,8 @@
 import configparser
+import contextlib
 import dataclasses
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -8,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dualvae import config as config_mod, trainer
-from dualvae.errors import ConfigError
+from dualvae import cli, config as config_mod, data, evaluation, trainer
+from dualvae.errors import CheckpointError, ConfigError
 
 CLI = [sys.executable, "-m", "dualvae.cli"]
 
@@ -306,10 +309,8 @@ def test_recommend_addends_sum_to_score(workspace):
         assert abs(score - sum(addends)) < 1e-9
     assert len(lines) == 1 + 2 * 4
     # the score each row prints is the ranking score of that pair
-    from dualvae import cli, evaluation, trainer
-
     ckpt = trainer.load_checkpoint(workspace / "out" / "checkpoint.ckpt", dtype="float64")
-    _, split = cli._load_dataset(config_mod.load_config(workspace / "run.ini"))
+    split = ckpt.split
     user_index = {uid: k for k, uid in enumerate(split.train.user_ids)}
     item_index = {iid: k for k, iid in enumerate(split.train.item_ids)}
     for ln in lines[1:]:
@@ -336,6 +337,127 @@ def test_export_aspects_simplex_rows(workspace, tmp_path):
         for ln in lines[1:]:
             probs = [float(x) for x in ln.split("\t")[1:]]
             assert abs(sum(probs) - 1.0) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# serving from the checkpoint's split
+
+def run_main(capsys, *argv):
+    """``cli.main`` in this process: exit code, stdout, stderr."""
+    code = cli.main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def serve_argv(workspace, command, config=None, checkpoint=None):
+    common = ["--checkpoint", str(checkpoint or workspace / "out" / "checkpoint.ckpt"),
+              "--config", str(config or workspace / "run.ini")]
+    if command == "recommend":
+        return ["recommend", *common, "--users", "0,3,7", "--top-n", "5"]
+    if command == "evaluate":
+        return ["evaluate", *common]
+    return ["export-aspects", *common, "--out", str(workspace / "exported")]
+
+
+def test_serving_commands_read_no_interaction_file(workspace, monkeypatch, capsys):
+    fresh = cli._load_dataset(config_mod.load_config(workspace / "run.ini"))
+    ckpt = trainer.load_checkpoint(workspace / "out" / "checkpoint.ckpt", dtype="float64")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a serving command re-ingested the interaction file")
+
+    for name in ("read_pairs", "ingest", "split"):
+        monkeypatch.setattr(data, name, refuse)
+
+    code, out, err = run_main(capsys, *serve_argv(workspace, "evaluate"))
+    assert code == 0, err
+    result = evaluation.evaluate_ranking(ckpt.params, ckpt.snapshot, fresh, "test", (20, 50))
+    assert out == "".join(f"{m}\t{n}\t{result[f'{m}@{n}']:.6f}\t{result['n_users']}\n"
+                          for m in ("recall", "ndcg") for n in (20, 50))
+
+    code, out, err = run_main(capsys, *serve_argv(workspace, "recommend"))
+    assert code == 0, err
+    tokens = ["0", "3", "7"]
+    users = [fresh.train.user_ids.index(t) for t in tokens]
+    scores = evaluation.score_all(ckpt.snapshot, users, masks=[fresh.train])
+    addends = list(evaluation.user_addends(ckpt.snapshot, users))
+    want = ["user\trank\titem\tscore\taspect_0\taspect_1"]
+    for k, token in enumerate(tokens):
+        for rank, item in enumerate(np.argsort(-scores[k], kind="stable")[:5], start=1):
+            want.append("\t".join([token, str(rank), fresh.train.item_ids[item],
+                                   f"{scores[k, item]:.6f}",
+                                   *(f"{x[k, item]:.6f}" for x in addends)]))
+    assert out == "\n".join(want) + "\n"
+
+    code, _, err = run_main(capsys, *serve_argv(workspace, "export-aspects"))
+    assert code == 0, err
+    for fname, probs, ids in (("item_aspects.tsv", ckpt.snapshot.C, fresh.train.item_ids),
+                              ("user_aspects.tsv", ckpt.snapshot.P, fresh.train.user_ids)):
+        want = ["entity_id\tp_1\tp_2"] + [
+            ids[k] + "\t" + "\t".join(f"{x:.6f}" for x in row) for k, row in enumerate(probs)]
+        assert (workspace / "exported" / fname).read_text() == "\n".join(want) + "\n"
+
+
+def test_identical_copy_of_the_interaction_file_serves(workspace, tmp_path, capsys):
+    copy = tmp_path / "elsewhere.tsv"
+    copy.write_bytes((workspace / "data" / "interactions.tsv").read_bytes())
+    cfg = tmp_path / "copy.ini"
+    cfg.write_text((workspace / "run.ini").read_text().replace(
+        str(workspace / "data" / "interactions.tsv"), str(copy)))
+    outputs = [run_main(capsys, *serve_argv(workspace, "evaluate", config))
+               for config in (workspace / "run.ini", cfg)]
+    assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
+
+def _edit_one_line(ws, tmp_path):
+    lines = (ws / "data" / "interactions.tsv").read_text().splitlines(keepends=True)
+    user, item = lines[1].rstrip("\n").split("\t")[:2]
+    lines[1] = f"{user}\t{item}0\n"
+    (tmp_path / "edited.tsv").write_text("".join(lines))
+    return (ws / "run.ini").read_text().replace(str(ws / "data" / "interactions.tsv"),
+                                                str(tmp_path / "edited.tsv"))
+
+
+@pytest.mark.parametrize("edit, differ", [
+    (_edit_one_line, "bytes, sha256"),
+    (lambda ws, _: (ws / "run.ini").read_text() + "\n[split]\nseed = 5\n", "seed"),
+    (lambda ws, _: (ws / "run.ini").read_text().replace(
+        "[data]\n", "[data]\nmin_item_core = 2\n"), "min_item_core"),
+], ids=["edited-line", "split-seed", "min-item-core"])
+@pytest.mark.parametrize("command", ["evaluate", "recommend", "export-aspects"])
+def test_other_data_or_split_is_data_error(workspace, tmp_path, capsys, edit, differ, command):
+    cfg = tmp_path / "other.ini"
+    cfg.write_text(edit(workspace, tmp_path))
+    code, _, err = run_main(capsys, *serve_argv(workspace, command, cfg))
+    assert code == 2
+    assert f"({differ} differ); id maps do not match" in err
+
+
+def test_version_3_checkpoint_exits_2(workspace, tmp_path, capsys):
+    blob = bytearray((workspace / "out" / "checkpoint.ckpt").read_bytes())
+    blob[4:8] = (3).to_bytes(4, "little")
+    old = tmp_path / "v3.ckpt"
+    old.write_bytes(bytes(blob))
+    code, _, err = run_main(capsys, *serve_argv(workspace, "evaluate", checkpoint=old))
+    assert code == 2
+    assert "version 3" in err and "retrain" in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_flipped_checkpoint_byte_exits_2(workspace, data):
+    # crc32 catches every error burst of 32 bits or fewer, so every flip
+    blob = bytearray((workspace / "out" / "checkpoint.ckpt").read_bytes())
+    blob[data.draw(st.integers(0, len(blob) - 1), label="position")] ^= \
+        data.draw(st.integers(1, 255), label="xor mask")
+    bad = workspace / "flipped.ckpt"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError):
+        trainer.load_checkpoint(bad)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(serve_argv(workspace, "evaluate", checkpoint=bad)) == 2
+    assert err.getvalue().startswith("data error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -251,8 +251,8 @@ def test_split_proportions_within_one_interaction_per_user():
 
 
 def test_digest_format_is_pinned():
-    # the digest is stored in checkpoints and checked when one is loaded, so
-    # its format must not drift: this value was computed by the per-pair code
+    # the digest's format must not drift: this value was computed by the
+    # per-pair code
     dense = np.zeros((3, 4))
     dense[0, [1, 3]] = 1.0
     dense[2, [0, 1, 2]] = 1.0

@@ -1,5 +1,8 @@
 import hashlib
+import json
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -249,6 +252,30 @@ def fitted(tmp_path, **kw):
     return split, result.checkpoint, path
 
 
+def assert_same_split(got, want):
+    assert got.source == want.source
+    for part in ("train", "valid", "test"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert (a.num_users, a.num_items, a.nnz) == (b.num_users, b.num_items, b.nnz)
+        assert a.user_ids == b.user_ids and a.item_ids == b.item_ids
+        for side in ("user_items", "item_users"):
+            np.testing.assert_array_equal(getattr(a, side).indptr, getattr(b, side).indptr)
+            np.testing.assert_array_equal(getattr(a, side).indices, getattr(b, side).indices)
+
+
+def with_header_edit(path, edit) -> bytes:
+    """The checkpoint at ``path`` after ``edit`` of its JSON header, with
+    the length and checksum made to match."""
+    payload = path.read_bytes()[trainer._PREAMBLE.size:]
+    (n,) = struct.unpack("<I", payload[:4])
+    header = json.loads(payload[4:4 + n])
+    edit(header)
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = struct.pack("<I", len(new)) + new + payload[4 + n:]
+    return trainer._PREAMBLE.pack(trainer._MAGIC, trainer._VERSION, zlib.crc32(payload),
+                                  len(payload)) + payload
+
+
 def test_checkpoint_roundtrip_identical_scores(tmp_path):
     split, ckpt, path = fitted(tmp_path)
     loaded = trainer.load_checkpoint(path)
@@ -257,7 +284,7 @@ def test_checkpoint_roundtrip_identical_scores(tmp_path):
     s_orig = evaluation.score_block(ckpt.snapshot, users)
     s_load = evaluation.score_block(loaded.snapshot, users)
     np.testing.assert_array_equal(s_orig, s_load)
-    assert loaded.dataset["digest"] == ckpt.dataset["digest"]
+    assert_same_split(loaded.split, split)
 
 
 def test_checkpoint_corrupted_magic_is_error(tmp_path):
@@ -288,6 +315,8 @@ def test_checkpoint_f32_widens_to_f64(tmp_path):
     np.testing.assert_allclose(
         loaded.params.enc_u.w1.value, ckpt.params.enc_u.w1.value.astype(np.float64)
     )
+    # widening leaves the split's integer arrays alone
+    assert_same_split(loaded.split, split)
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
@@ -308,8 +337,9 @@ def test_checkpoint_version_mismatch_is_error(tmp_path):
 
     _, _, path = fitted(tmp_path)
     # 1: the format with the `no_*` fields and the `rng` block; 2: the
-    # (N, A, d) `*_means` / `*_decoded` snapshot arrays
-    for version in (1, 2, 99):
+    # (N, A, d) `*_means` / `*_decoded` snapshot arrays; 3: no split and no
+    # checksum
+    for version in (1, 2, 3, 99):
         blob = bytearray(path.read_bytes())
         blob[4:8] = struct.pack("<I", version)
         bad = tmp_path / "vers.ckpt"
@@ -320,6 +350,7 @@ def test_checkpoint_version_mismatch_is_error(tmp_path):
 
 @pytest.mark.parametrize("name, cut", [
     ("enc_u.w1", None), ("state.C", None), ("enc_i.b2", 1), ("state.C", 1), ("state.item_codes", 2),
+    ("split.test.indices", None), ("split.train.indptr", 0),
 ])
 def test_missing_or_misshaped_tensor_is_checkpoint_error(tmp_path, monkeypatch, name, cut):
     # cut None drops the tensor; otherwise one entry of that axis goes
@@ -343,19 +374,71 @@ def test_missing_or_misshaped_tensor_is_checkpoint_error(tmp_path, monkeypatch, 
 
 
 def test_missing_header_key_is_checkpoint_error(tmp_path):
-    import json
-    import struct
-
     _, _, path = fitted(tmp_path)
-    blob = path.read_bytes()
-    (n,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12:12 + n])
-    del header["best_metric"]
-    new = json.dumps(header, sort_keys=True).encode("utf-8")
     bad = tmp_path / "nokey.ckpt"
-    bad.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + n:])
+    bad.write_bytes(with_header_edit(path, lambda header: header.pop("best_metric")))
     with pytest.raises(CheckpointError, match="best_metric"):
         trainer.load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda h: h["config"].update(learning_rate=0.1), "invalid stored config.*learning_rate"),
+    (lambda h: h["config"].update(lr=0.5), "invalid stored config.*lr"),
+    (lambda h: h.update(source=None), "split record"),
+], ids=["unknown-config-key", "config-out-of-range", "record-not-an-object"])
+def test_bad_stored_config_or_record_is_checkpoint_error(tmp_path, edit, match):
+    _, _, path = fitted(tmp_path)
+    bad = tmp_path / "edited.ckpt"
+    bad.write_bytes(with_header_edit(path, edit))
+    with pytest.raises(CheckpointError, match=match):
+        trainer.load_checkpoint(bad)
+
+
+class _Killed(Exception):
+    pass
+
+
+class _HalfWriter:
+    """A file whose writes stop with ``_Killed`` after ``budget`` bytes."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def write(self, piece):
+        piece = memoryview(piece).cast("B")
+        self.fh.write(piece[:self.budget])
+        if len(piece) > self.budget:
+            raise _Killed
+        self.budget -= len(piece)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+@pytest.mark.parametrize("stage", ["mid-write", "before-rename"])
+def test_interrupted_save_keeps_previous_file(tmp_path, monkeypatch, stage):
+    split, ckpt, path = fitted(tmp_path)
+    before = path.read_bytes()
+    ckpt.best_metric += 1.0  # so that a finished save would change the bytes
+    if stage == "mid-write":
+        monkeypatch.setattr(trainer, "open", lambda f, mode: _HalfWriter(open(f, mode),
+                                                                         len(before) // 2),
+                            raising=False)
+    else:
+        def killed(fd):
+            raise _Killed
+        monkeypatch.setattr(trainer.os, "fsync", killed)
+    with pytest.raises(_Killed):
+        trainer.save_checkpoint(ckpt, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+    assert_same_split(trainer.load_checkpoint(path).split, split)
 
 
 def test_input_dropout_and_normalization_paths():
