@@ -257,7 +257,8 @@ def cmd_recommend(args) -> int:
     ranked[split.train.user_items.gather(users)] = -np.inf
     print("user\trank\titem\tscore\t" + "\t".join(f"aspect_{a}" for a in range(len(addends))))
     for k, top in enumerate(evaluation.top_n(ranked, args.top_n)):
-        for rank, item in enumerate(top, start=1):
+        # masked items rank last; a list stops before them, so it may hold fewer than N
+        for rank, item in enumerate(top[ranked[k, top] > -np.inf], start=1):
             addend_cols = "\t".join(f"{x[k, item]:.6f}" for x in addends)
             print(f"{tokens[k]}\t{rank}\t{split.train.item_ids[item]}\t{scores[k, item]:.6f}\t{addend_cols}")
     return EXIT_OK

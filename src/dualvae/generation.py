@@ -169,10 +169,13 @@ def poisson_loglik(codes, probs, frozen: FrozenSide, target) -> Tensor:
     Backward, with k = upstream / b, the gradient wrt the aspect-a skip score
     is k * p_a * c_a * sigmoid_a' * (r / g - 1): a dense part that needs no
     g, sigmoid_a' @ (c_a * codes_a), plus a sparse one at the stored entries.
+    The gradient wrt p_a is k * (sum over a row's stored entries of
+    r / g * c_a * sigmoid_a, minus sigmoid_a @ c_a). Each is computed only if
+    its input is on the tape; both recompute the per-entry share
+    k * r / g * c_a * sigmoid_a.
     """
-    tape = T._tape_of(codes, probs)
-    dtype = T._dtype_of(codes)
-    cv, pv = T._val(codes, dtype), T._val(probs, dtype)
+    cv, pv = T._vals(codes, probs)
+    dtype = cv.dtype
     cprobs, fcodes = frozen.probs, frozen.codes
     shape, indptr, cols, r = target.shape, target.indptr, target.indices, target.data
     batch, n_aspects = shape[0], fcodes.shape[0]
@@ -198,31 +201,33 @@ def poisson_loglik(codes, probs, frozen: FrozenSide, target) -> Tensor:
     if np.any(g_stored <= 0.0):
         raise DomainError("poisson_loglik: pair score must be strictly positive where r > 0")
     value = np.full((1, 1), (np.dot(r, np.log(g_stored)) - row_sums.sum()) / batch, dtype)
-    live = T._live(tape, codes, probs)
-    if not live:
-        return Tensor(value)
-    positions = tuple(pos for pos, _ in live)
 
-    def vjp(g):
+    def ratio_of(g):  # k and the sparse part of dL/dg, k * r / g
         k = g[0, 0] / batch
-        ratio = k * r / g_stored  # the sparse part of dL/dg
+        return k, k * r / g_stored
+
+    def d_codes(g):
+        k, ratio = ratio_of(g)
         spread = sp.csr_matrix((ratio, cols, indptr), shape=shape)
-        d_probs = np.empty((batch, n_aspects), dtype) if 1 in positions else None
-        d_codes = np.empty_like(cv) if 0 in positions else None
+        out = np.empty_like(cv)
         for a, block in enumerate(blocks):
             sig, sig_stored, c_a = sigmoids[a], stored[a], cprobs[:, a]
             share = ratio * c_a[cols] * sig_stored  # k * r / g * c_a * sigmoid_a
-            if d_probs is not None:
-                d_probs[:, a] = np.bincount(entry_row, share, minlength=batch) - k * masses[a]
-            if d_codes is None:
-                continue
             deriv = np.subtract(1.0, sig)
             deriv *= sig
-            d_code = d_codes[block]
+            d_code = out[block]
             np.matmul(deriv, fcodes[a] * c_a[:, None], out=d_code)
             d_code *= -k * pv[:, a:a + 1]
             spread.data = share * (1.0 - sig_stored) * pv[entry_row, a]
             d_code += spread @ fcodes[a]
-        return [grad for grad in (d_codes, d_probs) if grad is not None]
+        return out
 
-    return T._emit(tape, value, [t for _, t in live], vjp)
+    def d_probs(g):
+        k, ratio = ratio_of(g)
+        out = np.empty((batch, n_aspects), dtype)
+        for a in range(n_aspects):
+            share = ratio * cprobs[:, a][cols] * stored[a]
+            out[:, a] = np.bincount(entry_row, share, minlength=batch) - k * masses[a]
+        return out
+
+    return T._op((codes, probs), value, d_codes, d_probs)

@@ -4,10 +4,10 @@ The operation vocabulary is fixed on purpose: it covers exactly what the
 dual-VAE computation graph needs (affine maps, one of them from constant
 sparse rows, pointwise nonlinearities, row softmax, row reductions, row
 normalisation, grouped inner products of aspect-major arrays) and nothing
-else, which keeps every backward rule small enough to audit by hand. One
-fused op lives with the model instead:
-``generation.poisson_loglik``, recorded through the same ``_emit`` and
-bound by the same ``_live`` rule.
+else, which keeps every backward rule small enough to audit by hand. Every
+op, and the one fused op that lives with the model instead
+(``generation.poisson_loglik``), records itself through ``_op``: one
+gradient function per input, run only for the inputs on the tape.
 
 Conventions:
   * every value on the tape is a 2-D ``float64`` (or ``float32``) array;
@@ -66,12 +66,12 @@ class Parameter:
 
 
 class _Node:
-    __slots__ = ("value", "parents", "vjp", "param")
+    __slots__ = ("value", "parents", "vjps", "param")
 
-    def __init__(self, value, parents, vjp, param=None):
+    def __init__(self, value, parents, vjps, param=None):
         self.value = value
         self.parents = parents  # tuple of parent node ids
-        self.vjp = vjp  # callable(out_grad) -> tuple of parent grads
+        self.vjps = vjps  # one callable(out_grad) -> parent grad per parent
         self.param = param  # Parameter backing this leaf, if any
 
 
@@ -116,13 +116,13 @@ class Tape:
         self.nodes: list[_Node] = []
         self.grads: list[np.ndarray | None] = []
 
-    def _record(self, value, parents=(), vjp=None, param=None) -> Tensor:
-        self.nodes.append(_Node(value, parents, vjp, param))
+    def _record(self, value, parents=(), vjps=(), param=None) -> Tensor:
+        self.nodes.append(_Node(value, parents, vjps, param))
         return Tensor(value, self, len(self.nodes) - 1)
 
     def leaf(self, param: Parameter) -> Tensor:
         """Put a parameter on the tape; its gradient lands in ``param.grad``."""
-        return self._record(param.value, (), None, param)
+        return self._record(param.value, param=param)
 
     def backward(self, root: Tensor) -> None:
         """Reverse sweep from a scalar root; accumulates into parameter grads."""
@@ -137,14 +137,14 @@ class Tape:
             if g is None:
                 continue
             node = self.nodes[nid]
-            if node.vjp is not None:
-                for pid, pg in zip(node.parents, node.vjp(g)):
-                    # accumulation always allocates, so sharing g itself is safe
-                    if grads[pid] is None:
-                        grads[pid] = pg
-                    else:
-                        grads[pid] = grads[pid] + pg
-            elif node.param is not None:
+            for pid, vjp in zip(node.parents, node.vjps):
+                pg = vjp(g)
+                # accumulation always allocates, so sharing g itself is safe
+                if grads[pid] is None:
+                    grads[pid] = pg
+                else:
+                    grads[pid] = grads[pid] + pg
+            if node.param is not None:
                 node.param.grad += g
         self.grads = grads
 
@@ -152,50 +152,37 @@ class Tape:
 # ---------------------------------------------------------------------------
 # op plumbing
 
-def _tape_of(*xs) -> "Tape | None":
-    tape = None
-    for x in xs:
-        if isinstance(x, Tensor) and x.tape is not None:
-            if tape is None:
-                tape = x.tape
-            elif tape is not x.tape:
-                raise ContractError("operands recorded on different tapes")
-    return tape
+def _vals(*xs) -> list:
+    """The inputs' arrays: a Tensor's value as it is, anything else as a 2-D
+    array of the first Tensor's or ndarray's dtype (float64 if none is)."""
+    dtype = next((x.dtype for x in xs if isinstance(x, (Tensor, np.ndarray))), DEFAULT_DTYPE)
+    return [x.value if isinstance(x, Tensor) else _as_array(x, dtype) for x in xs]
 
 
-def _val(x, dtype) -> np.ndarray:
-    if isinstance(x, Tensor):
-        return x.value
-    return _as_array(x, dtype)
+def _op(inputs, out: np.ndarray, *vjps) -> Tensor:
+    """The value ``out`` of an op on ``inputs``, recorded on their tape.
 
+    ``vjps[k]`` maps the gradient of ``out`` to the gradient of
+    ``inputs[k]``. With no input on a tape, ``out`` is returned as a
+    constant. Otherwise one node is recorded, and its backward calls
+    ``vjps[k]`` only for the inputs ``k`` that are on that tape, so a
+    constant input's gradient is never computed.
 
-def _dtype_of(*xs):
-    for x in xs:
-        if isinstance(x, (Tensor, np.ndarray)):
-            return x.dtype
-    return DEFAULT_DTYPE
-
-
-def _emit(tape, value, parents, vjp) -> Tensor:
-    if tape is None:
-        return Tensor(value)
-    ids = tuple(p.nid for p in parents)
-    return tape._record(value, ids, vjp)
-
-
-def _live(tape, *xs):
-    """Parents that are recorded on the tape, in input order, with positions.
-
-    Backward closures must capture only the positions (plus plain arrays),
-    never the Tensor handles themselves: a captured Tensor would close a
-    reference cycle tape -> node -> closure -> tensor -> tape, keeping every
-    batch's forward arrays alive until a full garbage collection.
+    A vjp must capture no Tensor, only plain arrays and numbers: a captured
+    Tensor would close a reference cycle tape -> node -> vjp -> tensor ->
+    tape, keeping every batch's forward arrays alive until a full garbage
+    collection.
     """
-    out = []
-    for i, x in enumerate(xs):
-        if isinstance(x, Tensor) and x.tape is tape and tape is not None:
-            out.append((i, x))
-    return out
+    tape, live = None, []
+    for k, x in enumerate(inputs):
+        if isinstance(x, Tensor) and x.tape is not None:
+            if tape is not None and x.tape is not tape:
+                raise ContractError("operands recorded on different tapes")
+            tape = x.tape
+            live.append(k)
+    if tape is None:
+        return Tensor(out)
+    return tape._record(out, tuple(inputs[k].nid for k in live), tuple(vjps[k] for k in live))
 
 
 # ---------------------------------------------------------------------------
@@ -234,26 +221,11 @@ def _ew_shapes(a: np.ndarray, b: np.ndarray, opname: str):
 
 
 def _ew(op_fn, da_fn, db_fn, a, b, opname):
-    tape = _tape_of(a, b)
-    dtype = _dtype_of(a, b)
-    av, bv = _val(a, dtype), _val(b, dtype)
+    av, bv = _vals(a, b)
     _, ka, kb = _ew_shapes(av, bv, opname)
-    out = op_fn(av, bv)
-    live = _live(tape, a, b)
-    if not live:
-        return Tensor(out)
-    positions = tuple(pos for pos, _ in live)
-
-    def vjp(g):
-        parts = []
-        for pos in positions:
-            if pos == 0:
-                parts.append(_reduce_to(da_fn(g, av, bv), ka))
-            else:
-                parts.append(_reduce_to(db_fn(g, av, bv), kb))
-        return parts
-
-    return _emit(tape, out, [t for _, t in live], vjp)
+    return _op((a, b), op_fn(av, bv),
+               lambda g: _reduce_to(da_fn(g, av, bv), ka),
+               lambda g: _reduce_to(db_fn(g, av, bv), kb))
 
 
 # ---------------------------------------------------------------------------
@@ -273,21 +245,10 @@ def mul(a, b) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     """Matrix product; backward is g @ b.T and a.T @ g."""
-    tape = _tape_of(a, b)
-    dtype = _dtype_of(a, b)
-    av, bv = _val(a, dtype), _val(b, dtype)
+    av, bv = _vals(a, b)
     if av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul: inner dims {av.shape} x {bv.shape}")
-    out = av @ bv
-    live = _live(tape, a, b)
-    if not live:
-        return Tensor(out)
-    positions = tuple(pos for pos, _ in live)
-
-    def vjp(g):
-        return [g @ bv.T if pos == 0 else av.T @ g for pos in positions]
-
-    return _emit(tape, out, [t for _, t in live], vjp)
+    return _op((a, b), av @ bv, lambda g: g @ bv.T, lambda g: av.T @ g)
 
 
 def sparse_matmul(s, b) -> Tensor:
@@ -296,46 +257,30 @@ def sparse_matmul(s, b) -> Tensor:
     Costs O(nnz * cols) rather than O(rows * inner * cols), which is what a
     batch of sparse interaction rows needs in a first dense layer.
     """
-    tape = _tape_of(b)
-    bv = _val(b, s.dtype)
+    bv = b.value if isinstance(b, Tensor) else _as_array(b, s.dtype)
     if s.shape[1] != bv.shape[0]:
         raise ShapeError(f"sparse_matmul: inner dims {s.shape} x {bv.shape}")
-    out = s @ bv
-    if tape is None:
-        return Tensor(out)
-    st = s.T
-    return _emit(tape, out, [b], lambda g: (st @ g,))
+    return _op((b,), s @ bv, lambda g: s.T @ g)
 
 
 def transpose(x) -> Tensor:
-    tape = _tape_of(x)
-    xv = _val(x, _dtype_of(x))
-    out = np.ascontiguousarray(xv.T)
-    if tape is None:
-        return Tensor(out)
-    return _emit(tape, out, [x], lambda g: (np.ascontiguousarray(g.T),))
+    (xv,) = _vals(x)
+    return _op((x,), np.ascontiguousarray(xv.T), lambda g: np.ascontiguousarray(g.T))
 
 
 def reshape(x, rows: int, cols: int) -> Tensor:
     """The same values in C order as a (rows, cols) matrix."""
-    tape = _tape_of(x)
-    xv = _val(x, _dtype_of(x))
+    (xv,) = _vals(x)
     if xv.size != rows * cols:
         raise ShapeError(f"reshape: {xv.shape} cannot become ({rows}, {cols})")
-    out = xv.reshape(rows, cols)
-    if tape is None:
-        return Tensor(out)
-    return _emit(tape, out, [x], lambda g: (g.reshape(xv.shape),))
+    return _op((x,), xv.reshape(rows, cols), lambda g: g.reshape(xv.shape))
 
 
 def _unary(x, f, df_from_out):
     """Pointwise op saving only what backward needs (the output)."""
-    tape = _tape_of(x)
-    xv = _val(x, _dtype_of(x))
+    (xv,) = _vals(x)
     out = f(xv)
-    if tape is None:
-        return Tensor(out)
-    return _emit(tape, out, [x], lambda g: (df_from_out(g, out),))
+    return _op((x,), out, lambda g: df_from_out(g, out))
 
 
 def _logistic(v: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
@@ -365,96 +310,58 @@ def exp(x) -> Tensor:
 
 
 def log(x) -> Tensor:
-    xv = _val(x, _dtype_of(x))
+    (xv,) = _vals(x)
     if np.any(xv <= 0.0):
         raise DomainError("log: input must be strictly positive")
-    tape = _tape_of(x)
-    out = np.log(xv)
-    if tape is None:
-        return Tensor(out)
-    return _emit(tape, out, [x], lambda g: (g / xv,))
+    return _op((x,), np.log(xv), lambda g: g / xv)
 
 
 def clip(x, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes only where not clipped."""
-    tape = _tape_of(x)
-    xv = _val(x, _dtype_of(x))
-    out = np.clip(xv, lo, hi)
-    if tape is None:
-        return Tensor(out)
-    mask = ((xv >= lo) & (xv <= hi)).astype(xv.dtype)
-    return _emit(tape, out, [x], lambda g: (g * mask,))
+    (xv,) = _vals(x)
+    return _op((x,), np.clip(xv, lo, hi), lambda g: g * ((xv >= lo) & (xv <= hi)).astype(xv.dtype))
 
 
 def softmax_rows(x) -> Tensor:
     """Row-wise softmax; each output row sums to 1."""
-    tape = _tape_of(x)
-    xv = _val(x, _dtype_of(x))
+    (xv,) = _vals(x)
     shifted = xv - xv.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=1, keepdims=True)
-    if tape is None:
-        return Tensor(out)
-
-    def vjp(g):
-        return (out * (g - (g * out).sum(axis=1, keepdims=True)),)
-
-    return _emit(tape, out, [x], vjp)
+    return _op((x,), out, lambda g: out * (g - (g * out).sum(axis=1, keepdims=True)))
 
 
 def sum_all(x) -> Tensor:
-    tape = _tape_of(x)
-    xv = _val(x, _dtype_of(x))
-    out = xv.sum().reshape(1, 1)
-    if tape is None:
-        return Tensor(out)
-    return _emit(tape, out, [x], lambda g: (np.full_like(xv, g[0, 0]),))
+    (xv,) = _vals(x)
+    return _op((x,), xv.sum().reshape(1, 1), lambda g: np.full_like(xv, g[0, 0]))
 
 
 def sum_rows(x) -> Tensor:
     """Sum along each row -> column vector (r, 1)."""
-    tape = _tape_of(x)
-    xv = _val(x, _dtype_of(x))
-    out = xv.sum(axis=1, keepdims=True)
-    if tape is None:
-        return Tensor(out)
-    return _emit(tape, out, [x], lambda g: (np.broadcast_to(g, xv.shape).copy(),))
+    (xv,) = _vals(x)
+    return _op((x,), xv.sum(axis=1, keepdims=True), lambda g: np.broadcast_to(g, xv.shape).copy())
 
 
 def dot_rows(a, b) -> Tensor:
     """Per-row inner product of two equally shaped matrices -> (r, 1)."""
-    tape = _tape_of(a, b)
-    dtype = _dtype_of(a, b)
-    av, bv = _val(a, dtype), _val(b, dtype)
+    av, bv = _vals(a, b)
     if av.shape != bv.shape:
         raise ShapeError(f"dot_rows: shapes {av.shape} vs {bv.shape}")
-    out = (av * bv).sum(axis=1, keepdims=True)
-    live = _live(tape, a, b)
-    if not live:
-        return Tensor(out)
-    positions = tuple(pos for pos, _ in live)
-
-    def vjp(g):
-        return [g * bv if pos == 0 else g * av for pos in positions]
-
-    return _emit(tape, out, [t for _, t in live], vjp)
+    return _op((a, b), (av * bv).sum(axis=1, keepdims=True), lambda g: g * bv, lambda g: g * av)
 
 
 def row_normalize(x) -> Tensor:
     """Scale each row to unit L2 norm; all-zero rows stay zero (grad 0 there)."""
-    tape = _tape_of(x)
-    xv = _val(x, _dtype_of(x))
+    (xv,) = _vals(x)
     norms = np.sqrt((xv * xv).sum(axis=1, keepdims=True))
     safe = np.where(norms > 0.0, norms, 1.0)
     out = xv / safe
-    if tape is None:
-        return Tensor(out)
-    nz = (norms > 0.0).astype(xv.dtype)
 
     def vjp(g):
-        return (nz * (g - out * (g * out).sum(axis=1, keepdims=True)) / safe,)
+        nz = (norms > 0.0).astype(xv.dtype)
+        return nz * (g - out * (g * out).sum(axis=1, keepdims=True)) / safe
 
-    return _emit(tape, out, [x], vjp)
+    return _op((x,), out, vjp)
 
 
 def group_pairs(x, y, groups: int, across: bool = False) -> Tensor:
@@ -466,9 +373,7 @@ def group_pairs(x, y, groups: int, across: bool = False) -> Tensor:
     (groups * b, groups). One batched matmul over a 3-D view; the backward
     is the same grouped product with g.
     """
-    tape = _tape_of(x, y)
-    dtype = _dtype_of(x, y)
-    xv, yv = _val(x, dtype), _val(y, dtype)
+    xv, yv = _vals(x, y)
     rows, dim = xv.shape
     if yv.shape != xv.shape or groups < 1 or rows % groups:
         raise ShapeError(f"group_pairs: {xv.shape} x {yv.shape} in {groups} groups")
@@ -482,55 +387,32 @@ def group_pairs(x, y, groups: int, across: bool = False) -> Tensor:
         return (v3.transpose(1, 0, 2) if across else v3).reshape(rows, -1)
 
     x3, y3 = split(xv), split(yv)
-    out = join(np.matmul(x3, y3.transpose(0, 2, 1)))
-    live = _live(tape, x, y)
-    if not live:
-        return Tensor(out)
-    positions = tuple(pos for pos, _ in live)
-
-    def vjp(g):
-        g3 = split(g)
-        return [join(g3 @ y3) if pos == 0 else join(g3.transpose(0, 2, 1) @ x3)
-                for pos in positions]
-
-    return _emit(tape, out, [t for _, t in live], vjp)
+    return _op((x, y), join(np.matmul(x3, y3.transpose(0, 2, 1))),
+               lambda g: join(split(g) @ y3), lambda g: join(split(g).transpose(0, 2, 1) @ x3))
 
 
 def slice_cols(x, j0: int, j1: int) -> Tensor:
-    tape = _tape_of(x)
-    xv = _val(x, _dtype_of(x))
+    (xv,) = _vals(x)
     if not (0 <= j0 < j1 <= xv.shape[1]):
         raise ShapeError(f"slice_cols: [{j0}:{j1}] out of range for {xv.shape}")
-    out = np.ascontiguousarray(xv[:, j0:j1])
-    if tape is None:
-        return Tensor(out)
 
     def vjp(g):
         gx = np.zeros_like(xv)
         gx[:, j0:j1] = g
-        return (gx,)
+        return gx
 
-    return _emit(tape, out, [x], vjp)
+    return _op((x,), np.ascontiguousarray(xv[:, j0:j1]), vjp)
 
 
 def concat_cols(parts: Sequence) -> Tensor:
-    tape = _tape_of(*parts)
-    dtype = _dtype_of(*parts)
-    vals = [_val(p, dtype) for p in parts]
+    vals = _vals(*parts)
     rows = vals[0].shape[0]
     if any(v.shape[0] != rows for v in vals):
         raise ShapeError("concat_cols: row counts differ")
-    out = np.concatenate(vals, axis=1)
-    live = _live(tape, *parts)
-    if not live:
-        return Tensor(out)
     offsets = np.cumsum([0] + [v.shape[1] for v in vals])
-    positions = tuple(pos for pos, _ in live)
-
-    def vjp(g):
-        return [np.ascontiguousarray(g[:, offsets[pos]:offsets[pos + 1]]) for pos in positions]
-
-    return _emit(tape, out, [t for _, t in live], vjp)
+    return _op(parts, np.concatenate(vals, axis=1),
+               *(lambda g, j0=j0, j1=j1: np.ascontiguousarray(g[:, j0:j1])
+                 for j0, j1 in zip(offsets[:-1], offsets[1:])))
 
 
 def scale(x, c: float) -> Tensor:

@@ -386,7 +386,11 @@ def _read(path) -> "tuple[dict, dict]":
     magic, version, length and checksum all check out. Each tensor is read
     straight into its own array once the tensor table is known to fill the
     payload, and the checksum is compared before anything is returned."""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as e:
+        raise CheckpointError(f"{path}: cannot open checkpoint ({e.strerror})") from e
+    with fh:
         preamble = fh.read(_PREAMBLE.size)
         if preamble[:4] != _MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")

@@ -41,13 +41,9 @@ def sigmoid(x):
 
 def mean_all(x):
     """Tape op, not an oracle: the mean of every entry, as (1, 1)."""
-    tape = T._tape_of(x)
-    xv = T._val(x, T._dtype_of(x))
-    out = xv.mean().reshape(1, 1)
-    if tape is None:
-        return T.Tensor(out)
+    (xv,) = T._vals(x)
     inv = 1.0 / xv.size
-    return T._emit(tape, out, [x], lambda g: (np.full_like(xv, g[0, 0] * inv),))
+    return T._op((x,), xv.mean().reshape(1, 1), lambda g: np.full_like(xv, g[0, 0] * inv))
 
 
 def cosine_rows(a, b):
@@ -66,20 +62,16 @@ def cosine_pairs(a, b):
 def slice_rows(x, i0, i1):
     """Tape op, not an oracle: rows [i0, i1) of x; the backward scatters g
     back into a zero array of x's shape."""
-    tape = T._tape_of(x)
-    xv = T._val(x, T._dtype_of(x))
+    (xv,) = T._vals(x)
     if not (0 <= i0 < i1 <= xv.shape[0]):
         raise ShapeError(f"slice_rows: [{i0}:{i1}] out of range for {xv.shape}")
-    out = np.ascontiguousarray(xv[i0:i1, :])
-    if tape is None:
-        return T.Tensor(out)
 
     def vjp(g):
         gx = np.zeros_like(xv)
         gx[i0:i1, :] = g
-        return (gx,)
+        return gx
 
-    return T._emit(tape, out, [x], vjp)
+    return T._op((x,), np.ascontiguousarray(xv[i0:i1, :]), vjp)
 
 
 def stacked_codes(means, images=None):

@@ -398,6 +398,19 @@ def test_serving_commands_read_no_interaction_file(workspace, monkeypatch, capsy
         assert (workspace / "exported" / fname).read_text() == "\n".join(want) + "\n"
 
 
+def test_recommend_all_items_lists_no_train_item(workspace, capsys):
+    train = trainer.load_checkpoint(workspace / "out" / "checkpoint.ckpt").split.train
+    n_items = len(train.item_ids)
+    code, out, err = run_main(capsys, *serve_argv(workspace, "recommend")[:-1], str(n_items))
+    assert code == 0, err
+    rows = [ln.split("\t") for ln in out.splitlines()[1:]]
+    for token in ("0", "3", "7"):
+        own = {train.item_ids[i] for i in train.user_items[train.user_ids.index(token)]}
+        listed = [row[2] for row in rows if row[0] == token]
+        assert own and not own & set(listed)
+        assert len(listed) == n_items - len(own)
+
+
 def test_identical_copy_of_the_interaction_file_serves(workspace, tmp_path, capsys):
     copy = tmp_path / "elsewhere.tsv"
     copy.write_bytes((workspace / "data" / "interactions.tsv").read_bytes())
@@ -441,6 +454,14 @@ def test_version_3_checkpoint_exits_2(workspace, tmp_path, capsys):
     code, _, err = run_main(capsys, *serve_argv(workspace, "evaluate", checkpoint=old))
     assert code == 2
     assert "version 3" in err and "retrain" in err
+
+
+@pytest.mark.parametrize("name", ["missing.ckpt", ""], ids=["missing", "directory"])
+def test_unopenable_checkpoint_exits_2(workspace, tmp_path, capsys, name):
+    code, out, err = run_main(capsys, *serve_argv(workspace, "evaluate",
+                                                  checkpoint=tmp_path / name))
+    assert code == 2 and out == ""
+    assert err.startswith("data error: ") and "cannot open checkpoint" in err
 
 
 @settings(max_examples=150, deadline=None)

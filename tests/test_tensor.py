@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualvae import tensor as T
+from dualvae import generation as gen, tensor as T
 from dualvae.errors import ConfigError, ContractError, DomainError, ShapeError
 
 from helpers import (cosine_pairs, cosine_rows, finite_difference, max_rel_err, mean_all,
@@ -197,6 +197,59 @@ def test_group_pairs_shape_mismatch():
         T.group_pairs(np.zeros((6, 3)), np.zeros((4, 3)), 2)
     with pytest.raises(ShapeError):
         T.group_pairs(np.zeros((6, 3)), np.zeros((6, 3)), 4, across=True)
+
+
+# ---------------------------------------------------------------------------
+# the recording contract of tensor._op
+
+def test_op_never_calls_a_constant_inputs_vjp():
+    def refuse(g):
+        raise AssertionError("the vjp of a constant input was called")
+
+    p = rand_param("x", 2, 3)
+    tape = T.Tape()
+    x = tape.leaf(p)
+    out = T._op((x, np.ones((2, 3))), 2.0 * x.value, lambda g: 2.0 * g, refuse)
+    tape.backward(T.sum_all(out))
+    np.testing.assert_array_equal(p.grad, np.full((2, 3), 2.0))
+    assert T._op((np.ones((2, 3)),), np.ones((2, 3)), refuse).tape is None
+
+
+_FROZEN_RNG = np.random.default_rng(5)
+_FROZEN = gen.FrozenSide(_FROZEN_RNG.standard_normal((2, 5, 4)),
+                         _FROZEN_RNG.dirichlet(np.ones(2), 5))
+_TARGET = sp.csr_matrix(np.array([[1, 0, 1, 0, 0], [0, 1, 0, 0, 1], [1, 1, 0, 1, 0]], float))
+TWO_INPUT_OPS = {  # op, and the shapes of its two inputs
+    "add": (T.add, (3, 4), (1, 4)),
+    "sub": (T.sub, (3, 4), (3, 1)),
+    "mul": (T.mul, (3, 4), (3, 4)),
+    "matmul": (T.matmul, (3, 4), (4, 2)),
+    "dot_rows": (T.dot_rows, (3, 4), (3, 4)),
+    "group_pairs": (lambda x, y: T.group_pairs(x, y, 2), (6, 3), (6, 3)),
+    "concat_cols": (lambda x, y: T.concat_cols([x, y]), (3, 2), (3, 4)),
+    "poisson_loglik": (lambda c, p: gen.poisson_loglik(c, p, _FROZEN, _TARGET), (6, 4), (3, 2)),
+}
+
+
+@pytest.mark.parametrize("live", [0, 1])
+@pytest.mark.parametrize("name", list(TWO_INPUT_OPS))
+def test_constant_operand_leaves_the_live_gradient_bitwise_equal(name, live):
+    op, *shapes = TWO_INPUT_OPS[name]
+    rng = np.random.default_rng(11)
+    params = [T.Parameter(f"x{k}", rng.uniform(0.2, 1.0, shape)) for k, shape in enumerate(shapes)]
+    weight = rng.standard_normal(op(*(p.value for p in params)).shape)
+
+    def live_grad(both_on_tape):
+        params[live].zero_grad()
+        tape = T.Tape()
+        inputs = [tape.leaf(p) if both_on_tape or k == live else T.constant(p.value)
+                  for k, p in enumerate(params)]
+        tape.backward(T.sum_all(T.mul(op(*inputs), weight)))
+        return params[live].grad.copy()
+
+    both, alone = live_grad(True), live_grad(False)
+    assert np.any(both != 0.0)
+    np.testing.assert_array_equal(alone, both)
 
 
 # ---------------------------------------------------------------------------
