@@ -35,9 +35,6 @@ class Prototypes:
         self.item_protos = Parameter("protos.item", T.init_weights(rng, n_aspects, dim, scale, dtype))
         self.user_protos = Parameter("protos.user", T.init_weights(rng, n_aspects, dim, scale, dtype))
 
-    def params(self):
-        return [self.item_protos, self.user_protos]
-
 
 def aspect_probs_live(means, protos, temp: float) -> Tensor:
     """Aspect probability rows of b entities, on the tape or off it.

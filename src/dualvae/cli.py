@@ -283,17 +283,28 @@ def cmd_export_aspects(args) -> int:
     return EXIT_OK
 
 
+def _grid(text: str, cast, flag: str, default=None) -> list:
+    """The values of a comma-list sweep flag; empty means ``default``, and
+    with no default an empty list is a config error."""
+    try:
+        values = [cast(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as e:
+        raise_config(f"{flag}: {e}")
+    if not values and default is None:
+        raise_config(f"{flag} lists no value")
+    return values or [default]
+
+
 def cmd_sweep(args) -> int:
     from pathlib import Path
 
     from . import config as config_mod, trainer
 
     run_cfg = config_mod.load_config(args.config)
+    lrs = _grid(args.lr_grid, float, "--lr-grid")
+    gammas = _grid(args.gamma_grid, float, "--gamma-grid")
+    aspect_grid = _grid(args.aspects_grid, int, "--aspects-grid", run_cfg["model", "aspects"])
     split = _load_dataset(run_cfg)
-    lrs = [float(x) for x in args.lr_grid.split(",") if x.strip()]
-    gammas = [float(x) for x in args.gamma_grid.split(",") if x.strip()]
-    aspect_grid = [int(x) for x in args.aspects_grid.split(",") if x.strip()] or \
-        [run_cfg["model", "aspects"]]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

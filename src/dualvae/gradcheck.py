@@ -18,18 +18,13 @@ from .tensor import RngState, Tape
 
 def _side_objective(side, matrix, params, snap, cfg, eps):
     """Closure computing one side's full-batch objective, plus its tape variant."""
+    enc, dec, protos, _ = params.side(side)
     if side == "user":
-        entities = np.arange(matrix.num_users)
-        rows = matrix.sparse_users(entities)
+        rows = matrix.sparse_users(np.arange(matrix.num_users))
         frozen = snap.frozen_items()
-        enc, dec = params.enc_u, params.dec_u
-        protos = params.protos.user_protos
     else:
-        entities = np.arange(matrix.num_items)
-        rows = matrix.sparse_items(entities)
+        rows = matrix.sparse_items(np.arange(matrix.num_items))
         frozen = snap.frozen_users()
-        enc, dec = params.enc_i, params.dec_i
-        protos = params.protos.item_protos
 
     o = nrc.batch_neighborhood_reprs(rows, frozen)
     participate = np.diff(rows.indptr) > 0
@@ -108,38 +103,27 @@ def run_gradcheck(seed: int = 0, num_users: int = 8, num_items: int = 12,
         "item": rng.derive(2).standard_normal(aspects * num_items, dim),
     }
 
-    groups = {
-        "encoder_user": ("user", params.enc_u.params()),
-        "encoder_item": ("item", params.enc_i.params()),
-        "decoder_user": ("user", params.dec_u.params()),
-        "decoder_item": ("item", params.dec_i.params()),
-        "prototypes_user": ("user", [params.protos.user_protos]),
-        "prototypes_item": ("item", [params.protos.item_protos]),
-    }
-
-    builders = {
-        side: _side_objective(side, matrix, params, snap, cfg, eps)
-        for side in ("user", "item")
-    }
-
-    analytic: dict[str, list] = {}
-    for side, build in builders.items():
-        for p in params.all_params():
-            p.zero_grad()
+    # group name -> (its side's objective, its parameters, their tape gradients)
+    groups = {}
+    for side in ("user", "item"):
+        enc, dec, protos, _ = params.side(side)
+        build = _side_objective(side, matrix, params, snap, cfg, eps)
+        params.user.zero_grad()
+        params.item.zero_grad()
         tape = Tape()
         tape.backward(build(tape))
-        for name, (gside, plist) in groups.items():
-            if gside == side:
-                analytic[name] = [p.grad.copy() for p in plist]
+        for part, plist in (("encoder", enc.params()), ("decoder", dec.params()),
+                            ("prototypes", [protos])):
+            groups[f"{part}_{side}"] = (build, plist, [p.grad.copy() for p in plist])
 
     if inject_fault:
-        analytic["encoder_user"] = [-g for g in analytic["encoder_user"]]
+        build, plist, grads = groups["encoder_user"]
+        groups["encoder_user"] = (build, plist, [-g for g in grads])
 
     report = {}
-    for name, (side, plist) in groups.items():
-        build = builders[side]
+    for name, (build, plist, analytic) in groups.items():
         numeric = finite_difference(lambda: build(Tape()).item(), plist, h)
-        report[name] = _max_rel_err(analytic[name], numeric)
+        report[name] = _max_rel_err(analytic, numeric)
     return report
 
 

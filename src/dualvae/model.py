@@ -21,31 +21,34 @@ from .tensor import RngState
 
 
 class ModelParams:
-    """All trainable tensors, split into user-related and item-related groups;
-    with no ``rng`` the weights are unset, for ``load_checkpoint`` to assign."""
+    """All trainable tensors, in the flat groups ``user`` and ``item``; with
+    no ``rng`` the weights are unset, for ``load_checkpoint`` to assign."""
 
     def __init__(self, num_users: int, num_items: int, n_aspects: int, dim: int,
                  hidden: int, rng: "RngState | None", dtype=np.float64):
-        self.num_users = num_users
-        self.num_items = num_items
         self.n_aspects = n_aspects
         self.dim = dim
-        self.hidden = hidden
         streams = [None] * 5 if rng is None else [rng.derive(k) for k in range(1, 6)]
         self.enc_u = enc_mod.EncoderParams("enc_u", num_items, hidden, dim, streams[0], dtype)
         self.enc_i = enc_mod.EncoderParams("enc_i", num_users, hidden, dim, streams[1], dtype)
         self.dec_u = gen.DecoderParams("dec_u", dim, streams[2], dtype)
         self.dec_i = gen.DecoderParams("dec_i", dim, streams[3], dtype)
         self.protos = aspects.Prototypes(n_aspects, dim, streams[4], dtype)
+        self.user = T.ParamGroup(self.enc_u.params() + self.dec_u.params()
+                                 + [self.protos.user_protos])
+        self.item = T.ParamGroup(self.enc_i.params() + self.dec_i.params()
+                                 + [self.protos.item_protos])
 
-    def user_group(self):
-        return self.enc_u.params() + self.dec_u.params() + [self.protos.user_protos]
-
-    def item_group(self):
-        return self.enc_i.params() + self.dec_i.params() + [self.protos.item_protos]
+    def side(self, name: str):
+        """``(encoder, decoder, prototypes, group)`` of the user or item side."""
+        if name == "user":
+            return self.enc_u, self.dec_u, self.protos.user_protos, self.user
+        if name == "item":
+            return self.enc_i, self.dec_i, self.protos.item_protos, self.item
+        raise ShapeError(f"unknown side {name!r}")
 
     def all_params(self):
-        return self.user_group() + self.item_group()
+        return [*self.user, *self.item]
 
 
 @dataclass
@@ -68,12 +71,11 @@ def compute_side_state(matrix: InteractionMatrix, side: str, params: ModelParams
                        mask_probs: np.ndarray, block: int = 512, dtype=np.float64) -> np.ndarray:
     """Evaluation-mode codes [posterior means | decoder images] of one whole
     side, as one (A, N, 2d) array."""
+    enc, dec, _, _ = params.side(side)
     if side == "user":
-        n_entities, enc, dec = matrix.num_users, params.enc_u, params.dec_u
-    elif side == "item":
-        n_entities, enc, dec = matrix.num_items, params.enc_i, params.dec_i
+        n_entities, rows_of = matrix.num_users, matrix.sparse_users
     else:
-        raise ShapeError(f"unknown side {side!r}")
+        n_entities, rows_of = matrix.num_items, matrix.sparse_items
     n_aspects = params.n_aspects
     if mask_probs.shape[1] != n_aspects:
         raise ShapeError("mask probability column count != aspect count")
@@ -81,10 +83,8 @@ def compute_side_state(matrix: InteractionMatrix, side: str, params: ModelParams
     codes = np.empty((n_aspects, n_entities, 2 * params.dim), dtype=dtype)
     for start in range(0, n_entities, block):
         idx = np.arange(start, min(start + block, n_entities))
-        rows = (matrix.sparse_users(idx, dtype) if side == "user"
-                else matrix.sparse_items(idx, dtype))
         # one encoder pass over the block's (A * b) aspect-major rows
-        mu, _, _ = enc_mod.encode(enc_mod.mask_aspects(rows, mask_probs), enc)
+        mu, _, _ = enc_mod.encode(enc_mod.mask_aspects(rows_of(idx, dtype), mask_probs), enc)
         block_codes = T.concat_cols([mu, gen.decode(mu, dec)]).value
         codes[:, start:start + len(idx)] = block_codes.reshape(n_aspects, len(idx), -1)
     return codes

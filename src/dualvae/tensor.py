@@ -54,15 +54,29 @@ class Parameter:
         self.value = _as_array(value, np.asarray(value).dtype)
         self.grad = np.zeros_like(self.value)
 
-    @property
-    def shape(self):
-        return self.value.shape
+    def __repr__(self):
+        return f"Parameter({self.name!r}, shape={self.value.shape})"
+
+
+class ParamGroup:
+    """Parameters whose ``value`` and ``grad`` become reshaped views into one
+    flat value buffer and one flat grad buffer, in member order, so work on
+    the whole group is one array operation. Assigning to a member's
+    ``value`` or ``grad`` instead of writing into it detaches the member."""
+
+    def __init__(self, params: Sequence[Parameter]):
+        self.params = list(params)
+        self.value = np.concatenate([p.value.reshape(-1) for p in self.params])
+        self.grad = np.zeros_like(self.value)
+        ends = np.cumsum([p.value.size for p in self.params])[:-1]
+        for p, v, g in zip(self.params, np.split(self.value, ends), np.split(self.grad, ends)):
+            p.value, p.grad = v.reshape(p.value.shape), g.reshape(p.value.shape)
+
+    def __iter__(self):
+        return iter(self.params)
 
     def zero_grad(self):
         self.grad[...] = 0.0
-
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
 class _Node:

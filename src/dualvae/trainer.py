@@ -10,13 +10,12 @@ that holds the split it was trained on, written atomically.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from . import contrast as nrc, evaluation, generation as gen, model as model_mod
 from .data import DatasetSplit, InteractionMatrix
 from .errors import CheckpointError, ConfigError, ContractError, DataError, NumericError
 from .model import ModelParams, Snapshot
-from .tensor import RngState, Tape
+from .tensor import ParamGroup, RngState, Tape
 
 _ABLATIONS = ("no_add", "no_ud", "no_id", "no_nrc", "no_uns", "no_ans", "no_nps")
 
@@ -68,6 +67,8 @@ class TrainConfig:
             raise ConfigError(f"gamma {self.gamma} outside {{0}} U [1e-5, 1e-1]")
         if self.tau <= 0 or self.temp <= 0:
             raise ConfigError("tau and temp must be positive")
+        if self.beta < 0 or self.beta_anneal_epochs < 0:
+            raise ConfigError("beta and beta_anneal_epochs must be >= 0")
         if self.batch_size < 1 or self.epochs < 1 or self.patience < 0:
             raise ConfigError("batch_size/epochs must be >= 1, patience >= 0")
         if not (0.0 <= self.input_dropout < 1.0):
@@ -103,29 +104,29 @@ class TrainConfig:
 
 
 class Adam:
-    """Bias-corrected Adam over a fixed parameter group."""
+    """Bias-corrected Adam over one parameter group's flat buffers."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list, lr: float):
-        self.params = params
+    def __init__(self, group: ParamGroup, lr: float):
+        self.group = group
         self.lr = lr
         self.step_count = 0
-        self.m = [np.zeros_like(p.value) for p in params]
-        self.v = [np.zeros_like(p.value) for p in params]
+        self.m = np.zeros_like(group.value)
+        self.v = np.zeros_like(group.value)
 
     def step(self):
         self.step_count += 1
         t = self.step_count
-        for k, p in enumerate(self.params):
-            g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for parameter {p.name}")
-            self.m[k] = self.BETA1 * self.m[k] + (1.0 - self.BETA1) * g
-            self.v[k] = self.BETA2 * self.v[k] + (1.0 - self.BETA2) * (g * g)
-            m_hat = self.m[k] / (1.0 - self.BETA1 ** t)
-            v_hat = self.v[k] / (1.0 - self.BETA2 ** t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+        g = self.group.grad
+        if not np.isfinite(g).all():
+            bad = next(p.name for p in self.group if not np.isfinite(p.grad).all())
+            raise NumericError(f"non-finite gradient for parameter {bad}")
+        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * g
+        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * (g * g)
+        m_hat = self.m / (1.0 - self.BETA1 ** t)
+        v_hat = self.v / (1.0 - self.BETA2 ** t)
+        self.group.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 @dataclass
@@ -136,15 +137,10 @@ class PhaseStats:
     contrast: float
 
 
-def _zero_all(params: ModelParams):
-    for p in params.all_params():
-        p.zero_grad()
-
-
-def _assert_frozen_untouched(group, phase: str):
-    for p in group:
-        if np.any(p.grad != 0.0):
-            raise ContractError(f"frozen parameter {p.name} accumulated gradient during {phase} phase")
+def _assert_frozen_untouched(group: ParamGroup, phase: str):
+    if np.any(group.grad):
+        bad = next(p.name for p in group if np.any(p.grad))
+        raise ContractError(f"frozen parameter {bad} accumulated gradient during {phase} phase")
 
 
 def _encoder_rows(rows, cfg: TrainConfig, rng: RngState):
@@ -173,27 +169,23 @@ def train_phase(side: str, train: InteractionMatrix, params: ModelParams, snap: 
     """One pass over one side's batches against the frozen other side."""
     from .data import make_batches
 
-    if side == "user":
-        frozen = snap.frozen_items()
-        enc, dec = params.enc_u, params.dec_u
-        protos = None if cfg.pin_p else params.protos.user_protos
-        live_group, frozen_group = params.user_group(), params.item_group()
-    else:
-        frozen = snap.frozen_users()
-        enc, dec = params.enc_i, params.dec_i
-        protos = None if cfg.pin_c else params.protos.item_protos
-        live_group, frozen_group = params.item_group(), params.user_group()
+    enc, dec, protos, live_group = params.side(side)
+    user = side == "user"
+    frozen = snap.frozen_items() if user else snap.frozen_users()
+    frozen_group = params.item if user else params.user
+    if cfg.pin_p if user else cfg.pin_c:
+        protos = None
+    frozen_group.zero_grad()
 
     gamma = cfg.effective_gamma
     beta = cfg.beta_at(epoch)
     dtype = cfg.np_dtype
-    noise_rng = rng.derive(epoch, 0 if side == "user" else 1)
+    noise_rng = rng.derive(epoch, 0 if user else 1)
 
     totals = np.zeros(4)
     n_batches = 0
     for batch in make_batches(train, side, cfg.batch_size, cfg.seed, epoch):
-        for p in live_group:
-            p.zero_grad()
+        live_group.zero_grad()
         rows = batch.sparse(dtype)
         enc_rows = _encoder_rows(rows, cfg, noise_rng)
         # aspect-major (A * b, d): the stream of A successive (b, d) draws
@@ -217,6 +209,9 @@ def train_phase(side: str, train: InteractionMatrix, params: ModelParams, snap: 
             closs.item() if closs is not None else 0.0,
         )
         n_batches += 1
+        # free this batch's tape (and the forward arrays its vjps hold)
+        # before the next batch's forward pass allocates its own
+        del tape, terms, fwd, closs, loss
 
     _assert_frozen_untouched(frozen_group, side)
     totals /= max(n_batches, 1)
@@ -231,11 +226,9 @@ def train_epoch_pair(split: DatasetSplit, params: ModelParams, opt_u: Adam, opt_
     epoch (or the uniform bootstrap); the returned one feeds validation and
     the next epoch.
     """
-    _zero_all(params)
     user_stats = train_phase("user", split.train, params, snap, opt_u, cfg, epoch, rng)
     snap = model_mod.refresh(split.train, params, snap.C, snap.P, cfg.temp,
                              cfg.pin_c, cfg.pin_p, dtype=cfg.np_dtype)
-    _zero_all(params)
     item_stats = train_phase("item", split.train, params, snap, opt_i, cfg, epoch, rng)
     snap = model_mod.refresh(split.train, params, snap.C, snap.P, cfg.temp,
                              cfg.pin_c, cfg.pin_p, dtype=cfg.np_dtype)
@@ -267,15 +260,17 @@ def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = Fa
     rng = RngState(cfg.seed)
     params = ModelParams(train.num_users, train.num_items, cfg.aspects, cfg.dim,
                          cfg.hidden, rng.derive(0), dtype)
-    opt_u = Adam(params.user_group(), cfg.lr)
-    opt_i = Adam(params.item_group(), cfg.lr)
+    opt_u = Adam(params.user, cfg.lr)
+    opt_i = Adam(params.item, cfg.lr)
     snap = model_mod.bootstrap(train, params, dtype)
 
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     if log_fh:
         log_fh.write("epoch\tphase\tloss\trecon\tkl\tcontrast\tval_r20\n")
 
-    best: Checkpoint | None = None
+    # the best epoch's weights, as copies of the two flat buffers; its
+    # snapshot is kept by reference, since refresh always builds new arrays
+    best_epoch, best_user, best_item, best_snap = 0, None, None, None
     best_metric = -np.inf
     since_improve = 0
     history = []
@@ -303,14 +298,8 @@ def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = Fa
             if metric > best_metric:
                 best_metric = metric
                 since_improve = 0
-                best = Checkpoint(
-                    config=copy.deepcopy(cfg),
-                    epoch=epoch,
-                    best_metric=float(metric),
-                    split=split,
-                    params=copy.deepcopy(params),
-                    snapshot=copy.deepcopy(snap),
-                )
+                best_epoch, best_snap = epoch, snap
+                best_user, best_item = params.user.value.copy(), params.item.value.copy()
             else:
                 since_improve += 1
             stopped_epoch = epoch
@@ -319,7 +308,9 @@ def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = Fa
     finally:
         if log_fh:
             log_fh.close()
-    assert best is not None
+    params.user.value[...] = best_user
+    params.item.value[...] = best_item
+    best = Checkpoint(replace(cfg), best_epoch, float(best_metric), split, params, best_snap)
     return FitResult(best, history, stopped_epoch)
 
 
@@ -464,7 +455,7 @@ def load_checkpoint(path, dtype: "str | None" = None) -> Checkpoint:
             raise CheckpointError(f"{path}: tensor {name} has shape {tensors[name].shape}, "
                                   f"expected {shape}")
     for p in params.all_params():  # the grads stay the zeros ModelParams made
-        p.value = tensors[p.name]
+        p.value[...] = tensors[p.name]
     snap = Snapshot(**{f.name: tensors[f"state.{f.name}"] for f in fields(Snapshot)})
 
     def part(name):

@@ -277,11 +277,37 @@ def sample_standard_normal(rng, shape):
 def tape_grads(build_loss, params):
     """Analytic gradients of a tape-built scalar loss wrt the parameters."""
     for p in params:
-        p.zero_grad()
+        p.grad[...] = 0.0
     tape = T.Tape()
     loss = build_loss(tape)
     tape.backward(loss)
     return [p.grad.copy() for p in params]
+
+
+class LoopAdam:
+    """Per-parameter reference for ``trainer.Adam``: one pair of moment
+    arrays per parameter, updated one parameter at a time with the same
+    arithmetic in the same order."""
+
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
+        self.params = list(params)
+        self.lr = lr
+        self.step_count = 0
+        self.m = [np.zeros_like(p.value) for p in self.params]
+        self.v = [np.zeros_like(p.value) for p in self.params]
+
+    def step(self):
+        self.step_count += 1
+        t = self.step_count
+        for k, p in enumerate(self.params):
+            g = p.grad
+            self.m[k] = self.BETA1 * self.m[k] + (1.0 - self.BETA1) * g
+            self.v[k] = self.BETA2 * self.v[k] + (1.0 - self.BETA2) * (g * g)
+            m_hat = self.m[k] / (1.0 - self.BETA1 ** t)
+            v_hat = self.v[k] / (1.0 - self.BETA2 ** t)
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 class SlowMatrix:

@@ -124,7 +124,7 @@ def test_live_probs_match_eval_path_and_gradcheck():
     # gradients reach both the prototypes and the latent means
     checked = [mean_param, protos.user_protos]
     for p in checked:
-        p.zero_grad()
+        p.grad[...] = 0.0
     tape.backward(live)
     analytic = [p.grad.copy() for p in checked]
     numeric = finite_difference(lambda: build(T.Tape()).item(), checked)
@@ -158,7 +158,7 @@ def test_live_probs_match_per_aspect_composition(seed, b, A, d):
 
     def value_and_grads(probs_of):
         for q in (means, protos):
-            q.zero_grad()
+            q.grad[...] = 0.0
         tape = T.Tape()
         loss = T.sum_all(T.mul(probs_of(tape.leaf(means), tape.leaf(protos)), weights))
         tape.backward(loss)

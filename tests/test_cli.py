@@ -111,6 +111,15 @@ def test_bad_config_value_exit_code_1(tmp_path):
     assert "lr" in out.stderr
 
 
+@pytest.mark.parametrize("line", ["beta = -5", "beta_anneal_epochs = -1"])
+def test_negative_beta_exit_code_1(tmp_path, line):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[train]\n{line}\n")
+    out = run_cli("train", "--config", str(cfg))
+    assert out.returncode == 1
+    assert "config error" in out.stderr and "beta" in out.stderr
+
+
 def test_deterministic_is_not_a_config_key(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[train]\ndeterministic = true\n")
@@ -508,6 +517,16 @@ def test_sweep_writes_results(workspace, tmp_path):
     lines = (tmp_path / "sw" / "sweep.tsv").read_text().splitlines()
     assert lines[0].split("\t") == ["aspects", "lr", "gamma", "val_r20", "best_epoch"]
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("flag, grid", [("--lr-grid", "abc"), ("--lr-grid", ","),
+                                        ("--gamma-grid", ","), ("--aspects-grid", "2,x")])
+def test_sweep_bad_grid_is_config_error(workspace, tmp_path, capsys, flag, grid):
+    code, _, err = run_main(capsys, "sweep", "--config", str(workspace / "run.ini"),
+                            flag, grid, "--epochs", "1", "--out", str(tmp_path / "sw"))
+    assert code == 1
+    assert err.startswith(f"config error: {flag}")
+    assert not (tmp_path / "sw" / "sweep.tsv").exists()
 
 
 def test_train_float32_mode_smoke(workspace, tmp_path):

@@ -108,7 +108,7 @@ def test_encoder_jacobian_matches_finite_differences():
         mu, _, _ = encoder.encode(tape.leaf(x), enc, tape)
         return T.sum_all(T.mul(mu, w))
 
-    x.zero_grad()
+    x.grad[...] = 0.0
     tape = T.Tape()
     tape.backward(build(tape))
     numeric = finite_difference(lambda: build(T.Tape()).item(), [x])
@@ -175,7 +175,7 @@ def test_reparam_gradients_flow():
         return T.sum_all(T.mul(z, w))
 
     for p in (mu, logvar):
-        p.zero_grad()
+        p.grad[...] = 0.0
     tape = T.Tape()
     tape.backward(build(tape))
     numeric = finite_difference(lambda: build(T.Tape()).item(), [mu, logvar])

@@ -75,7 +75,7 @@ def test_skip_gradient_wrt_latent():
         code = T.concat_cols([z, gen.decode(z, dec_a, tape)])
         return gen.poisson_loglik(code, probs, frozen, sp.csr_matrix((4, 4)))
 
-    za.zero_grad()
+    za.grad[...] = 0.0
     tape = T.Tape()
     tape.backward(build(tape))
     numeric = finite_difference(lambda: build(T.Tape()).item(), [za])
@@ -172,7 +172,7 @@ def test_fused_likelihood_matches_dense_composition(seed, b, n, A, d, pinned, dt
 
     def value_and_grads(likelihood, target):
         for q in (x, p):
-            q.zero_grad()
+            q.grad[...] = 0.0
         tape = T.Tape()
         probs = T.constant(p.value) if pinned else tape.leaf(p)
         value = likelihood(tape.leaf(x), probs, frozen, target)
@@ -271,7 +271,7 @@ def test_user_loss_gradient_matches_finite_differences():
     rows = matrix.sparse_users([0, 1, 2, 3])
     eps = RNG.standard_normal((2 * 4, 3))  # A = 2 aspects of 4 users, aspect-major
     frozen = snap.frozen_items()
-    live = params.user_group()
+    live = params.user
 
     def build(tape):
         terms, _ = gen.side_loss(
@@ -281,7 +281,7 @@ def test_user_loss_gradient_matches_finite_differences():
         return terms.loss
 
     for p in live:
-        p.zero_grad()
+        p.grad[...] = 0.0
     tape = T.Tape()
     tape.backward(build(tape))
     analytic = [p.grad.copy() for p in live]
@@ -293,16 +293,16 @@ def test_frozen_side_gets_zero_gradient():
     matrix, params, snap = tiny_world(seed=9)
     rows = matrix.sparse_users([0, 1])
     for p in params.all_params():
-        p.zero_grad()
+        p.grad[...] = 0.0
     tape = T.Tape()
     terms, _ = gen.side_loss(
         rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
         snap.frozen_items(), temp=0.5, beta=1.0, eps=None, tape=tape,
     )
     tape.backward(terms.loss)
-    for p in params.item_group():
+    for p in params.item:
         np.testing.assert_array_equal(p.grad, np.zeros_like(p.grad))
-    assert any(np.any(p.grad != 0) for p in params.user_group())
+    assert any(np.any(p.grad != 0) for p in params.user)
 
 
 def test_item_loss_equals_user_loss_on_transposed_data():
@@ -381,7 +381,7 @@ def test_frozen_perturbation_moves_loss_but_not_accumulators():
     assert moved != base
 
     for p in params.all_params():
-        p.zero_grad()
+        p.grad[...] = 0.0
     tape = T.Tape()
     terms, _ = gen.side_loss(
         rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
@@ -412,7 +412,7 @@ def test_stacked_side_loss_matches_per_aspect_composition(seed, b, A, d, pinned,
 
     def value_and_grads(objective):
         for q in live:
-            q.zero_grad()
+            q.grad[...] = 0.0
         tape = T.Tape()
         loss = objective(tape)
         tape.backward(T.scale(loss, 1.3))  # an upstream gradient other than 1
@@ -511,4 +511,4 @@ def test_float32_batch_records_only_float32_nodes():
     tape.backward(loss)
     assert {node.value.dtype for node in tape.nodes} == {np.dtype(f32)}
     assert {g.dtype for g in tape.grads if g is not None} == {np.dtype(f32)}
-    assert all(p.grad.dtype == f32 for p in params.user_group())
+    assert all(p.grad.dtype == f32 for p in params.user)

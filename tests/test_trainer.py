@@ -7,12 +7,13 @@ import zlib
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from dualvae import data, evaluation, synth, trainer
-from dualvae.errors import CheckpointError, ConfigError, NumericError
-from dualvae.tensor import Parameter, RngState
+from dualvae.errors import CheckpointError, ConfigError, ContractError, NumericError
+from dualvae.tensor import Parameter, ParamGroup, RngState
 
-from helpers import recall_at_n
+from helpers import LoopAdam, recall_at_n
 
 
 def small_cfg(**kw):
@@ -43,6 +44,10 @@ def test_config_rejects_out_of_grid_values():
     with pytest.raises(ConfigError):
         small_cfg(gamma=0.5)
     small_cfg(gamma=0.0)  # ablation value is allowed
+    with pytest.raises(ConfigError, match="beta"):
+        small_cfg(beta=-5.0)  # a negative KL weight would reward the KL term
+    with pytest.raises(ConfigError, match="beta"):
+        small_cfg(beta_anneal_epochs=-1)
 
 
 def test_ablation_flags():
@@ -66,15 +71,15 @@ def test_beta_annealing_schedule():
 
 def test_adam_zero_gradient_keeps_params():
     p = Parameter("p", np.array([[1.0, -2.0]]))
-    opt = trainer.Adam([p], lr=0.1)
-    p.zero_grad()
+    opt = trainer.Adam(ParamGroup([p]), lr=0.1)
+    p.grad[...] = 0.0
     opt.step()
     np.testing.assert_array_equal(p.value, [[1.0, -2.0]])
 
 
 def test_adam_first_step_magnitude_is_lr():
     p = Parameter("p", np.array([[5.0, -3.0]]))
-    opt = trainer.Adam([p], lr=0.01)
+    opt = trainer.Adam(ParamGroup([p]), lr=0.01)
     p.grad[...] = np.array([[0.7, -2.2]])
     opt.step()
     moved = np.abs(p.value - np.array([[5.0, -3.0]]))
@@ -95,7 +100,7 @@ def test_adam_matches_scalar_reference_trace():
         trace.append(x_ref)
 
     p = Parameter("x", np.array([[3.0]]))
-    opt = trainer.Adam([p], lr=0.1)
+    opt = trainer.Adam(ParamGroup([p]), lr=0.1)
     for t in range(10):
         p.grad[...] = 2.0 * p.value
         opt.step()
@@ -104,10 +109,41 @@ def test_adam_matches_scalar_reference_trace():
 
 def test_adam_aborts_on_nonfinite_grad():
     p = Parameter("enc.w1", np.ones((2, 2)))
-    opt = trainer.Adam([p], lr=0.01)
+    opt = trainer.Adam(ParamGroup([p]), lr=0.01)
     p.grad[...] = np.nan
     with pytest.raises(NumericError, match="enc.w1"):
         opt.step()
+
+
+def test_adam_names_the_nonfinite_member_and_moves_no_weight():
+    group = ParamGroup([Parameter("enc.b1", np.ones((1, 3))), Parameter("enc.w2", np.ones((3, 2)))])
+    opt = trainer.Adam(group, lr=0.01)
+    group.grad[...] = 0.5
+    group.params[1].grad[2, 1] = np.inf
+    with pytest.raises(NumericError, match="parameter enc.w2$"):
+        opt.step()
+    np.testing.assert_array_equal(group.value, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from([np.float64, np.float32]),
+       steps=st.integers(1, 8), lr=st.sampled_from([1e-4, 1e-3, 3e-2, 1e-1]))
+def test_group_adam_is_bitwise_the_per_parameter_loop(seed, dtype, steps, lr):
+    rng = np.random.default_rng(seed)
+    shapes = [(5, 3), (1, 3), (3, 4), (1, 4), (2, 4)]
+    init = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+    ref = [Parameter(f"p{k}", v.copy()) for k, v in enumerate(init)]
+    live = [Parameter(f"p{k}", v.copy()) for k, v in enumerate(init)]
+    oracle, opt = LoopAdam(ref, lr), trainer.Adam(ParamGroup(live), lr)
+    for _ in range(steps):
+        for p, q, shape in zip(ref, live, shapes):
+            g = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 3, size=shape)
+            p.grad[...] = q.grad[...] = g.astype(dtype)
+        oracle.step()
+        opt.step()
+        for p, q in zip(ref, live):
+            assert q.value.dtype == dtype
+            assert q.value.tobytes() == p.value.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +155,66 @@ def setup_run(cfg, split):
     rng = RngState(cfg.seed)
     params = trainer.ModelParams(split.train.num_users, split.train.num_items,
                                  cfg.aspects, cfg.dim, cfg.hidden, rng.derive(0), cfg.np_dtype)
-    opt_u = trainer.Adam(params.user_group(), cfg.lr)
-    opt_i = trainer.Adam(params.item_group(), cfg.lr)
+    opt_u = trainer.Adam(params.user, cfg.lr)
+    opt_i = trainer.Adam(params.item, cfg.lr)
     snap = model_mod.bootstrap(split.train, params, cfg.np_dtype)
     return rng, params, opt_u, opt_i, snap
+
+
+def assert_views_of_the_buffers(params):
+    for group in (params.user, params.item):
+        assert sum(p.value.size for p in group) == group.value.size == group.grad.size
+        for p in group:
+            assert np.shares_memory(p.value, group.value)
+            assert np.shares_memory(p.grad, group.grad)
+
+
+def test_parameters_stay_views_of_their_side_buffers(tmp_path):
+    cfg = small_cfg()
+    _, params, _, _, _ = setup_run(cfg, small_split())
+    assert_views_of_the_buffers(params)
+    assert [p.name for p in params.all_params()] == [
+        "enc_u.w1", "enc_u.b1", "enc_u.w2", "enc_u.b2", "dec_u.w", "dec_u.b", "protos.user",
+        "enc_i.w1", "enc_i.b1", "enc_i.w2", "enc_i.b2", "dec_i.w", "dec_i.b", "protos.item"]
+    _, ckpt, path = fitted(tmp_path)
+    assert_views_of_the_buffers(ckpt.params)  # after fit's restore
+    loaded = trainer.load_checkpoint(path)
+    assert_views_of_the_buffers(loaded.params)
+    for p, q in zip(loaded.params.all_params(), ckpt.params.all_params()):
+        np.testing.assert_array_equal(p.value, q.value)
+
+
+def test_fit_restores_the_best_epochs_weights(monkeypatch):
+    split = small_split()
+    first = trainer.fit(split, small_cfg(epochs=1)).checkpoint
+    recalls = iter([0.5, 0.4, 0.3])
+    monkeypatch.setattr(trainer.evaluation, "evaluate_ranking",
+                        lambda *args, **kw: {"recall@20": next(recalls)})
+    result = trainer.fit(split, small_cfg(epochs=3))
+    best = result.checkpoint
+    assert (result.stopped_epoch, best.epoch, best.best_metric) == (3, 1, 0.5)
+    for p, q in zip(best.params.all_params(), first.params.all_params()):
+        np.testing.assert_array_equal(p.value, q.value)
+    np.testing.assert_array_equal(best.snapshot.user_codes, first.snapshot.user_codes)
+    np.testing.assert_array_equal(best.snapshot.C, first.snapshot.C)
+
+
+def test_frozen_audit_names_the_touched_parameter():
+    cfg = small_cfg()
+    _, params, _, _, _ = setup_run(cfg, small_split())
+    trainer._assert_frozen_untouched(params.item, "user")
+    params.protos.item_protos.grad[0, 0] = 1e-300
+    with pytest.raises(ContractError, match="frozen parameter protos.item .* user phase"):
+        trainer._assert_frozen_untouched(params.item, "user")
 
 
 def test_user_phase_leaves_item_side_bitwise_unchanged():
     cfg = small_cfg()
     split = small_split()
     rng, params, opt_u, opt_i, snap = setup_run(cfg, split)
-    before = [p.value.copy() for p in params.item_group()]
+    before = [p.value.copy() for p in params.item]
     trainer.train_phase("user", split.train, params, snap, opt_u, cfg, 1, rng)
-    for p, old in zip(params.item_group(), before):
+    for p, old in zip(params.item, before):
         np.testing.assert_array_equal(p.value, old)
         np.testing.assert_array_equal(p.grad, np.zeros_like(old))
 
@@ -140,9 +223,9 @@ def test_item_phase_leaves_user_side_bitwise_unchanged():
     cfg = small_cfg()
     split = small_split()
     rng, params, opt_u, opt_i, snap = setup_run(cfg, split)
-    before = [p.value.copy() for p in params.user_group()]
+    before = [p.value.copy() for p in params.user]
     trainer.train_phase("item", split.train, params, snap, opt_i, cfg, 1, rng)
-    for p, old in zip(params.user_group(), before):
+    for p, old in zip(params.user, before):
         np.testing.assert_array_equal(p.value, old)
 
 
@@ -173,6 +256,8 @@ def test_training_step_tape_is_freed_without_gc(monkeypatch, side):
 
     class WatchedTape(trainer.Tape):
         def __init__(self):
+            # the previous batch's tape is gone before the next forward pass
+            assert all(ref() is None for ref in tapes)
             super().__init__()
             tapes.append(weakref.ref(self))
 
@@ -384,8 +469,11 @@ def test_missing_header_key_is_checkpoint_error(tmp_path):
 @pytest.mark.parametrize("edit, match", [
     (lambda h: h["config"].update(learning_rate=0.1), "invalid stored config.*learning_rate"),
     (lambda h: h["config"].update(lr=0.5), "invalid stored config.*lr"),
+    (lambda h: h["config"].update(beta=-5.0), "invalid stored config.*beta"),
+    (lambda h: h["config"].update(beta_anneal_epochs=-1), "invalid stored config.*beta"),
     (lambda h: h.update(source=None), "split record"),
-], ids=["unknown-config-key", "config-out-of-range", "record-not-an-object"])
+], ids=["unknown-config-key", "config-out-of-range", "negative-beta", "negative-anneal",
+        "record-not-an-object"])
 def test_bad_stored_config_or_record_is_checkpoint_error(tmp_path, edit, match):
     _, _, path = fitted(tmp_path)
     bad = tmp_path / "edited.ckpt"
