@@ -304,10 +304,8 @@ def cmd_sweep(args) -> int:
     lrs = _grid(args.lr_grid, float, "--lr-grid")
     gammas = _grid(args.gamma_grid, float, "--gamma-grid")
     aspect_grid = _grid(args.aspects_grid, int, "--aspects-grid", run_cfg["model", "aspects"])
-    split = _load_dataset(run_cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
+    # every grid point is validated before any data is read or fit is run
+    configs = []
     for A in aspect_grid:
         for lr in lrs:
             for gamma in gammas:
@@ -316,12 +314,17 @@ def cmd_sweep(args) -> int:
                 cfg.lr, cfg.gamma = lr, gamma
                 if args.epochs is not None:
                     cfg.epochs = args.epochs
-                cfg.validate()
-                result = trainer.fit(split, cfg)
-                rows.append((A, lr, gamma, result.checkpoint.best_metric,
-                             result.checkpoint.epoch))
-                print(f"A={A} lr={lr:g} gamma={gamma:g} -> val R@20 "
-                      f"{result.checkpoint.best_metric:.4f}")
+                configs.append(cfg.validate())
+    split = _load_dataset(run_cfg)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for cfg in configs:
+        result = trainer.fit(split, cfg)
+        rows.append((cfg.aspects, cfg.lr, cfg.gamma, result.checkpoint.best_metric,
+                     result.checkpoint.epoch))
+        print(f"A={cfg.aspects} lr={cfg.lr:g} gamma={cfg.gamma:g} -> val R@20 "
+              f"{result.checkpoint.best_metric:.4f}")
     with open(out / "sweep.tsv", "w", encoding="utf-8") as fh:
         fh.write("aspects\tlr\tgamma\tval_r20\tbest_epoch\n")
         for A, lr, gamma, metric, epoch in rows:

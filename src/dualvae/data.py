@@ -282,11 +282,6 @@ def ingest(path, fmt=None, min_user_core: int = 1, min_item_core: int = 1) -> In
                              [item_ids[k] for k in kept_items.tolist()], source)
 
 
-def from_dense(matrix: np.ndarray, user_ids=None, item_ids=None) -> InteractionMatrix:
-    us, its = np.nonzero(matrix)
-    return InteractionMatrix(matrix.shape[0], matrix.shape[1], us, its, user_ids, item_ids)
-
-
 def split(
     matrix: InteractionMatrix,
     train_ratio: float = 0.8,

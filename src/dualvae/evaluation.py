@@ -1,14 +1,15 @@
 """Top-N ranking evaluation: capped Recall@N and NDCG@N.
 
 Scores are the training objective's pair scores in evaluation mode (z = mu):
-``user_addends`` feeds the snapshot's arrays to ``generation.aspect_addends``,
-whose skip sigmoid ``generation.poisson_loglik`` also uses, so ranking,
-``recommend`` and training share one score. Each aspect's addend is made in
-one array, in place, and ``score_block`` sums them in place. Items the user
-interacted with in masked splits are pushed to -inf before ranking so they
-can never be recommended back. Ties are broken by ascending item index so
-results reproduce across runs. ``top_n`` ranks in blocks of rows, so its
-transients stay a few MB for any number of users.
+``score_block`` and ``user_addends`` feed the snapshot's arrays to
+``generation``'s per-aspect addends, whose skip sigmoid
+``generation.poisson_loglik`` also uses, so ranking, ``recommend`` and
+training share one score. Each aspect's addend is made in one array, in
+place, and ``score_block`` sums them in place, in row blocks on the aspect
+pool. Items the user interacted with in masked splits are pushed to -inf
+before ranking so they can never be recommended back. Ties are broken by
+ascending item index so results reproduce across runs. ``top_n`` ranks in
+blocks of rows, so its transients stay a few MB for any number of users.
 """
 
 from __future__ import annotations
@@ -29,25 +30,44 @@ def user_addends(snap: Snapshot, users):
     return gen.aspect_addends(codes, snap.P[users], snap.frozen_items())
 
 
+_SCORE_BLOCK = 256  # rows scored per task
+
+
 def score_block(snap: Snapshot, users) -> np.ndarray:
-    """Pair scores g(u, i) for the given users against all items."""
-    addends = user_addends(snap, users)
-    scores = next(addends)
-    for addend in addends:
-        scores += addend
-    return scores
+    """Pair scores g(u, i) for the given users against all items.
+
+    Rows are scored ``_SCORE_BLOCK`` at a time, one task per block, on the
+    aspect pool's lanes (``generation._map``): a block's first addend is made
+    in its output rows and the others, added in aspect order, in its lane's
+    scratch rows."""
+    users = np.asarray(users, dtype=np.int64)
+    frozen = snap.frozen_items()
+    out = np.empty((len(users), frozen.codes.shape[1]), dtype=frozen.codes.dtype)
+    starts = range(0, len(users), _SCORE_BLOCK)
+    rows_per_task = min(len(users), _SCORE_BLOCK)
+    lanes = gen._lanes(len(starts), rows_per_task * out.shape[1])
+    scratch = np.empty((lanes, rows_per_task, out.shape[1]), out.dtype)
+
+    def task(k, lane):
+        lo = starts[k]
+        rows = users[lo: lo + _SCORE_BLOCK]
+        codes, probs, dest = snap.user_codes[:, rows], snap.P[rows], out[lo: lo + len(rows)]
+        gen._addend(codes[0], probs, frozen, 0, out=dest)
+        for a in range(1, len(codes)):
+            dest += gen._addend(codes[a], probs, frozen, a, out=scratch[lane, :len(rows)])
+
+    gen._map(task, len(starts), lanes)
+    return out
 
 
-def score_all(snap: Snapshot, users, masks, block: int = 256) -> np.ndarray:
+def score_all(snap: Snapshot, users, masks) -> np.ndarray:
     """Scores with every masked (user, item) position set to -inf.
 
     ``masks`` is a list of InteractionMatrix; anything a user touched in any
     of them is removed from the ranking candidates.
     """
     users = np.asarray(users, dtype=np.int64)
-    out = np.empty((len(users), snap.item_codes.shape[1]), dtype=snap.item_codes.dtype)
-    for start in range(0, len(users), block):
-        out[start: start + block] = score_block(snap, users[start: start + block])
+    out = score_block(snap, users)
     for m in masks:
         out[m.user_items.gather(users)] = -np.inf
     return out

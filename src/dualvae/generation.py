@@ -25,6 +25,8 @@ their gradient accumulators provably stay zero.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,11 +130,71 @@ def side_loss(
     return ElboTerms(recon, kl, loss), SideForward(z, probs)
 
 
-def _skip_sigmoid(code: np.ndarray, frozen: FrozenSide, a: int) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# the aspect pool
+#
+# The per-aspect dense kernels of ``poisson_loglik``, and the row blocks of
+# ``evaluation.score_block``, run on one thread pool; numpy releases the GIL
+# in BLAS and in ufuncs. Every cross-aspect sum runs in aspect order after the
+# join, so the bytes do not depend on the pool's width. A task run by ``_map``
+# may be on a worker thread, so it
+# - calls no function that ``benchmarks/layers.py`` wraps (``decode``,
+#   ``evaluation.score_block``, ...), since its tracer keeps one
+#   unsynchronised span stack;
+# - calls no tape op, so that a pooled kernel is still one tape node, and
+#   not ``_map``, whose tasks would wait for the workers that wait on them;
+# - enters any ``np.errstate`` it needs itself: errstate is per thread;
+# - allocates nothing (b, N)-sized, but writes into arrays its caller made:
+#   glibc gives each thread its own heap arena and keeps what it freed there.
+#   Scratch is one array per lane, not per task: more (b, N) blocks live at
+#   once make glibc hand the heap back and fault it in again every batch.
+
+_GATE = 1 << 17  # cells in one task's dense block below which the pool loses
+_pool = None     # the ThreadPoolExecutor, made on first use
+
+
+def _pool_width() -> int:
+    """The CPUs this process may run on (``taskset`` narrows them)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _lanes(n: int, cells: int) -> int:
+    """How many lanes ``_map`` should run n tasks on: one per CPU, but only
+    when there is more than one task and each task's dense block holds at
+    least ``_GATE`` cells; otherwise one, a plain loop."""
+    return 1 if n < 2 or cells < _GATE else min(_pool_width(), n)
+
+
+def _map(fn, n: int, lanes: int) -> list:
+    """``[fn(0, 0), ..., fn(n - 1, (n - 1) % lanes)]``: lane w runs the tasks
+    k = w, w + lanes, ... one after another, so a task may use a scratch
+    array of its lane's own. The lanes run on the pool."""
+    global _pool
+    if lanes < 2:
+        return [fn(k, 0) for k in range(n)]
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_pool_width(), thread_name_prefix="dualvae-aspect")
+    done = list(_pool.map(lambda w: [fn(k, w) for k in range(w, n, lanes)], range(lanes)))
+    return [done[k % lanes][k // lanes] for k in range(n)]
+
+
+def _skip_sigmoid(code: np.ndarray, frozen: FrozenSide, a: int, out=None) -> np.ndarray:
     """sigmoid(<z_a, m_a> + <f(z_a), f(m_a)>) of a batch's (b, 2d) aspect-a
-    codes [z_a, f(z_a)] against every frozen entity, in one fresh (b, N) array."""
-    s = code @ frozen.codes[a].T
+    codes [z_a, f(z_a)] against every frozen entity, in one (b, N) array:
+    ``out``, or a fresh one."""
+    s = np.matmul(code, frozen.codes[a].T, out=out)
     return T._logistic(s, out=s)
+
+
+def _addend(code: np.ndarray, probs: np.ndarray, frozen: FrozenSide, a: int, out=None):
+    """Aspect a's (b, N) addend p_a * c_a * sigmoid_a of the pair scores of a
+    batch, from its (b, 2d) aspect-a codes and (b, A) probabilities."""
+    out = _skip_sigmoid(code, frozen, a, out)
+    out *= frozen.probs[:, a]
+    out *= probs[:, a:a + 1]
+    return out
 
 
 def aspect_addends(codes: np.ndarray, probs: np.ndarray, frozen: FrozenSide):
@@ -147,10 +209,7 @@ def aspect_addends(codes: np.ndarray, probs: np.ndarray, frozen: FrozenSide):
     """
     batch = probs.shape[0]
     for a in range(probs.shape[1]):
-        out = _skip_sigmoid(codes[a * batch:(a + 1) * batch], frozen, a)
-        out *= frozen.probs[:, a]
-        out *= probs[:, a:a + 1]
-        yield out
+        yield _addend(codes[a * batch:(a + 1) * batch], probs, frozen, a)
 
 
 def poisson_loglik(codes, probs, frozen: FrozenSide, target) -> Tensor:
@@ -184,20 +243,24 @@ def poisson_loglik(codes, probs, frozen: FrozenSide, target) -> Tensor:
                          f"vs {n_aspects} aspects and {fcodes.shape[1]} frozen entities")
     entry_row = np.repeat(np.arange(batch), np.diff(indptr))
     blocks = [slice(a * batch, (a + 1) * batch) for a in range(n_aspects)]
+    lanes = _lanes(n_aspects, batch * shape[1])
 
-    # per aspect: the (b, N) sigmoids, the same at the stored entries, and
-    # each row's sigmoid @ c_a
-    sigmoids, stored, masses = [], [], []
+    # per aspect, in its own task: the (b, N) sigmoids, the same at the
+    # stored entries, each row's sigmoid @ c_a, and the stored entries'
+    # addend in its own order, (sigmoid * c) * p
+    sigmoids = np.empty((n_aspects, batch, shape[1]), dtype)
+
+    def forward(a, _):
+        sig = _skip_sigmoid(cv[blocks[a]], frozen, a, out=sigmoids[a])
+        stored = sig[entry_row, cols]
+        return stored, sig @ cprobs[:, a], stored * cprobs[cols, a] * pv[entry_row, a]
+
+    stored, masses, addends = zip(*_map(forward, n_aspects, lanes))
     g_stored = np.zeros(len(cols), dtype)
     row_sums = np.zeros(batch, dtype)  # sum_j g_j of each row
-    for a, block in enumerate(blocks):
-        sig = _skip_sigmoid(cv[block], frozen, a)
-        sigmoids.append(sig)
-        stored.append(sig[entry_row, cols])
-        masses.append(sig @ cprobs[:, a])
+    for a in range(n_aspects):  # in aspect order
         row_sums += pv[:, a] * masses[a]
-        # the addend's own order, (sigmoid * c) * p, summed in aspect order
-        g_stored += stored[a] * cprobs[cols, a] * pv[entry_row, a]
+        g_stored += addends[a]
     if np.any(g_stored <= 0.0):
         raise DomainError("poisson_loglik: pair score must be strictly positive where r > 0")
     value = np.full((1, 1), (np.dot(r, np.log(g_stored)) - row_sums.sum()) / batch, dtype)
@@ -208,25 +271,30 @@ def poisson_loglik(codes, probs, frozen: FrozenSide, target) -> Tensor:
 
     def d_codes(g):
         k, ratio = ratio_of(g)
-        spread = sp.csr_matrix((ratio, cols, indptr), shape=shape)
         out = np.empty_like(cv)
-        for a, block in enumerate(blocks):
-            sig, sig_stored, c_a = sigmoids[a], stored[a], cprobs[:, a]
-            share = ratio * c_a[cols] * sig_stored  # k * r / g * c_a * sigmoid_a
-            deriv = np.subtract(1.0, sig)
+        derivs = np.empty_like(sigmoids[:lanes])  # sigma_a * (1 - sigma_a), one per lane
+        weighted = fcodes * cprobs.T[:, :, None]  # c_a * codes_a of every frozen entity
+
+        def backward(a, lane):
+            sig, sig_stored, deriv = sigmoids[a], stored[a], derivs[lane]
+            share = ratio * cprobs[cols, a] * sig_stored  # k * r / g * c_a * sigmoid_a
+            np.subtract(1.0, sig, out=deriv)
             deriv *= sig
-            d_code = out[block]
-            np.matmul(deriv, fcodes[a] * c_a[:, None], out=d_code)
+            d_code = out[blocks[a]]
+            np.matmul(deriv, weighted[a], out=d_code)
             d_code *= -k * pv[:, a:a + 1]
-            spread.data = share * (1.0 - sig_stored) * pv[entry_row, a]
+            spread = sp.csr_matrix((share * (1.0 - sig_stored) * pv[entry_row, a], cols, indptr),
+                                   shape=shape)
             d_code += spread @ fcodes[a]
+
+        _map(backward, n_aspects, lanes)
         return out
 
     def d_probs(g):
         k, ratio = ratio_of(g)
         out = np.empty((batch, n_aspects), dtype)
         for a in range(n_aspects):
-            share = ratio * cprobs[:, a][cols] * stored[a]
+            share = ratio * cprobs[cols, a] * stored[a]
             out[:, a] = np.bincount(entry_row, share, minlength=batch) - k * masses[a]
         return out
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data import InteractionMatrix, from_dense
+from .data import InteractionMatrix
 from .errors import ConfigError
 from .tensor import RngState
 
@@ -49,6 +49,9 @@ def _dirichlet_mixtures(n: int, n_aspects: int, rng: RngState, conc=0.3) -> np.n
     return g / g.sum(axis=1, keepdims=True)
 
 
+_BLOCK = 256  # user rows drawn at a time
+
+
 def generate(m: int, n: int, n_true_aspects: int, density: float, seed: int,
              one_hot: bool = True):
     """Draw a binary interaction matrix from the planted model.
@@ -65,10 +68,17 @@ def generate(m: int, n: int, n_true_aspects: int, density: float, seed: int,
     make = _one_hot_mixtures if one_hot else _dirichlet_mixtures
     user_mix = make(m, n_true_aspects, rng)
     item_mix = make(n, n_true_aspects, rng)
-    prob = np.clip(density * n_true_aspects * (user_mix @ item_mix.T), 0.0, 1.0)
-    dense = (rng.uniform(m, n) < prob).astype(np.float64)
+    # rows are drawn in blocks; the uniforms fill in C order, so the stream,
+    # and the pairs, are those of one (m, n) draw
+    users, items = [], []
+    for lo in range(0, m, _BLOCK):
+        block = user_mix[lo: lo + _BLOCK]
+        prob = np.clip(density * n_true_aspects * (block @ item_mix.T), 0.0, 1.0)
+        rows, cols = np.nonzero(rng.uniform(len(block), n) < prob)
+        users.append(rows + lo)
+        items.append(cols)
     world = PlantedWorld(n_true_aspects, user_mix, item_mix, seed)
-    return from_dense(dense), world
+    return InteractionMatrix(m, n, np.concatenate(users), np.concatenate(items)), world
 
 
 def aspect_recovery_score(learned: np.ndarray, planted: np.ndarray, n_aspects: int) -> float:

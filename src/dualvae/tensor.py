@@ -302,9 +302,10 @@ def _logistic(v: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
     may be ``v`` itself)."""
     # exp(-v) overflows to inf, so the formula gives 0, where the logistic is
     # still subnormal (float64 below -709.8, float32 below -88.7); below -40
-    # it equals exp(v) in both
-    tail = v < -40.0
-    low = np.exp(v[tail]) if tail.any() else None
+    # it equals exp(v) in both. The mask, as large as v, is only made when
+    # some entry needs it (or a NaN hides the minimum).
+    tail = v < -40.0 if v.size and not v.min() >= -40.0 else None
+    low = np.exp(v[tail]) if tail is not None else None
     out = np.negative(v, out=out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)

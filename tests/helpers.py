@@ -17,6 +17,14 @@ from dualvae.errors import ShapeError
 from dualvae.gradcheck import finite_difference  # noqa: F401  (re-exported for the tests)
 
 
+def from_dense(matrix, user_ids=None, item_ids=None):
+    """Adapter, not an oracle: the InteractionMatrix of a dense 0/1 matrix's
+    nonzero entries."""
+    users, items = np.nonzero(matrix)
+    return data.InteractionMatrix(matrix.shape[0], matrix.shape[1], users, items,
+                                  user_ids, item_ids)
+
+
 def max_rel_err(analytic, numeric, zero_floor=1e-7, zero_atol=1e-8):
     """Max relative error, treating near-zero pairs with an absolute check."""
     worst = 0.0

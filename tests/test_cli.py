@@ -529,6 +529,17 @@ def test_sweep_bad_grid_is_config_error(workspace, tmp_path, capsys, flag, grid)
     assert not (tmp_path / "sw" / "sweep.tsv").exists()
 
 
+def test_sweep_out_of_range_grid_point_fails_before_any_fit(workspace, tmp_path, capsys):
+    # the bad lr comes after a good one: no fit may run before it is refused
+    code, out, err = run_main(capsys, "sweep", "--config", str(workspace / "run.ini"),
+                              "--lr-grid", "1e-2,0.5", "--gamma-grid", "1e-2",
+                              "--epochs", "1", "--out", str(tmp_path / "sw"))
+    assert code == 1
+    assert err.startswith("config error: lr 0.5")
+    assert "A=" not in out
+    assert not (tmp_path / "sw" / "sweep.tsv").exists()
+
+
 def test_train_float32_mode_smoke(workspace, tmp_path):
     cfg_text = (workspace / "run.ini").read_text().replace(
         "[train]\n", "[train]\ndtype = float32\n")

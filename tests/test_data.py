@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dualvae import data
 from dualvae.errors import ConfigError, DataError
-from helpers import slow_ingest, slow_split
+from helpers import from_dense, slow_ingest, slow_split
 
 
 def write(tmp_path, text, name="inter.tsv"):
@@ -124,11 +124,11 @@ def make_matrix(num_users=20, num_items=15, density=0.4, seed=0):
     rng = np.random.default_rng(seed)
     dense = (rng.random((num_users, num_items)) < density).astype(float)
     dense[:, 0] = 1.0  # avoid empty users
-    return data.from_dense(dense)
+    return from_dense(dense)
 
 
 def test_split_ratio_for_ten_interactions():
-    m = data.from_dense(np.ones((1, 10)))
+    m = from_dense(np.ones((1, 10)))
     s = data.split(m, 0.8, 0.0, seed=1)
     assert len(s.train.user_items[0]) == 8
     assert len(s.test.user_items[0]) + len(s.valid.user_items[0]) == 2
@@ -138,7 +138,7 @@ def test_split_single_interaction_user_goes_to_train():
     dense = np.zeros((2, 3))
     dense[0, 0] = 1.0
     dense[1, :] = 1.0
-    s = data.split(data.from_dense(dense), 0.8, 0.1, seed=0)
+    s = data.split(from_dense(dense), 0.8, 0.1, seed=0)
     assert len(s.train.user_items[0]) == 1
     assert len(s.test.user_items[0]) == 0 and len(s.valid.user_items[0]) == 0
 
@@ -213,7 +213,7 @@ def test_batch_shuffles_differ_by_epoch_but_reproduce():
 def test_neighbor_sets_single_pair():
     dense = np.zeros((2, 2))
     dense[0, 0] = 1.0
-    m = data.from_dense(dense)
+    m = from_dense(dense)
     assert list(m.user_items[0]) == [0]
     assert list(m.item_users[0]) == [0]
     assert len(m.user_items[1]) == 0
@@ -256,7 +256,7 @@ def test_digest_format_is_pinned():
     dense = np.zeros((3, 4))
     dense[0, [1, 3]] = 1.0
     dense[2, [0, 1, 2]] = 1.0
-    assert data.from_dense(dense).digest() == "44f32ad542c65716"
+    assert from_dense(dense).digest() == "44f32ad542c65716"
 
 
 def test_pair_out_of_range_is_rejected():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dualvae import data, evaluation as ev, generation as gen, model, tensor as T
 
-from helpers import ndcg_at_n, recall_at_n
+from helpers import from_dense, ndcg_at_n, recall_at_n
 
 
 def brute_force_metrics(order, test_set, n):
@@ -170,7 +170,7 @@ def scored_world(seed=0, m=12, n=15):
     rng = np.random.default_rng(seed)
     dense = (rng.random((m, n)) < 0.4).astype(float)
     dense[:, 0] = 1.0
-    matrix = data.from_dense(dense)
+    matrix = from_dense(dense)
     split = data.split(matrix, 0.7, 0.1, seed=seed)
     params = model.ModelParams(m, n, 2, 3, 4, T.RngState(seed))
     snap = model.bootstrap(matrix, params)
@@ -192,7 +192,7 @@ def test_training_and_ranking_score_the_same_pairs():
     # and pinned probabilities equal its uniform P, so training's
     # evaluation-mode scores and ranking's must agree
     rng = np.random.default_rng(4)
-    matrix = data.from_dense((rng.random((9, 11)) < 0.4).astype(float))
+    matrix = from_dense((rng.random((9, 11)) < 0.4).astype(float))
     params = model.ModelParams(9, 11, 3, 4, 5, T.RngState(4))
     snap = model.bootstrap(matrix, params)
     users = np.array([0, 3, 4, 8])

@@ -6,12 +6,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualvae import aspects, data, encoder, generation as gen, model, tensor as T, trainer
+from dualvae import aspects, encoder, generation as gen, model, tensor as T, trainer
 from dualvae.errors import DomainError
 
-from helpers import (dense_poisson_loglik, finite_difference, kl_gaussian, max_rel_err,
-                     paired_scores, per_aspect_side_loss, reference_sigmoid, slice_rows,
-                     stacked_codes)
+from helpers import (dense_poisson_loglik, finite_difference, from_dense, kl_gaussian,
+                     max_rel_err, paired_scores, per_aspect_side_loss, reference_sigmoid,
+                     slice_rows, stacked_codes)
 
 RNG = np.random.default_rng(77)
 
@@ -21,7 +21,7 @@ def tiny_world(m=4, n=6, A=2, d=3, hidden=4, seed=0, density=0.5):
     dense = (rng.random((m, n)) < density).astype(float)
     dense[:, 0] = 1.0
     dense[0, :] = 1.0
-    matrix = data.from_dense(dense)
+    matrix = from_dense(dense)
     params = model.ModelParams(m, n, A, d, hidden, T.RngState(seed))
     snap = model.bootstrap(matrix, params)
     snap = model.refresh(matrix, params, snap.C, snap.P, temp=0.5)
@@ -313,8 +313,8 @@ def test_item_loss_equals_user_loss_on_transposed_data():
     dense[0, :] = 1.0
     dense[:, 0] = 1.0
 
-    matrix = data.from_dense(dense)
-    matrix_t = data.from_dense(dense.T)
+    matrix = from_dense(dense)
+    matrix_t = from_dense(dense.T)
 
     params = model.ModelParams(m, n, A, d, hidden, T.RngState(3))
     # build the transposed-world parameters by swapping the sides wholesale
@@ -491,7 +491,7 @@ def test_float32_batch_records_only_float32_nodes():
     dense = (np.random.default_rng(2).random((m, n)) < 0.5).astype(float)
     dense[:, 0] = 1.0
     dense[0, :] = 1.0
-    matrix = data.from_dense(dense)
+    matrix = from_dense(dense)
     params = model.ModelParams(m, n, A, d, hidden, T.RngState(1), f32)
     snap = model.bootstrap(matrix, params, dtype=f32)
     snap = model.refresh(matrix, params, snap.C, snap.P, temp=0.5, dtype=f32)

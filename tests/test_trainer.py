@@ -13,7 +13,7 @@ from dualvae import data, evaluation, synth, trainer
 from dualvae.errors import CheckpointError, ConfigError, ContractError, NumericError
 from dualvae.tensor import Parameter, ParamGroup, RngState
 
-from helpers import LoopAdam, recall_at_n
+from helpers import LoopAdam, from_dense, recall_at_n
 
 
 def small_cfg(**kw):
@@ -568,7 +568,7 @@ def dense_encoder_rows(slab, cfg, rng):
 def test_encoder_rows_on_csr_match_dense_formula(dropout, normalize, dtype):
     from dualvae.tensor import RngState
 
-    matrix = data.from_dense((np.random.default_rng(4).random((9, 40)) < 0.3))
+    matrix = from_dense((np.random.default_rng(4).random((9, 40)) < 0.3))
     users = np.array([3, 0, 8, 5])
     cfg = small_cfg(input_dropout=dropout, normalize_input=normalize)
     got = trainer._encoder_rows(matrix.sparse_users(users, dtype), cfg, RngState(2).derive(1))
