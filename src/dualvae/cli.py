@@ -4,9 +4,10 @@ Subcommands: ingest, train, evaluate, recommend, export-aspects, ablate
 (train alias), sweep, gradcheck. Exit codes: 0 ok, 1 usage or config error,
 2 data error, 3 numeric error.
 
-Heavy imports happen inside the handlers so that --deterministic can pin the
-BLAS thread count before numpy is loaded (parallel reductions are the one
-source of run-to-run float drift).
+Every run pins BLAS to one thread before numpy loads, which is why heavy
+imports happen inside the handlers. The aspect pool is then the one source
+of threads, and its bytes do not depend on its width, so every run is
+bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -67,8 +68,6 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=alias_help)
         p.add_argument("--config", required=True, help="INI run configuration")
         p.add_argument("--seed", type=int, default=None, help="override [train] seed")
-        p.add_argument("--deterministic", action="store_true",
-                       help="single-threaded reductions, bitwise reproducible runs")
         p.add_argument("--ablate", default=None,
                        help="comma list: no_add,no_ud,no_id,no_nrc,no_uns,no_ans,no_nps")
         p.add_argument("--out", default=None, help="override [output] dir")
@@ -78,9 +77,8 @@ def build_parser() -> _Parser:
     p_eval = sub.add_parser("evaluate", help="metrics for a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--config", required=True)
-    p_eval.add_argument("--target", choices=("test", "valid"), default="test")
-    p_eval.add_argument("--no-mask", action="store_true",
-                        help="rank without masking seen items (diagnostics)")
+    p_eval.add_argument("--target", choices=("test", "valid", "train"), default="test",
+                        help="split to rank; train masks nothing (diagnostics)")
     p_eval.add_argument("--out", default=None, help="directory for the metrics TSV")
 
     p_rec = sub.add_parser("recommend", help="top-N lists with per-aspect score breakdown")
@@ -169,10 +167,7 @@ def cmd_ingest(args) -> int:
         if not args.path:
             raise_config("ingest needs a file path unless --synthetic is given")
         matrix = data.ingest(args.path, args.format, args.min_user_core, args.min_item_core)
-        with open(out / "interactions.tsv", "w", encoding="utf-8") as fh:
-            for u, i in matrix.pairs():
-                fh.write(f"{matrix.user_ids[u]}\t{matrix.item_ids[i]}\n")
-        matrix.write_id_maps(out)
+        matrix.write_tsv(out)
     print(f"users={matrix.num_users} items={matrix.num_items} interactions={matrix.nnz}")
     print(f"wrote {out}/interactions.tsv")
     return EXIT_OK
@@ -222,14 +217,9 @@ def cmd_evaluate(args) -> int:
 
     run_cfg, ckpt, split = _load_trained(args)
     cutoffs = run_cfg["eval", "cutoffs"]
-    # --no-mask ranks the train split itself, with nothing masked
-    target = "train" if args.no_mask else args.target
     result = evaluation.evaluate_ranking(ckpt.params, ckpt.snapshot, split,
-                                         target=target, cutoffs=cutoffs)
-    for n in cutoffs:
-        print(f"recall\t{n}\t{result[f'recall@{n}']:.6f}\t{result['n_users']}")
-    for n in cutoffs:
-        print(f"ndcg\t{n}\t{result[f'ndcg@{n}']:.6f}\t{result['n_users']}")
+                                         target=args.target, cutoffs=cutoffs)
+    print("\n".join(evaluation.metric_lines(result, cutoffs)))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -250,17 +240,19 @@ def cmd_recommend(args) -> int:
     for token in tokens:
         if token not in id_to_idx:
             raise DataError(f"unknown user id {token!r}")
-    users = [id_to_idx[token] for token in tokens]
-    addends = list(evaluation.user_addends(ckpt.snapshot, users))
-    scores = sum(addends)
-    ranked = scores.copy()
-    ranked[split.train.user_items.gather(users)] = -np.inf
-    print("user\trank\titem\tscore\t" + "\t".join(f"aspect_{a}" for a in range(len(addends))))
-    for k, top in enumerate(evaluation.top_n(ranked, args.top_n)):
-        # masked items rank last; a list stops before them, so it may hold fewer than N
-        for rank, item in enumerate(top[ranked[k, top] > -np.inf], start=1):
-            addend_cols = "\t".join(f"{x[k, item]:.6f}" for x in addends)
-            print(f"{tokens[k]}\t{rank}\t{split.train.item_ids[item]}\t{scores[k, item]:.6f}\t{addend_cols}")
+    users = np.array([id_to_idx[token] for token in tokens])
+    scores = evaluation.score_all(ckpt.snapshot, users, [split.train])
+    ranked = evaluation.top_n(scores, args.top_n)
+    # masked items rank last; a list stops before them, so it may hold fewer than N
+    rows, cols = np.nonzero(np.take_along_axis(scores, ranked, 1) > -np.inf)
+    items = ranked[rows, cols]
+    addends = evaluation.pair_addends(ckpt.snapshot, users[rows], items)
+    print("user\trank\titem\tscore\t" + "\t".join(f"aspect_{a}" for a in range(addends.shape[1])))
+    # formatted from Python floats, which format faster than numpy scalars
+    for k, rank, item, score, row in zip(rows.tolist(), cols.tolist(), items.tolist(),
+                                         scores[rows, items].tolist(), addends.tolist()):
+        addend_cols = "\t".join(f"{x:.6f}" for x in row)
+        print(f"{tokens[k]}\t{rank + 1}\t{split.train.item_ids[item]}\t{score:.6f}\t{addend_cols}")
     return EXIT_OK
 
 
@@ -358,8 +350,7 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--deterministic" in argv:
-        _pin_single_thread()
+    _pin_single_thread()
 
     parser = build_parser()
     args = parser.parse_args(argv)

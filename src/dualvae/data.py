@@ -135,10 +135,14 @@ class InteractionMatrix:
         text = f"{self.num_users},{self.num_items},{self.nnz};{body}"
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
-    def write_id_maps(self, out_dir):
-        """Two-column ``original_id index`` text files for both sides."""
+    def write_tsv(self, out_dir):
+        """``interactions.tsv``, one ``user_id item_id`` line per pair, and
+        the two-column ``original_id index`` id maps of both sides."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / "interactions.tsv", "w", encoding="utf-8") as fh:
+            for u, i in self.pairs():
+                fh.write(f"{self.user_ids[u]}\t{self.item_ids[i]}\n")
         for name, ids in (("user_ids.tsv", self.user_ids), ("item_ids.tsv", self.item_ids)):
             with open(out_dir / name, "w", encoding="utf-8") as fh:
                 for idx, orig in enumerate(ids):

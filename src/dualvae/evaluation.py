@@ -1,33 +1,34 @@
 """Top-N ranking evaluation: capped Recall@N and NDCG@N.
 
 Scores are the training objective's pair scores in evaluation mode (z = mu):
-``score_block`` and ``user_addends`` feed the snapshot's arrays to
-``generation``'s per-aspect addends, whose skip sigmoid
-``generation.poisson_loglik`` also uses, so ranking, ``recommend`` and
-training share one score. Each aspect's addend is made in one array, in
-place, and ``score_block`` sums them in place, in row blocks on the aspect
-pool. Items the user interacted with in masked splits are pushed to -inf
-before ranking so they can never be recommended back. Ties are broken by
-ascending item index so results reproduce across runs. ``top_n`` ranks in
-blocks of rows, so its transients stay a few MB for any number of users.
+``score_block`` feeds the snapshot's arrays to ``generation``'s per-aspect
+addends, whose skip sigmoid ``generation.poisson_loglik`` also uses, so
+ranking, ``recommend`` and training share one score. Each aspect's addend
+is made in one array, in place, and ``score_block`` sums them in place, in
+row blocks on the aspect pool. ``pair_addends`` gives the same addends of
+single pairs, which ``recommend`` prints beside each score. Items the user
+interacted with in masked splits are pushed to -inf before ranking so they
+can never be recommended back. Ties are broken by ascending item index so
+results reproduce across runs. ``top_n`` ranks in blocks of rows, so its
+transients stay a few MB for any number of users.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import generation as gen
+from . import generation as gen, tensor as T
 from .data import DatasetSplit, InteractionMatrix
 from .model import ModelParams, Snapshot
 
 
-def user_addends(snap: Snapshot, users):
-    """Per-aspect addends of the pair scores g(u, i) of the given users
-    against all items: a generator of (b, n_items) arrays, which sum to the
-    scores in aspect order."""
-    users = np.asarray(users, dtype=np.int64)
-    codes = snap.user_codes[:, users].reshape(-1, snap.user_codes.shape[2])
-    return gen.aspect_addends(codes, snap.P[users], snap.frozen_items())
+def pair_addends(snap: Snapshot, users, items) -> np.ndarray:
+    """The (k, A) per-aspect addends p_a * c_a * sigmoid_a of the pair scores
+    g(users[j], items[j]), the explanation ``recommend`` prints. Row j sums,
+    in aspect order, to the score ``score_block`` ranks that pair by, within
+    a few ulps: the skip scores are dot products here and a matmul there."""
+    skips = np.einsum("akd,akd->ka", snap.user_codes[:, users], snap.item_codes[:, items])
+    return T._logistic(skips, out=skips) * snap.C[items] * snap.P[users]
 
 
 _SCORE_BLOCK = 256  # rows scored per task
@@ -151,11 +152,15 @@ def evaluate_ranking(params: ModelParams, snap: Snapshot, split: DatasetSplit,
     return result
 
 
+def metric_lines(result: dict, cutoffs=(20, 50)) -> list:
+    """The report's lines, ``metric N value n_users``: Recall, then NDCG."""
+    return [f"{m}\t{n}\t{result[f'{m}@{n}']:.6f}\t{result['n_users']}"
+            for m in ("recall", "ndcg") for n in cutoffs]
+
+
 def write_metrics_tsv(path, result: dict, cutoffs=(20, 50)):
-    """Line-oriented report: ``metric N value n_users``."""
+    """``metric_lines`` under a header line."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("metric\tN\tvalue\tn_users\n")
-        for n in cutoffs:
-            fh.write(f"recall\t{n}\t{result[f'recall@{n}']:.6f}\t{result['n_users']}\n")
-        for n in cutoffs:
-            fh.write(f"ndcg\t{n}\t{result[f'ndcg@{n}']:.6f}\t{result['n_users']}\n")
+        for line in metric_lines(result, cutoffs):
+            fh.write(line + "\n")

@@ -7,9 +7,8 @@ nonlinearly mapped images. The raw term keeps gradients alive when the
 nonlinear path saturates (latent-collapse guard). Both sides hold their
 codes [z_a, f(z_a)] aspect-major, the live batch as (A * b, 2d) rows and the
 frozen side as the snapshot's (A, N, 2d) array, so each aspect's skip scores
-are one product. ``aspect_addends`` is the score that ranking and
-``recommend`` compute from snapshot arrays, and its per-aspect addends are
-the explanation ``recommend`` prints.
+are one product. ``_addend`` makes one aspect's (b, N) addend of a batch's
+pair scores from plain arrays; ``evaluation.score_block`` ranks by their sum.
 
 Training scores each batch row's whole interaction vector under a Poisson
 likelihood, sum_j r_j * log g_j - g_j, whose log r! term vanishes for binary
@@ -197,21 +196,6 @@ def _addend(code: np.ndarray, probs: np.ndarray, frozen: FrozenSide, a: int, out
     return out
 
 
-def aspect_addends(codes: np.ndarray, probs: np.ndarray, frozen: FrozenSide):
-    """Per-aspect addends of the pair scores of a batch against every frozen entity.
-
-    The pair score is g = sum_a p_a * c_a * sigmoid(<z_a, m_a> + <f(z_a), f(m_a)>),
-    where ``codes`` holds the batch's (A * b, 2d) codes [z_a, f(z_a)],
-    aspect-major, ``probs`` its (b, A) aspect probabilities, and ``frozen``
-    the other side's codes and probabilities, all plain arrays.
-    Yields the (b, N) addend of each aspect in turn, each in one fresh array,
-    so that a caller summing them holds one at a time.
-    """
-    batch = probs.shape[0]
-    for a in range(probs.shape[1]):
-        yield _addend(codes[a * batch:(a + 1) * batch], probs, frozen, a)
-
-
 def poisson_loglik(codes, probs, frozen: FrozenSide, target) -> Tensor:
     """Batch mean of the Poisson log-likelihood sum_j r_j * log g_j - g_j of
     each row's whole interaction vector, as one (1, 1) tape op.
@@ -219,9 +203,9 @@ def poisson_loglik(codes, probs, frozen: FrozenSide, target) -> Tensor:
     ``codes`` holds the batch's (A * b, 2d) codes ``[z_a, f(z_a)]``,
     aspect-major, ``probs`` its (b, A) aspect probabilities (tensors, on the
     tape or constant), ``frozen`` the other side, and ``target`` the batch's
-    interactions r as scipy CSR. g is the pair score of ``aspect_addends``,
-    but no (b, N) matrix of it is built: g is formed only at r's stored
-    entries, and sum_j g_j = sum_a p_a * (sigmoid_a @ c_a). Only those
+    interactions r as scipy CSR. g is the pair score, the sum over aspects of
+    ``_addend``, but no (b, N) matrix of it is built: g is formed only at r's
+    stored entries, and sum_j g_j = sum_a p_a * (sigmoid_a @ c_a). Only those
     entries are logged, so a score that underflows to 0 where r = 0 is
     harmless; a score <= 0 at a stored entry raises DomainError.
 

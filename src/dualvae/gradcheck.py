@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import contrast as nrc, generation as gen, model as model_mod, synth, trainer
+from . import model as model_mod, synth, trainer
 from .data import InteractionMatrix
 from .tensor import RngState, Tape
 
 
 def _side_objective(side, matrix, params, snap, cfg, eps):
-    """Closure computing one side's full-batch objective, plus its tape variant."""
+    """Closure computing one side's full-batch objective, ``trainer.batch_loss``."""
     enc, dec, protos, _ = params.side(side)
     if side == "user":
         rows = matrix.sparse_users(np.arange(matrix.num_users))
@@ -26,14 +26,9 @@ def _side_objective(side, matrix, params, snap, cfg, eps):
         rows = matrix.sparse_items(np.arange(matrix.num_items))
         frozen = snap.frozen_users()
 
-    o = nrc.batch_neighborhood_reprs(rows, frozen)
-    participate = np.diff(rows.indptr) > 0
-
     def build(tape):
-        terms, fwd = gen.side_loss(rows, rows, enc, dec, protos, frozen,
-                                   cfg.temp, cfg.beta, eps[side], tape)
-        closs = nrc.batch_contrast(fwd.z, o, cfg, participate)
-        return nrc.total_loss(terms, closs, cfg.gamma)
+        return trainer.batch_loss(rows, rows, enc, dec, protos, frozen, cfg, cfg.beta,
+                                  eps[side], tape)[0]
 
     return build
 

@@ -108,16 +108,11 @@ def write_planted_tsv(world: PlantedWorld, matrix: InteractionMatrix, out_dir):
     """Dump interactions plus planted assignments for CLI consumers."""
     from pathlib import Path
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "interactions.tsv", "w", encoding="utf-8") as fh:
-        for u, i in matrix.pairs():
-            fh.write(f"{matrix.user_ids[u]}\t{matrix.item_ids[i]}\n")
+    matrix.write_tsv(out_dir)
     for name, assign in (
         ("planted_users.tsv", world.user_assignments),
         ("planted_items.tsv", world.item_assignments),
     ):
-        with open(out_dir / name, "w", encoding="utf-8") as fh:
+        with open(Path(out_dir) / name, "w", encoding="utf-8") as fh:
             for idx, a in enumerate(assign):
                 fh.write(f"{idx}\t{a}\n")
-    matrix.write_id_maps(out_dir)

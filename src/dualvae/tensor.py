@@ -15,8 +15,8 @@ Conventions:
   * constants (plain arrays / floats) are never recorded; an op whose inputs
     are all constants returns a constant, so evaluation-mode code reuses the
     training code path with no tape attached
-  * broadcasting in ``add``/``sub``/``mul`` is restricted to scalar-vs-matrix,
-    row-vs-matrix and column-vs-matrix
+  * ``add``/``sub``/``mul`` broadcast as numpy does, which on 2-D values is
+    scalar-, row- and column-vs-matrix
   * tensors are immutable once created and safe to share; a Tape has a single
     owner and must not be used from multiple threads
 """
@@ -200,46 +200,24 @@ def _op(inputs, out: np.ndarray, *vjps) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# broadcasting helpers for add / sub / mul
+# broadcasting for add / sub / mul
 
-def _broadcast_kind(shape, out_shape):
-    """How ``shape`` broadcasts against ``out_shape``; None if unsupported."""
-    if shape == out_shape:
-        return "same"
-    if shape == (1, 1):
-        return "scalar"
-    if shape == (1, out_shape[1]):
-        return "row"
-    if shape == (out_shape[0], 1):
-        return "col"
-    return None
-
-
-def _reduce_to(g: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "same":
-        return g
-    if kind == "scalar":
-        return g.sum().reshape(1, 1)
-    if kind == "row":
-        return g.sum(axis=0, keepdims=True)
-    return g.sum(axis=1, keepdims=True)  # col
-
-
-def _ew_shapes(a: np.ndarray, b: np.ndarray, opname: str):
-    ra, rb = a.shape, b.shape
-    out = (max(ra[0], rb[0]), max(ra[1], rb[1]))
-    ka, kb = _broadcast_kind(ra, out), _broadcast_kind(rb, out)
-    if ka is None or kb is None:
-        raise ShapeError(f"{opname}: cannot broadcast {ra} with {rb}")
-    return out, ka, kb
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """The gradient of an input of ``shape`` that numpy broadcast to g's
+    shape: g summed over the axes where ``shape`` is 1 and g is not."""
+    axes = tuple(k for k in range(2) if shape[k] == 1 and g.shape[k] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
 
 
 def _ew(op_fn, da_fn, db_fn, a, b, opname):
     av, bv = _vals(a, b)
-    _, ka, kb = _ew_shapes(av, bv, opname)
-    return _op((a, b), op_fn(av, bv),
-               lambda g: _reduce_to(da_fn(g, av, bv), ka),
-               lambda g: _reduce_to(db_fn(g, av, bv), kb))
+    try:
+        out = op_fn(av, bv)
+    except ValueError:
+        raise ShapeError(f"{opname}: cannot broadcast {av.shape} with {bv.shape}") from None
+    return _op((a, b), out,
+               lambda g: _unbroadcast(da_fn(g, av, bv), av.shape),
+               lambda g: _unbroadcast(db_fn(g, av, bv), bv.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,19 @@ def _encoder_rows(rows, cfg: TrainConfig, rng: RngState):
     return rows
 
 
+def batch_loss(rows, enc_rows, enc, dec, protos, frozen, cfg: TrainConfig, beta: float, eps,
+               tape: "Tape | None"):
+    """The batch objective training and ``gradcheck`` differentiate: the side's
+    ELBO, plus the contrastive term if on. Returns (loss, terms, closs or None)."""
+    terms, fwd = gen.side_loss(rows, enc_rows, enc, dec, protos, frozen, cfg.temp, beta, eps, tape)
+    gamma = cfg.effective_gamma
+    closs = None
+    if gamma > 0.0:
+        o = nrc.batch_neighborhood_reprs(rows, frozen)
+        closs = nrc.batch_contrast(fwd.z, o, cfg, np.diff(rows.indptr) > 0)
+    return nrc.total_loss(terms, closs, gamma), terms, closs
+
+
 def train_phase(side: str, train: InteractionMatrix, params: ModelParams, snap: Snapshot,
                 opt: Adam, cfg: TrainConfig, epoch: int, rng: RngState) -> PhaseStats:
     """One pass over one side's batches against the frozen other side."""
@@ -177,7 +190,6 @@ def train_phase(side: str, train: InteractionMatrix, params: ModelParams, snap: 
         protos = None
     frozen_group.zero_grad()
 
-    gamma = cfg.effective_gamma
     beta = cfg.beta_at(epoch)
     dtype = cfg.np_dtype
     noise_rng = rng.derive(epoch, 0 if user else 1)
@@ -191,13 +203,8 @@ def train_phase(side: str, train: InteractionMatrix, params: ModelParams, snap: 
         # aspect-major (A * b, d): the stream of A successive (b, d) draws
         eps = noise_rng.standard_normal(params.n_aspects * len(batch.indices), params.dim, dtype)
         tape = Tape()
-        terms, fwd = gen.side_loss(rows, enc_rows, enc, dec, protos, frozen, cfg.temp, beta, eps, tape)
-        closs = None
-        if gamma > 0.0:
-            o = nrc.batch_neighborhood_reprs(rows, frozen)
-            participate = np.diff(rows.indptr) > 0
-            closs = nrc.batch_contrast(fwd.z, o, cfg, participate)
-        loss = nrc.total_loss(terms, closs, gamma)
+        loss, terms, closs = batch_loss(rows, enc_rows, enc, dec, protos, frozen, cfg, beta, eps,
+                                        tape)
         if not np.isfinite(loss.item()):
             raise NumericError(f"non-finite loss in epoch {epoch}, {side} batch {n_batches}")
         tape.backward(loss)
@@ -211,7 +218,7 @@ def train_phase(side: str, train: InteractionMatrix, params: ModelParams, snap: 
         n_batches += 1
         # free this batch's tape (and the forward arrays its vjps hold)
         # before the next batch's forward pass allocates its own
-        del tape, terms, fwd, closs, loss
+        del tape, terms, closs, loss
 
     _assert_frozen_untouched(frozen_group, side)
     totals /= max(n_batches, 1)

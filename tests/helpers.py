@@ -96,10 +96,46 @@ def reference_sigmoid(v):
     return np.where(v >= 0.0, 1.0, e) / (1.0 + e)
 
 
+def aspect_addends(codes, probs, frozen):
+    """The score oracle: per-aspect addends of the pair scores of a batch
+    against every frozen entity, one ``generation._addend`` (the kernel that
+    ``evaluation.score_block`` sums) per aspect.
+
+    The pair score is g = sum_a p_a * c_a * sigmoid(<z_a, m_a> + <f(z_a), f(m_a)>),
+    where ``codes`` holds the batch's (A * b, 2d) codes [z_a, f(z_a)],
+    aspect-major, ``probs`` its (b, A) aspect probabilities, and ``frozen``
+    the other side's codes and probabilities, all plain arrays. Yields the
+    (b, N) addend of each aspect in turn, each in one fresh array."""
+    batch = probs.shape[0]
+    for a in range(probs.shape[1]):
+        yield gen._addend(codes[a * batch:(a + 1) * batch], probs, frozen, a)
+
+
+def snapshot_addends(snap, users):
+    """Adapter, not an oracle: ``aspect_addends`` of the given users against
+    every item, from a snapshot's arrays."""
+    codes = snap.user_codes[:, users].reshape(-1, snap.user_codes.shape[2])
+    return aspect_addends(codes, snap.P[users], snap.frozen_items())
+
+
+def kind_unbroadcast(g, shape):
+    """Reference for ``tensor._unbroadcast``: the gradient reduction for the
+    scalar-, row- and column-vs-matrix cases, classified by hand."""
+    if shape == g.shape:
+        return g
+    if shape == (1, 1):
+        return g.sum().reshape(1, 1)
+    if shape == (1, g.shape[1]):
+        return g.sum(axis=0, keepdims=True)
+    if shape == (g.shape[0], 1):
+        return g.sum(axis=1, keepdims=True)
+    raise ShapeError(f"cannot broadcast {shape} to {g.shape}")
+
+
 def paired_scores(P, C, skips):
     """Adapter, not an oracle: g and its (n, A) addends for the pairs
     (row k of P, row k of C) whose aspect-a skip score is ``skips[k, a]``,
-    summed as the library sums ``generation.aspect_addends``. With d = 1,
+    summed in aspect order as ranking sums them. With d = 1,
     unit frozen means and zero images, the skip score of aspect a is the
     code z_a itself."""
     P, C, skips = (np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in (P, C, skips))
@@ -108,7 +144,7 @@ def paired_scores(P, C, skips):
     # aspect a's codes [z_a, f(z_a)] = [skip_a, 0], stacked aspect-major
     codes = np.concatenate([np.concatenate([skips[:, a:a + 1], np.zeros((n, 1))], axis=1)
                             for a in range(A)])
-    terms = list(gen.aspect_addends(codes, P, frozen))
+    terms = list(aspect_addends(codes, P, frozen))
     g = functools.reduce(np.add, terms)
     return np.diag(g), np.stack([np.diag(t) for t in terms], axis=1)
 

@@ -385,7 +385,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     hashes = []
     for run_dir in ("r1", "r2"):
         out = subprocess.run(cli + ["train", "--config", str(tmp_path / "run.ini"),
-                                    "--deterministic", "--seed", "7",
+                                    "--seed", "7",
                                     "--out", str(tmp_path / run_dir)],
                              capture_output=True, text=True, env=env)
         assert out.returncode == 0, out.stderr

@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from dualvae import cli, config as config_mod, data, evaluation, trainer
 from dualvae.errors import CheckpointError, ConfigError
 
+from helpers import snapshot_addends
+
 CLI = [sys.executable, "-m", "dualvae.cli"]
 
 
@@ -131,13 +133,15 @@ def test_deterministic_is_not_a_config_key(tmp_path):
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
                     "NUMEXPR_NUM_THREADS")
 
-# prints the thread count of the OpenBLAS that numpy loaded, or -1
+# runs the CLI's entry point on a bad command line (it exits before any
+# handler runs), then prints the thread count of the OpenBLAS that numpy
+# loaded, or -1
 BLAS_THREADS_PROBE = """
-import ctypes, sys
+import contextlib, ctypes, io
 from pathlib import Path
 from dualvae import cli
-if "--deterministic" in sys.argv:
-    cli._pin_single_thread()
+with contextlib.suppress(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+    cli.main(["no-such-command"])
 import numpy
 threads = -1
 for lib in sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
@@ -151,8 +155,8 @@ print(threads)
 
 
 def test_importing_the_cli_loads_no_numpy():
-    # BLAS reads its thread count when numpy loads, so --deterministic can
-    # pin it only if importing the CLI module leaves numpy unloaded
+    # BLAS reads its thread count when numpy loads, so the CLI can pin it
+    # only if importing the CLI module leaves numpy unloaded
     code = "import sys, dualvae.cli; assert 'numpy' not in sys.modules"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
@@ -169,7 +173,7 @@ def test_deterministic_pin_overrides_preset_thread_counts(monkeypatch):
 
 def test_deterministic_blas_runs_one_thread(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    out = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE, "--deterministic"],
+    out = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     if int(out.stdout) == -1:
@@ -259,10 +263,13 @@ def test_deterministic_training_same_hash(workspace, tmp_path):
     hashes = []
     for d in ("d1", "d2"):
         out = run_cli("train", "--config", str(workspace / "run.ini"),
-                      "--seed", "7", "--deterministic", "--out", str(tmp_path / d))
+                      "--seed", "7", "--out", str(tmp_path / d))
         assert out.returncode == 0, out.stderr
         hashes.append(hashlib.sha256((tmp_path / d / "checkpoint.ckpt").read_bytes()).hexdigest())
     assert hashes[0] == hashes[1]
+    # every run is pinned, so the flag that asked for it is gone
+    out = run_cli("train", "--config", str(workspace / "run.ini"), "--deterministic")
+    assert out.returncode == 1 and "--deterministic" in out.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +304,16 @@ def test_evaluate_mismatched_dataset_is_data_error(workspace, tmp_path):
 
 def test_evaluate_no_mask_flag_ranks_train_items(workspace):
     # with masking, a user's own train items can never rank, so train-split
-    # recall would be 0; --no-mask must let all 40 items into the top-50
+    # recall would be 0; --target train masks nothing, so all 40 items make
+    # the top-50
     out = run_cli("evaluate", "--checkpoint", str(workspace / "out" / "checkpoint.ckpt"),
-                  "--config", str(workspace / "run.ini"), "--no-mask")
+                  "--config", str(workspace / "run.ini"), "--target", "train")
     assert out.returncode == 0, out.stderr
     recall50 = float(out.stdout.splitlines()[1].split("\t")[2])
     assert recall50 == 1.0
+    out = run_cli("evaluate", "--checkpoint", str(workspace / "out" / "checkpoint.ckpt"),
+                  "--config", str(workspace / "run.ini"), "--no-mask")
+    assert out.returncode == 1 and "--no-mask" in out.stderr
 
 
 def test_recommend_addends_sum_to_score(workspace):
@@ -389,7 +400,7 @@ def test_serving_commands_read_no_interaction_file(workspace, monkeypatch, capsy
     tokens = ["0", "3", "7"]
     users = [fresh.train.user_ids.index(t) for t in tokens]
     scores = evaluation.score_all(ckpt.snapshot, users, masks=[fresh.train])
-    addends = list(evaluation.user_addends(ckpt.snapshot, users))
+    addends = list(snapshot_addends(ckpt.snapshot, users))
     want = ["user\trank\titem\tscore\taspect_0\taspect_1"]
     for k, token in enumerate(tokens):
         for rank, item in enumerate(np.argsort(-scores[k], kind="stable")[:5], start=1):
@@ -418,6 +429,26 @@ def test_recommend_all_items_lists_no_train_item(workspace, capsys):
         listed = [row[2] for row in rows if row[0] == token]
         assert own and not own & set(listed)
         assert len(listed) == n_items - len(own)
+
+
+def test_recommend_list_stops_at_the_first_masked_item(workspace, capsys):
+    # top-N with N one past a user's unmasked items: the N-th best is a train
+    # item, scored -inf, and the printed list ends just before it
+    ckpt = trainer.load_checkpoint(workspace / "out" / "checkpoint.ckpt", dtype="float64")
+    train = ckpt.split.train
+    argv = serve_argv(workspace, "recommend")[:-4]
+    for token in ("0", "3", "7"):
+        user = train.user_ids.index(token)
+        n_free = len(train.item_ids) - len(train.user_items[user])
+        code, out, err = run_main(capsys, *argv, "--users", token, "--top-n", str(n_free + 1))
+        assert code == 0, err
+        rows = [ln.split("\t") for ln in out.splitlines()[1:]]
+        scores = evaluation.score_all(ckpt.snapshot, [user], [train])[0]
+        want = np.argsort(-scores, kind="stable")[:n_free]
+        assert np.all(np.isfinite(scores[want]))
+        assert [row[1] for row in rows] == [str(r) for r in range(1, n_free + 1)]
+        assert [row[2] for row in rows] == [train.item_ids[i] for i in want]
+        assert [row[3] for row in rows] == [f"{scores[i]:.6f}" for i in want]
 
 
 def test_identical_copy_of_the_interaction_file_serves(workspace, tmp_path, capsys):

@@ -109,10 +109,11 @@ def test_ingest_roundtrip_via_id_maps(tmp_path):
     lines = {(f"user{u}", f"thing{i}") for u, i in zip(rng.integers(0, 9, 50), rng.integers(0, 9, 50))}
     m1 = data.ingest(write(tmp_path, "\n".join(f"{u}\t{i}" for u, i in sorted(lines))))
     # serialize using the retained id maps, re-ingest, expect identical matrix
-    out = "\n".join(f"{m1.user_ids[u]}\t{m1.item_ids[i]}" for u, i in m1.pairs())
-    m2 = data.ingest(write(tmp_path, out, name="again.tsv"))
+    m1.write_tsv(tmp_path / "maps")
+    want = "".join(f"{m1.user_ids[u]}\t{m1.item_ids[i]}\n" for u, i in m1.pairs())
+    assert (tmp_path / "maps" / "interactions.tsv").read_text() == want
+    m2 = data.ingest(tmp_path / "maps" / "interactions.tsv")
     assert m1.digest() == m2.digest()
-    m1.write_id_maps(tmp_path / "maps")
     lines = (tmp_path / "maps" / "user_ids.tsv").read_text().splitlines()
     assert lines[0].split("\t") == [m1.user_ids[0], "0"]
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dualvae import data, evaluation as ev, generation as gen, model, tensor as T
 
-from helpers import from_dense, ndcg_at_n, recall_at_n
+from helpers import aspect_addends, from_dense, ndcg_at_n, recall_at_n, snapshot_addends
 
 
 def brute_force_metrics(order, test_set, n):
@@ -203,7 +203,7 @@ def test_training_and_ranking_score_the_same_pairs():
     )
     scores = ev.score_block(snap, users)
     codes = np.concatenate([fwd.z.value, gen.decode(fwd.z, params.dec_u).value], axis=1)
-    training = sum(gen.aspect_addends(codes, fwd.probs.value, snap.frozen_items()))
+    training = sum(aspect_addends(codes, fwd.probs.value, snap.frozen_items()))
     np.testing.assert_allclose(training, scores, rtol=0.0, atol=1e-12)
     # and the fused likelihood is the Poisson term of those very scores
     r = matrix.densify_users(users)
@@ -248,3 +248,28 @@ def test_metrics_tsv_format(tmp_path):
     assert lines[0].split("\t") == ["metric", "N", "value", "n_users"]
     assert len(lines) == 5
     assert lines[1].startswith("recall\t5\t")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([np.float32, np.float64]), st.integers(0, 2**31 - 1))
+def test_pair_addends_match_the_score_oracle(n_aspects, dtype, seed):
+    rng = np.random.default_rng(seed)
+    m, n, d = 7, 9, 3
+    probs = [rng.dirichlet(np.ones(n_aspects), size) for size in (n, m)]
+    snap = model.Snapshot(*(p.astype(dtype) for p in probs),
+                          *(rng.uniform(-1.0, 1.0, (n_aspects, size, 2 * d)).astype(dtype)
+                            for size in (m, n)))
+    users = rng.integers(0, m, 20)
+    items = rng.integers(0, n, 20)
+    got = ev.pair_addends(snap, users, items)
+    assert got.shape == (20, n_aspects) and got.dtype == dtype
+    want = np.stack([x[np.arange(20), items] for x in snapshot_addends(snap, users)], axis=1)
+    # the skip scores are 6-term dot products here and a matmul in the
+    # oracle, so they round differently (at most 8 ulps seen in 4,000 cases)
+    np.testing.assert_array_max_ulp(got, want, maxulp=16)
+    total = got[:, 0].copy()
+    for a in range(1, n_aspects):  # in aspect order, as score_block adds them
+        total += got[:, a]
+    np.testing.assert_array_max_ulp(total, ev.score_all(snap, users, [])[np.arange(20), items],
+                                    maxulp=16)
+

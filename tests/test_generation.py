@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from dualvae import aspects, encoder, generation as gen, model, tensor as T, trainer
 from dualvae.errors import DomainError
 
-from helpers import (dense_poisson_loglik, finite_difference, from_dense, kl_gaussian,
-                     max_rel_err, paired_scores, per_aspect_side_loss, reference_sigmoid,
-                     slice_rows, stacked_codes)
+from helpers import (aspect_addends, dense_poisson_loglik, finite_difference, from_dense,
+                     kl_gaussian, max_rel_err, paired_scores, per_aspect_side_loss,
+                     reference_sigmoid, slice_rows, stacked_codes)
 
 RNG = np.random.default_rng(77)
 
@@ -41,7 +41,7 @@ def one_aspect_addends(za, zb, dec_a, dec_b):
     """(b_a, b_b) addends sigmoid(<za, zb> + <f(za), f(zb)>) of one aspect."""
     probs = np.ones((za.shape[0], 1))
     code = np.concatenate([za, gen.decode(za, dec_a).value], axis=1)
-    return next(gen.aspect_addends(code, probs, one_aspect_frozen(zb, dec_b)))
+    return next(aspect_addends(code, probs, one_aspect_frozen(zb, dec_b)))
 
 
 def test_skip_zero_latents_zero_bias():
@@ -219,7 +219,7 @@ def test_underflowed_score_logged_only_where_observed(dtype, far):
 def forward_scores(fwd, dec, frozen):
     """The (b, N) pair scores of a side_loss forward, through aspect_addends."""
     codes = np.concatenate([fwd.z.value, gen.decode(fwd.z, dec).value], axis=1)
-    return functools.reduce(np.add, gen.aspect_addends(codes, fwd.probs.value, frozen))
+    return functools.reduce(np.add, aspect_addends(codes, fwd.probs.value, frozen))
 
 
 def test_user_loss_closed_form_all_zero_rows():

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from dualvae import generation as gen, tensor as T
 from dualvae.errors import ConfigError, ContractError, DomainError, ShapeError
 
-from helpers import (cosine_pairs, cosine_rows, finite_difference, max_rel_err, mean_all,
-                     reference_sigmoid, sample_standard_normal, sigmoid, slice_rows, tape_grads)
+from helpers import (cosine_pairs, cosine_rows, finite_difference, kind_unbroadcast,
+                     max_rel_err, mean_all, reference_sigmoid, sample_standard_normal, sigmoid,
+                     slice_rows, tape_grads)
 
 RNG = np.random.default_rng(20240517)
 
@@ -95,6 +96,47 @@ def test_elementwise_broadcasts():
     np.testing.assert_allclose(T.sub(m, 2.0).value, m - 2.0)
     with pytest.raises(ShapeError):
         T.add(np.zeros((3, 4)), np.zeros((2, 4)))
+
+
+_EW_OPS = {  # op -> (value, d/da given g, d/db given g)
+    T.add: (np.add, lambda g, x, y: g, lambda g, x, y: g),
+    T.sub: (np.subtract, lambda g, x, y: g, lambda g, x, y: -g),
+    T.mul: (np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", list(_EW_OPS), ids=lambda op: op.__name__)
+def test_elementwise_broadcast_matches_the_kind_based_reduction(op, dtype):
+    # every pair of shapes from {1, r, r + 1} x {1, c, c + 1}: a pair the
+    # scalar/row/column kinds cover gives numpy's value and the kind-based
+    # gradients, byte for byte; any other pair raises ShapeError
+    rng = np.random.default_rng(5)
+    r, c = 37, 11
+    value, da, db = _EW_OPS[op]
+    shapes = [(rows, cols) for rows in (1, r, r + 1) for cols in (1, c, c + 1)]
+    n_valid = 0
+    for sa in shapes:
+        for sb in shapes:
+            out_shape = (max(sa[0], sb[0]), max(sa[1], sb[1]))
+            kinds = {out_shape, (1, 1), (1, out_shape[1]), (out_shape[0], 1)}
+            if sa not in kinds or sb not in kinds:
+                with pytest.raises(ShapeError, match="cannot broadcast"):
+                    op(np.zeros(sa, dtype), np.zeros(sb, dtype))
+                continue
+            n_valid += 1
+            a = T.Parameter("a", rng.standard_normal(sa).astype(dtype))
+            b = T.Parameter("b", rng.standard_normal(sb).astype(dtype))
+            weights = rng.standard_normal(out_shape).astype(dtype)
+            tape = T.Tape()
+            out = op(tape.leaf(a), tape.leaf(b))
+            assert out.value.tobytes() == value(a.value, b.value).tobytes()
+            tape.backward(T.sum_all(T.mul(out, weights)))
+            # the upstream gradient of ``out`` is ``weights`` itself
+            for p, d in ((a, da), (b, db)):
+                want = kind_unbroadcast(d(weights, a.value, b.value), p.value.shape)
+                assert p.grad.shape == want.shape and p.grad.tobytes() == want.tobytes()
+    assert n_valid == 49  # 7 compatible pairs of sizes per axis
 
 
 def test_constant_inputs_stay_off_tape():
