@@ -194,15 +194,13 @@ def cmd_train(args) -> int:
     cfg = run_cfg.train_config()
     split = _load_dataset(run_cfg)
 
-    result = trainer.fit(split, cfg, log_path=out / "train_log.tsv", verbose=args.verbose)
+    cutoffs = run_cfg["eval", "cutoffs"]
+    result = trainer.fit(split, cfg, log_path=out / "train_log.tsv", verbose=args.verbose,
+                         cutoffs=cutoffs)
     ckpt_path = out / "checkpoint.ckpt"
     trainer.save_checkpoint(result.checkpoint, ckpt_path)
     config_mod.save_config(run_cfg, out / "config_resolved.ini")
-
-    val = evaluation.evaluate_ranking(result.checkpoint.params, result.checkpoint.snapshot,
-                                      split, target="valid",
-                                      cutoffs=run_cfg["eval", "cutoffs"])
-    evaluation.write_metrics_tsv(out / "valid_metrics.tsv", val, run_cfg["eval", "cutoffs"])
+    evaluation.write_metrics_tsv(out / "valid_metrics.tsv", result.valid_metrics, cutoffs)
     digest = hashlib.sha256(ckpt_path.read_bytes()).hexdigest()
     print(f"best epoch {result.checkpoint.epoch} val R@20 {result.checkpoint.best_metric:.4f} "
           f"({result.stopped_epoch} epochs run)")
@@ -241,16 +239,15 @@ def cmd_recommend(args) -> int:
         if token not in id_to_idx:
             raise DataError(f"unknown user id {token!r}")
     users = np.array([id_to_idx[token] for token in tokens])
-    scores = evaluation.score_all(ckpt.snapshot, users, [split.train])
-    ranked = evaluation.top_n(scores, args.top_n)
+    ranked, scores = evaluation.rank(ckpt.snapshot, users, [split.train], args.top_n)
     # masked items rank last; a list stops before them, so it may hold fewer than N
-    rows, cols = np.nonzero(np.take_along_axis(scores, ranked, 1) > -np.inf)
+    rows, cols = np.nonzero(scores > -np.inf)
     items = ranked[rows, cols]
     addends = evaluation.pair_addends(ckpt.snapshot, users[rows], items)
     print("user\trank\titem\tscore\t" + "\t".join(f"aspect_{a}" for a in range(addends.shape[1])))
     # formatted from Python floats, which format faster than numpy scalars
     for k, rank, item, score, row in zip(rows.tolist(), cols.tolist(), items.tolist(),
-                                         scores[rows, items].tolist(), addends.tolist()):
+                                         scores[rows, cols].tolist(), addends.tolist()):
         addend_cols = "\t".join(f"{x:.6f}" for x in row)
         print(f"{tokens[k]}\t{rank + 1}\t{split.train.item_ids[item]}\t{score:.6f}\t{addend_cols}")
     return EXIT_OK

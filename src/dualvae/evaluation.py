@@ -5,12 +5,12 @@ Scores are the training objective's pair scores in evaluation mode (z = mu):
 addends, whose skip sigmoid ``generation.poisson_loglik`` also uses, so
 ranking, ``recommend`` and training share one score. Each aspect's addend
 is made in one array, in place, and ``score_block`` sums them in place, in
-row blocks on the aspect pool. ``pair_addends`` gives the same addends of
+row tasks on the aspect pool. ``pair_addends`` gives the same addends of
 single pairs, which ``recommend`` prints beside each score. Items the user
 interacted with in masked splits are pushed to -inf before ranking so they
 can never be recommended back. Ties are broken by ascending item index so
-results reproduce across runs. ``top_n`` ranks in blocks of rows, so its
-transients stay a few MB for any number of users.
+results reproduce across runs. ``rank`` scores and ranks users in chunks,
+keeping each chunk's n best, so no array spans all users and all items.
 """
 
 from __future__ import annotations
@@ -31,70 +31,88 @@ def pair_addends(snap: Snapshot, users, items) -> np.ndarray:
     return T._logistic(skips, out=skips) * snap.C[items] * snap.P[users]
 
 
-_SCORE_BLOCK = 256  # rows scored per task
+_SCORE_BLOCK = 128  # most rows scored per task
 
 
-def score_block(snap: Snapshot, users) -> np.ndarray:
+def _even_bounds(n: int, most: int) -> list:
+    """Bounds of the fewest near-equal pieces (the last the largest) of at most ``most``
+    rows over range(n); for n > 1, most > 2 none is a lone row, whose product rounds apart."""
+    pieces = max(-(-n // most), 1)
+    return [k * n // pieces for k in range(pieces + 1)]
+
+
+def score_block(snap: Snapshot, users, frozen: "gen.FrozenSide | None" = None,
+                out: "np.ndarray | None" = None) -> np.ndarray:
     """Pair scores g(u, i) for the given users against all items.
 
-    Rows are scored ``_SCORE_BLOCK`` at a time, one task per block, on the
-    aspect pool's lanes (``generation._map``): a block's first addend is made
-    in its output rows and the others, added in aspect order, in its lane's
-    scratch rows."""
+    Rows are split into near-equal tasks of at most ``_SCORE_BLOCK`` rows, on
+    the aspect pool's lanes (``generation._map``): a task's first addend is
+    made in its output rows and the others, added in aspect order, in its
+    lane's scratch rows. A caller scoring many chunks of users may pass
+    ``frozen`` (``snap.frozen_items()``) and ``out`` (rows for the scores)."""
     users = np.asarray(users, dtype=np.int64)
-    frozen = snap.frozen_items()
-    out = np.empty((len(users), frozen.codes.shape[1]), dtype=frozen.codes.dtype)
-    starts = range(0, len(users), _SCORE_BLOCK)
-    rows_per_task = min(len(users), _SCORE_BLOCK)
-    lanes = gen._lanes(len(starts), rows_per_task * out.shape[1])
-    scratch = np.empty((lanes, rows_per_task, out.shape[1]), out.dtype)
+    frozen = snap.frozen_items() if frozen is None else frozen
+    shape = (len(users), frozen.codes.shape[1])
+    out = np.empty(shape, frozen.codes.dtype) if out is None else out[:len(users)]
+    bounds = _even_bounds(len(users), _SCORE_BLOCK)
+    lanes = gen._lanes(len(bounds) - 1, (bounds[-1] - bounds[-2]) * out.shape[1])
+    scratch = np.empty((lanes, bounds[-1] - bounds[-2], out.shape[1]), out.dtype)
 
     def task(k, lane):
-        lo = starts[k]
-        rows = users[lo: lo + _SCORE_BLOCK]
-        codes, probs, dest = snap.user_codes[:, rows], snap.P[rows], out[lo: lo + len(rows)]
+        rows = users[bounds[k]: bounds[k + 1]]
+        codes, probs, dest = snap.user_codes[:, rows], snap.P[rows], out[bounds[k]: bounds[k + 1]]
         gen._addend(codes[0], probs, frozen, 0, out=dest)
         for a in range(1, len(codes)):
             dest += gen._addend(codes[a], probs, frozen, a, out=scratch[lane, :len(rows)])
 
-    gen._map(task, len(starts), lanes)
+    gen._map(task, len(bounds) - 1, lanes)
     return out
 
 
-def score_all(snap: Snapshot, users, masks) -> np.ndarray:
+def score_all(snap: Snapshot, users, masks, frozen: "gen.FrozenSide | None" = None,
+              out: "np.ndarray | None" = None) -> np.ndarray:
     """Scores with every masked (user, item) position set to -inf.
 
     ``masks`` is a list of InteractionMatrix; anything a user touched in any
     of them is removed from the ranking candidates.
     """
     users = np.asarray(users, dtype=np.int64)
-    out = score_block(snap, users)
+    out = score_block(snap, users, frozen, out)
     for m in masks:
         out[m.user_items.gather(users)] = -np.inf
     return out
 
 
-_RANK_BLOCK = 256  # rows ranked at a time: 6 MB of transients at 3,000 items
+_RANK_USERS = 256  # most users per ranking chunk: two score tasks, one per lane
+
+
+def rank(snap: Snapshot, users, masks, n: int):
+    """``(ranked, top_scores)``: each user's n best items under ``score_all``
+    and their scores, ties broken by item index, as two (len(users), n)
+    arrays (narrower if there are fewer items). Users are scored into one
+    buffer and ranked in even chunks of at most ``_RANK_USERS``; only each
+    chunk's n best are kept."""
+    users = np.asarray(users, dtype=np.int64)
+    frozen = snap.frozen_items()
+    bounds = _even_bounds(len(users), _RANK_USERS)
+    buf = np.empty((bounds[-1] - bounds[-2], frozen.codes.shape[1]), frozen.codes.dtype)
+    ranked, top = [], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        scores = score_all(snap, users[lo:hi], masks, frozen, buf)
+        ranked.append(top_n(scores, n))
+        top.append(np.take_along_axis(scores, ranked[-1], 1))
+    return np.concatenate(ranked), np.concatenate(top)
 
 
 def top_n(score_rows: np.ndarray, n: int) -> np.ndarray:
     """Indices of the n best scores per row, ties broken by item index.
 
-    Equals ``np.argsort(-score_rows, kind="stable")[:, :n]``. Rows are ranked
-    ``_RANK_BLOCK`` at a time, so the negated copy and the partition's index
-    matrix never span the whole input; every block is negated into one buffer.
-    """
-    score_rows = np.asarray(score_rows)
-    buf = np.empty_like(score_rows[:_RANK_BLOCK])
-    blocks = (score_rows[start: start + _RANK_BLOCK]
-              for start in range(0, max(len(score_rows), 1), _RANK_BLOCK))
-    return np.concatenate([_top_n_rows(np.negative(b, out=buf[:len(b)]), n) for b in blocks])
-
-
-def _top_n_rows(neg: np.ndarray, n: int) -> np.ndarray:
-    """``top_n`` of one block, given its negated scores: each row's n best
-    come from a partition and are sorted by (-score, index); a row whose
-    n-th best value also lies outside them (a tie) is sorted in full."""
+    Equals ``np.argsort(-score_rows, kind="stable")[:, :n]``: each row's n
+    best come from a partition of the negated scores and are sorted by
+    (-score, index); a row whose n-th best value also lies outside them (a
+    tie) is sorted in full. Its transients are input-sized; ``rank`` passes
+    one chunk of users at a time."""
+    neg = np.negative(score_rows)
     if not 0 < n < neg.shape[1]:
         return np.argsort(neg, axis=1, kind="stable")[:, :n]
     best = np.sort(np.argpartition(neg, n - 1, axis=1)[:, :n], axis=1)
@@ -136,10 +154,13 @@ def evaluate_ranking(params: ModelParams, snap: Snapshot, split: DatasetSplit,
             result[f"ndcg@{n}"] = float("nan")
         return result
 
-    ranked = top_n(score_all(snap, users, masks), max(cutoffs))
-    is_held = np.zeros((len(users), held.num_items), dtype=bool)
-    is_held[held.user_items.gather(users)] = True
-    hits = np.take_along_axis(is_held, ranked, axis=1)
+    ranked = rank(snap, users, masks, max(cutoffs))[0]
+    hits = np.empty(ranked.shape, dtype=bool)
+    for lo in range(0, len(users), _RANK_USERS):  # one chunk's held mask at a time
+        rows = slice(lo, lo + _RANK_USERS)
+        is_held = np.zeros((len(users[rows]), held.num_items), dtype=bool)
+        is_held[held.user_items.gather(users[rows])] = True
+        hits[rows] = np.take_along_axis(is_held, ranked[rows], axis=1)
     # the scalar discounts 1 / log2(rank + 1), summed in rank order
     discounts = np.array([1.0 / np.log2(r + 1) for r in range(1, ranked.shape[1] + 1)])
     dcg = np.cumsum(hits * discounts, axis=1)

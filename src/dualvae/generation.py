@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,6 +61,10 @@ class FrozenSide:
 
     codes: np.ndarray  # (A, N, 2d) [posterior means | tanh decoder images], aspect-major
     probs: np.ndarray  # (N, A) aspect probabilities (C or P)
+    neg_codes: np.ndarray = field(init=False, repr=False)  # -codes, for ``_skip_sigmoid``
+
+    def __post_init__(self):
+        self.neg_codes = np.negative(self.codes)
 
     @property
     def n_aspects(self):
@@ -182,9 +186,9 @@ def _map(fn, n: int, lanes: int) -> list:
 def _skip_sigmoid(code: np.ndarray, frozen: FrozenSide, a: int, out=None) -> np.ndarray:
     """sigmoid(<z_a, m_a> + <f(z_a), f(m_a)>) of a batch's (b, 2d) aspect-a
     codes [z_a, f(z_a)] against every frozen entity, in one (b, N) array:
-    ``out``, or a fresh one."""
-    s = np.matmul(code, frozen.codes[a].T, out=out)
-    return T._logistic(s, out=s)
+    ``out``, or a fresh one. The product with the negated codes is bytewise
+    -s, where the logistic starts."""
+    return T._logistic_of_negated(np.matmul(code, frozen.neg_codes[a].T, out=out))
 
 
 def _addend(code: np.ndarray, probs: np.ndarray, frozen: FrozenSide, a: int, out=None):

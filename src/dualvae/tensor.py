@@ -278,20 +278,24 @@ def _unary(x, f, df_from_out):
 def _logistic(v: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
     """1 / (1 + exp(-v)), computed in one fresh array, or in ``out`` (which
     may be ``v`` itself)."""
+    return _logistic_of_negated(np.negative(v, out=out))
+
+
+def _logistic_of_negated(neg: np.ndarray) -> np.ndarray:
+    """The logistic 1 / (1 + exp(neg)) of v = -neg, computed in ``neg``."""
     # exp(-v) overflows to inf, so the formula gives 0, where the logistic is
     # still subnormal (float64 below -709.8, float32 below -88.7); below -40
     # it equals exp(v) in both. The mask, as large as v, is only made when
-    # some entry needs it (or a NaN hides the minimum).
-    tail = v < -40.0 if v.size and not v.min() >= -40.0 else None
-    low = np.exp(v[tail]) if tail is not None else None
-    out = np.negative(v, out=out)
+    # some entry needs it (or a NaN hides the maximum).
+    tail = neg > 40.0 if neg.size and not neg.max() <= 40.0 else None
+    low = np.exp(np.negative(neg[tail])) if tail is not None else None
     with np.errstate(over="ignore"):
-        np.exp(out, out=out)
-    out += 1.0
-    np.reciprocal(out, out=out)
+        np.exp(neg, out=neg)
+    neg += 1.0
+    np.reciprocal(neg, out=neg)
     if low is not None:
-        out[tail] = low
-    return out
+        neg[tail] = low
+    return neg
 
 
 def tanh(x) -> Tensor:

@@ -257,10 +257,13 @@ class FitResult:
     checkpoint: Checkpoint
     history: list = field(default_factory=list)
     stopped_epoch: int = 0
+    valid_metrics: dict = field(default_factory=dict)  # the best epoch's, at ``fit``'s cutoffs
 
 
-def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = False) -> FitResult:
-    """Full training run returning the best-validation checkpoint."""
+def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = False,
+        cutoffs=(20,)) -> FitResult:
+    """Full training run returning the best-validation checkpoint. Each
+    epoch's validation ranks at ``cutoffs`` and 20, which selects the best."""
     cfg.validate()
     dtype = cfg.np_dtype
     train = split.train
@@ -277,7 +280,7 @@ def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = Fa
 
     # the best epoch's weights, as copies of the two flat buffers; its
     # snapshot is kept by reference, since refresh always builds new arrays
-    best_epoch, best_user, best_item, best_snap = 0, None, None, None
+    best_epoch, best_user, best_item, best_snap, best_val = 0, None, None, None, {}
     best_metric = -np.inf
     since_improve = 0
     history = []
@@ -287,7 +290,8 @@ def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = Fa
             snap, user_stats, item_stats = train_epoch_pair(
                 split, params, opt_u, opt_i, snap, cfg, epoch, rng
             )
-            val = evaluation.evaluate_ranking(params, snap, split, target="valid", cutoffs=(20,))
+            val = evaluation.evaluate_ranking(params, snap, split, target="valid",
+                                              cutoffs=tuple({20, *cutoffs}))
             r20 = val["recall@20"]
             metric = -1.0 if np.isnan(r20) else r20
             history.append({"epoch": epoch, "user": user_stats, "item": item_stats, "val_r20": r20})
@@ -305,7 +309,7 @@ def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = Fa
             if metric > best_metric:
                 best_metric = metric
                 since_improve = 0
-                best_epoch, best_snap = epoch, snap
+                best_epoch, best_snap, best_val = epoch, snap, val
                 best_user, best_item = params.user.value.copy(), params.item.value.copy()
             else:
                 since_improve += 1
@@ -318,7 +322,7 @@ def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = Fa
     params.user.value[...] = best_user
     params.item.value[...] = best_item
     best = Checkpoint(replace(cfg), best_epoch, float(best_metric), split, params, best_snap)
-    return FitResult(best, history, stopped_epoch)
+    return FitResult(best, history, stopped_epoch, best_val)
 
 
 # ---------------------------------------------------------------------------

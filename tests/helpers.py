@@ -12,7 +12,7 @@ from itertools import permutations
 import numpy as np
 import scipy.sparse as sp
 
-from dualvae import data, encoder as enc_mod, generation as gen, tensor as T
+from dualvae import data, encoder as enc_mod, evaluation, generation as gen, tensor as T
 from dualvae.errors import ShapeError
 from dualvae.gradcheck import finite_difference  # noqa: F401  (re-exported for the tests)
 
@@ -116,6 +116,15 @@ def snapshot_addends(snap, users):
     every item, from a snapshot's arrays."""
     codes = snap.user_codes[:, users].reshape(-1, snap.user_codes.shape[2])
     return aspect_addends(codes, snap.P[users], snap.frozen_items())
+
+
+def whole_matrix_rank(snap, users, masks, n):
+    """Reference for ``evaluation.rank``: every user's masked scores in one
+    (users, items) matrix, ranked in one ``top_n`` call, with the ranked
+    items' scores read back from that matrix."""
+    scores = evaluation.score_all(snap, users, masks)
+    ranked = evaluation.top_n(scores, n)
+    return ranked, np.take_along_axis(scores, ranked, 1)
 
 
 def kind_unbroadcast(g, shape):

@@ -239,6 +239,41 @@ def test_train_writes_artifacts(workspace):
     assert metrics[0].split("\t") == ["metric", "N", "value", "n_users"]
 
 
+def cutoffs_config(workspace, tmp_path):
+    """The workspace's run configuration with cutoffs that leave out 20."""
+    path = tmp_path / "cutoffs.ini"
+    path.write_text((workspace / "run.ini").read_text() + "\n[eval]\ncutoffs = 5,30\n")
+    return path
+
+
+def test_train_ranks_validation_once_per_epoch(workspace, tmp_path, capsys, monkeypatch):
+    calls = []
+    ranking = evaluation.evaluate_ranking
+
+    def counting(*args, **kw):
+        calls.append(kw["cutoffs"])
+        return ranking(*args, **kw)
+
+    monkeypatch.setattr(evaluation, "evaluate_ranking", counting)
+    code, _, err = run_main(capsys, "train", "--config", str(cutoffs_config(workspace, tmp_path)),
+                            "--epochs", "3", "--out", str(tmp_path / "run"))
+    assert code == 0, err
+    assert len(calls) == 3  # each epoch's validation, and no pass after fit
+    assert all(sorted(c) == [5, 20, 30] for c in calls)
+
+
+def test_valid_metrics_are_a_validation_pass_of_the_best_checkpoint(workspace, tmp_path, capsys):
+    code, _, err = run_main(capsys, "train", "--config", str(cutoffs_config(workspace, tmp_path)),
+                            "--out", str(tmp_path / "run"))
+    assert code == 0, err
+    ckpt = trainer.load_checkpoint(tmp_path / "run" / "checkpoint.ckpt")
+    result = evaluation.evaluate_ranking(ckpt.params, ckpt.snapshot, ckpt.split, target="valid",
+                                         cutoffs=(5, 30))
+    evaluation.write_metrics_tsv(tmp_path / "want.tsv", result, (5, 30))
+    assert ((tmp_path / "run" / "valid_metrics.tsv").read_bytes()
+            == (tmp_path / "want.tsv").read_bytes())
+
+
 def test_ablate_no_nrc_zero_contrast_column(workspace, tmp_path):
     out = run_cli("ablate", "--config", str(workspace / "run.ini"),
                   "--ablate", "no_nrc", "--out", str(tmp_path / "ab"))

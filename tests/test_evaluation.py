@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,16 +146,41 @@ def loop_ranking(params, snap, split, target, cutoffs):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 14), st.integers(2, 25),
        st.sampled_from(["valid", "test", "train"]),
-       st.sampled_from([(1,), (5, 10), (20, 50), (3, 30)]))
-def test_evaluate_ranking_matches_per_user_loop(seed, m, n, target, cutoffs):
+       st.sampled_from([(1,), (5, 10), (20, 50), (3, 30)]), st.integers(3, 5))
+def test_evaluate_ranking_matches_per_user_loop(seed, m, n, target, cutoffs, chunk):
     _, split, params, snap = scored_world(seed, m, n)
-    got = ev.evaluate_ranking(params, snap, split, target=target, cutoffs=cutoffs)
     want = loop_ranking(params, snap, split, target, cutoffs)
-    assert got["n_users"] == want["n_users"]
-    for key in want:
-        # bit-equal: validation Recall@20 is stored as the checkpoint's
-        # best_metric, and NDCG sums the same discounts in the same order
-        assert got[key] == want[key] or (np.isnan(got[key]) and np.isnan(want[key])), key
+    got = ev.evaluate_ranking(params, snap, split, target=target, cutoffs=cutoffs)
+    with pytest.MonkeyPatch.context() as mp:
+        # several near-equal chunks; with at most 3 to 5 users a chunk, none
+        # is a lone user, whose row a vector-matrix product would score
+        mp.setattr(ev, "_RANK_USERS", chunk)
+        chunked = ev.evaluate_ranking(params, snap, split, target=target, cutoffs=cutoffs)
+    for result in (got, chunked):
+        assert result["n_users"] == want["n_users"]
+        for key in want:
+            # bit-equal: validation Recall@20 is stored as the checkpoint's
+            # best_metric, and NDCG sums the same discounts in the same order
+            assert result[key] == want[key] or np.isnan(result[key]) and np.isnan(want[key]), key
+
+
+def test_evaluate_ranking_memory_does_not_grow_with_users():
+    # ranking streams its users in chunks: four times the users must not
+    # add a users x items array (3,072 more rows of 2,000 float64 are 49 MB)
+    peaks = []
+    for m in (1024, 4096):
+        rng = np.random.default_rng(m)
+        pairs = [(np.repeat(np.arange(m), k), rng.integers(0, 2000, k * m)) for k in (20, 3, 3)]
+        split = data.DatasetSplit(*(data.InteractionMatrix(m, 2000, u, i) for u, i in pairs), {})
+        snap = model.Snapshot(rng.dirichlet(np.ones(2), 2000), rng.dirichlet(np.ones(2), m),
+                              rng.standard_normal((2, m, 4)), rng.standard_normal((2, 2000, 4)))
+        tracemalloc.start()
+        try:
+            ev.evaluate_ranking(None, snap, split, target="valid")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 8e6
 
 
 def test_metrics_reject_empty_test_set():

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from dualvae import data, evaluation as ev, generation as gen, model, synth, tensor as T, trainer
 from dualvae.errors import DomainError
 
-from helpers import stacked_codes
+from helpers import stacked_codes, whole_matrix_rank
 
 
 @contextlib.contextmanager
@@ -117,6 +117,35 @@ def test_pooled_ranking_is_bytewise_the_serial_one(seed, m, n, A, d, block, dtyp
     assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 23), st.integers(1, 13), st.integers(1, 4),
+       st.integers(1, 5), st.integers(1, 3), st.integers(1, 16), st.booleans(),
+       st.sampled_from([np.float64, np.float32]))
+def test_streamed_rank_is_bytewise_the_whole_matrix_rank(seed, m, n, A, chunk, block, top, on,
+                                                         dtype):
+    # chunks of a few users, so most draws have several and a ragged last
+    # one. Codes on a grid of 1/4 make every skip score exact, so a one-row
+    # task (a vector-matrix product) rounds as a matrix product does, and
+    # many scores tie; so do the items whose aspect probabilities are all 0.
+    # A dense mask leaves some users fewer unmasked items than top.
+    snap = snapshot(seed, m, n, A, 2, dtype)
+    for codes in (snap.user_codes, snap.item_codes):
+        codes[...] = np.round(4.0 * codes) / 4.0
+    rng = np.random.default_rng(seed)
+    snap.C[rng.random(n) < 0.3] = 0.0
+    users = rng.permutation(m)[:rng.integers(0, m + 1)]
+    mask = data.InteractionMatrix(m, n, rng.integers(0, m, 3 * m), rng.integers(0, n, 3 * m))
+    with pool(False):
+        want = whole_matrix_rank(snap, users, [mask], top)
+    with pytest.MonkeyPatch.context() as mp, pool(on):
+        mp.setattr(ev, "_RANK_USERS", chunk)
+        mp.setattr(ev, "_SCORE_BLOCK", block)
+        got = ev.rank(snap, users, [mask], top)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
 def test_pooled_ranking_lanes_keep_their_own_scratch():
     # blocks large enough that the two lanes' BLAS and ufunc calls overlap,
     # with frequent thread switches: a scratch array shared between lanes
@@ -152,10 +181,10 @@ def test_likelihood_uses_the_pool_only_from_the_gate_up(recording_pool, n, lanes
     assert recording_pool.lanes == 2 * lanes  # the forward and the codes backward
 
 
-@pytest.mark.parametrize("m, n, lanes", [(20, 3000, 0), (300, 511, 0), (300, 512, 2)])
+@pytest.mark.parametrize("m, n, lanes", [(20, 3000, 0), (300, 1310, 0), (300, 1311, 2)])
 def test_ranking_uses_the_pool_only_from_the_gate_up(recording_pool, m, n, lanes):
-    # 20 users (what recommend ranks) are one block; 300 users are a 256-row
-    # and a 44-row block, and 256 * 512 = 2 ** 17 cells
+    # 20 users (what recommend ranks) are one task; 300 users are three
+    # 100-row tasks, and 100 * 1311 is the first width past 2 ** 17 cells
     ev.score_all(snapshot(0, m, n, 4, 2, np.float64), np.arange(m), [])
     assert recording_pool.lanes == lanes
 
@@ -166,6 +195,7 @@ def test_pooled_zero_stored_score_is_domain_error():
     frozen, codes, probs, target = world(1, 6, 8, 2, 1, np.float64)
     frozen.probs[0] = [1.0, 0.0]
     frozen.codes[0, 0] = [1.0, 0.0]
+    frozen = gen.FrozenSide(frozen.codes, frozen.probs)  # its negated codes, after the edit
     codes[:6] = [-1000.0, 0.0]
     target = sp.csr_matrix(np.eye(6, 8))
     for on in (False, True):
@@ -201,10 +231,27 @@ def test_planted_fit_gives_the_same_checkpoint_bytes_with_the_pool(tmp_path):
        st.sampled_from([np.float64, np.float32]))
 def test_logistic_is_bytewise_the_always_masked_form(values, dtype):
     v = np.array(values, dtype)
-    # the form that always builds the v < -40 mask
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = 1.0 / (1.0 + np.exp(-v))
-        want[v < -40.0] = np.exp(v[v < -40.0])
     with np.errstate(invalid="ignore"):
         got = T._logistic(v)
+    assert got.dtype == dtype and got.tobytes() == always_masked_logistic(v).tobytes()
+
+
+def always_masked_logistic(v):
+    """The logistic in the form that always builds the v < -40 mask."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = 1.0 / (1.0 + np.exp(-v))
+        out[v < -40.0] = np.exp(v[v < -40.0])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 9), st.integers(1, 13), st.integers(1, 3),
+       st.floats(0.1, 300.0), st.sampled_from([np.float64, np.float32]))
+def test_skip_sigmoid_from_negated_codes_is_bytewise_the_logistic_of_the_product(
+        seed, b, n, d, spread, dtype):
+    # spread codes reach the logistic's -40 tail and exp's overflow in both dtypes
+    frozen, codes, _, _ = world(seed, b, n, 1, d, dtype)
+    code = (spread * codes).astype(dtype)
+    want = always_masked_logistic(code @ frozen.codes[0].T)
+    got = gen._skip_sigmoid(code, frozen, 0)
     assert got.dtype == dtype and got.tobytes() == want.tobytes()

@@ -188,11 +188,16 @@ def test_fit_restores_the_best_epochs_weights(monkeypatch):
     split = small_split()
     first = trainer.fit(split, small_cfg(epochs=1)).checkpoint
     recalls = iter([0.5, 0.4, 0.3])
-    monkeypatch.setattr(trainer.evaluation, "evaluate_ranking",
-                        lambda *args, **kw: {"recall@20": next(recalls)})
-    result = trainer.fit(split, small_cfg(epochs=3))
+
+    def stub(*args, cutoffs, **kw):
+        return {"recall@20": next(recalls), "cutoffs": sorted(cutoffs)}
+
+    monkeypatch.setattr(trainer.evaluation, "evaluate_ranking", stub)
+    result = trainer.fit(split, small_cfg(epochs=3), cutoffs=(10, 50))
     best = result.checkpoint
     assert (result.stopped_epoch, best.epoch, best.best_metric) == (3, 1, 0.5)
+    # validation ranks at the asked cutoffs and 20, and keeps the best epoch's result
+    assert result.valid_metrics == {"recall@20": 0.5, "cutoffs": [10, 20, 50]}
     for p, q in zip(best.params.all_params(), first.params.all_params()):
         np.testing.assert_array_equal(p.value, q.value)
     np.testing.assert_array_equal(best.snapshot.user_codes, first.snapshot.user_codes)
