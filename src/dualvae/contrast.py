@@ -37,16 +37,13 @@ def batch_neighborhood_reprs(rows, frozen: gen.FrozenSide) -> np.ndarray:
     ``rows`` is the batch's interaction rows over the frozen side as scipy
     CSR, so row b of the (A, b, d) result's block a is sum_j rows[b, j] *
     probs[j, a] * means_a[j, :], the means being the first half of the
-    frozen codes.
+    frozen codes: the product with the first half of ``frozen.weighted``.
     """
-    b, n = rows.shape
-    n_aspects, dim = frozen.n_aspects, frozen.codes.shape[2] // 2
-    if frozen.probs.shape != (n, n_aspects) or frozen.codes.shape[1] != n:
+    n, dim = rows.shape[1], frozen.codes.shape[2] // 2
+    if frozen.probs.shape != (n, frozen.n_aspects) or frozen.codes.shape[1] != n:
         raise ShapeError("frozen side does not match row width")
-    out = np.empty((n_aspects, b, dim), dtype=frozen.codes.dtype)
-    for a in range(n_aspects):
-        out[a] = rows @ (frozen.probs[:, a, None] * frozen.codes[a, :, :dim])
-    return out
+    return np.stack([rows @ w[:, :dim] for w in frozen.weighted]).astype(frozen.codes.dtype,
+                                                                          copy=False)
 
 
 def infonce_rows(z, o, cfg: TrainConfig, participate: np.ndarray) -> Tensor:

@@ -103,10 +103,6 @@ class InteractionMatrix:
         rows = self.user_items
         return np.repeat(np.arange(self.num_users), np.diff(rows.indptr)), rows.indices
 
-    def pairs(self):
-        rows, cols = self._coords()
-        return zip(rows.tolist(), cols.tolist())
-
     def sparse_users(self, users, dtype=np.float64) -> sp.csr_matrix:
         """CSR interaction rows, one per requested user (``densify_users``
         without the zeros)."""
@@ -137,16 +133,17 @@ class InteractionMatrix:
 
     def write_tsv(self, out_dir):
         """``interactions.tsv``, one ``user_id item_id`` line per pair, and
-        the two-column ``original_id index`` id maps of both sides."""
+        the two-column ``original_id index`` id maps of both sides. The pair
+        file is one join over its lines' halves, interleaved: no string per pair."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "interactions.tsv", "w", encoding="utf-8") as fh:
-            for u, i in self.pairs():
-                fh.write(f"{self.user_ids[u]}\t{self.item_ids[i]}\n")
+        heads = np.array([u + "\t" for u in self.user_ids], dtype=object)
+        tails = np.array([i + "\n" for i in self.item_ids], dtype=object)
+        rows, cols = self._coords()
+        (out_dir / "interactions.tsv").write_text(
+            "".join(np.column_stack((heads[rows], tails[cols])).ravel().tolist()), "utf-8")
         for name, ids in (("user_ids.tsv", self.user_ids), ("item_ids.tsv", self.item_ids)):
-            with open(out_dir / name, "w", encoding="utf-8") as fh:
-                for idx, orig in enumerate(ids):
-                    fh.write(f"{orig}\t{idx}\n")
+            (out_dir / name).write_text("".join(f"{o}\t{k}\n" for k, o in enumerate(ids)), "utf-8")
 
 
 @dataclass
@@ -196,44 +193,69 @@ def split_record(source, train_ratio: float, valid_of_test: float, seed: int) ->
             "valid_of_test": float(valid_of_test), "seed": int(seed)}
 
 
-def read_pairs(path, fmt=None):
-    """Parse ``user<delim>item[<delim>ignored...]`` lines into id pairs.
+def _tokens(column: np.ndarray) -> np.ndarray:
+    """A column of variable-width tokens, stripped, as fixed-width strings:
+    numpy strips, compares, sorts and takes those many times faster."""
+    width = max(int(np.strings.str_len(column).max(initial=0)), 1)
+    return np.strings.strip(column.astype(f"U{width}"))
 
-    The delimiter comes from ``fmt`` ("tsv"/"csv") or the file suffix. A
-    single leading header line is skipped when its first two tokens are both
-    non-numeric.
+
+def _factorize(tokens: np.ndarray, escaped: bool):
+    """Distinct tokens in ``sorted`` order, as Python strings, and each
+    token's index among them: numpy sorts strings by codepoint, as ``sorted``."""
+    order = np.argsort(tokens, kind="stable")
+    ranked = tokens[order]
+    first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    codes = np.empty(len(ranked), dtype=np.int64)
+    codes[order] = np.cumsum(first) - 1
+    distinct = ranked[first].tolist()
+    if escaped:  # undo ``read_pairs``' escape of NUL
+        distinct = [t.replace("\x01\x01", "\0").replace("\x01\x02", "\x01") for t in distinct]
+    return distinct, codes
+
+
+def read_pairs(path, fmt=None):
+    """Parse ``user<delim>item[<delim>ignored...]`` lines into factorized id
+    pairs, ``(user_ids, users), (item_ids, items)``: a column's distinct
+    stripped tokens in ``sorted`` order, and each line's index among them.
+
+    The delimiter comes from ``fmt`` ("tsv"/"csv") or the file suffix. Blank
+    lines are skipped, as is a first line of non-numeric tokens before numeric
+    ones. Lines are split, partitioned and stripped as whole arrays; an error
+    message is made only for the first bad line.
     """
     path = Path(path)
     delim = _DELIMS[_resolve_format(path, fmt)]
+    text = path.read_text("utf-8")  # universal newlines, as ``open`` in text mode
+    # fixed-width numpy strings drop trailing NULs: this escape, prefix-free
+    # and order-keeping, leaves none (\x01 -> \x01\x02, \x00 -> \x01\x01)
+    if escaped := "\0" in text:
+        text = text.replace("\x01", "\x01\x02").replace("\0", "\x01\x01")
+    # variable width, so a long extra column (say, free text) costs no padding
+    lines = np.array(text.split("\n"), np.dtypes.StringDType())
+    del text
+    kept = np.flatnonzero(np.strings.str_len(lines))  # 0-based numbers of the lines read
+    if not len(kept):
+        raise DataError(f"{path}: no interactions parsed")
+    numeric = [[_is_number(t.strip()) for t in str(lines[k]).split(delim)[:2]] for k in kept[:2]]
+    if numeric == [[False, False], [True, True]]:  # a header
+        kept = kept[1:]
 
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(n, ln.rstrip("\n").rstrip("\r")) for n, ln in enumerate(fh, start=1)]
-    lines = [(n, ln) for n, ln in lines if ln]
-
-    # header only when line 1 looks symbolic while line 2 looks like data;
-    # all-string id files keep their first line
-    if len(lines) >= 2:
-        first, second = lines[0][1].split(delim), lines[1][1].split(delim)
-        if (
-            len(first) >= 2
-            and len(second) >= 2
-            and not _is_number(first[0].strip())
-            and not _is_number(first[1].strip())
-            and _is_number(second[0].strip())
-            and _is_number(second[1].strip())
-        ):
-            lines = lines[1:]
-
-    pairs = []
-    for lineno, line in lines:
-        toks = line.split(delim)
-        if len(toks) < 2:
-            raise DataError(f"{path}:{lineno}: expected at least 2 columns, got {len(toks)}")
-        u, i = toks[0].strip(), toks[1].strip()
-        if not u or not i:
-            raise DataError(f"{path}:{lineno}: empty user or item token")
-        pairs.append((u, i))
-    return pairs
+    # blank lines are partitioned too, and dropped as tokens: no copy of the lines
+    sep = np.array(delim, lines.dtype)
+    head, found, rest = np.strings.partition(lines, sep)
+    del lines
+    lone = np.strings.str_len(found)[kept] == 0
+    users = _tokens(head)[kept]
+    del head, found
+    items = _tokens(np.strings.partition(rest, sep)[0])[kept]
+    del rest
+    bad = np.flatnonzero(lone | (users == "") | (items == ""))
+    if len(bad):
+        k = bad[0]
+        raise DataError(f"{path}:{kept[k] + 1}: " + (
+            "expected at least 2 columns, got 1" if lone[k] else "empty user or item token"))
+    return _factorize(users, escaped), _factorize(items, escaped)
 
 
 def kcore_filter(users: np.ndarray, items: np.ndarray, min_user_core: int,
@@ -253,11 +275,10 @@ def kcore_filter(users: np.ndarray, items: np.ndarray, min_user_core: int,
         keep = kept
 
 
-def _factorize(tokens: list):
-    """Distinct tokens in ``sorted`` order, and each token's index among them."""
-    distinct = sorted(set(tokens))
-    index = dict(zip(distinct, range(len(distinct))))
-    return distinct, np.array(list(map(index.__getitem__, tokens)), dtype=np.int64)
+def _renumber(codes: np.ndarray, ids: list):
+    """``codes`` renumbered 0, 1, ... in order over the codes that occur, and their ids."""
+    present = np.bincount(codes) > 0
+    return (np.cumsum(present) - 1)[codes], [ids[k] for k in np.flatnonzero(present).tolist()]
 
 
 def ingest(path, fmt=None, min_user_core: int = 1, min_item_core: int = 1) -> InteractionMatrix:
@@ -267,23 +288,16 @@ def ingest(path, fmt=None, min_user_core: int = 1, min_item_core: int = 1) -> In
     matrix's ``source`` is the file's ``file_record``.
     """
     source = file_record(path, fmt, min_user_core, min_item_core)
-    raw = read_pairs(path, fmt)
-    if not raw:
-        raise DataError(f"{path}: no interactions parsed")
-    user_ids, users = _factorize([u for u, _ in raw])
-    item_ids, items = _factorize([i for _, i in raw])
-    users, items = np.divmod(np.unique(users * len(item_ids) + items), len(item_ids))
+    (user_ids, users), (item_ids, items) = read_pairs(path, fmt)
+    keys = np.sort(users * len(item_ids) + items)
+    users, items = np.divmod(keys[np.diff(keys, prepend=-1) != 0], len(item_ids))
     keep = kcore_filter(users, items, min_user_core, min_item_core)
     if not keep.any():
-        raise DataError(
-            f"{path}: empty after {min_user_core}/{min_item_core}-core filtering"
-        )
-    users, items = users[keep], items[keep]
-    kept_users, users = np.unique(users, return_inverse=True)
-    kept_items, items = np.unique(items, return_inverse=True)
-    return InteractionMatrix(len(kept_users), len(kept_items), users, items,
-                             [user_ids[k] for k in kept_users.tolist()],
-                             [item_ids[k] for k in kept_items.tolist()], source)
+        raise DataError(f"{path}: empty after {min_user_core}/{min_item_core}-core filtering")
+    users, user_ids = _renumber(users[keep], user_ids)
+    items, item_ids = _renumber(items[keep], item_ids)
+    return InteractionMatrix(len(user_ids), len(item_ids), users, items, user_ids, item_ids,
+                             source)
 
 
 def split(

@@ -49,24 +49,26 @@ def score_block(snap: Snapshot, users, frozen: "gen.FrozenSide | None" = None,
     the aspect pool's lanes (``generation._map``): a task's first addend is
     made in its output rows and the others, added in aspect order, in its
     lane's scratch rows. A caller scoring many chunks of users may pass
-    ``frozen`` (``snap.frozen_items()``) and ``out`` (rows for the scores)."""
+    ``frozen`` (``snap.frozen_items()``) and ``out`` (score rows; a lone user needs two)."""
     users = np.asarray(users, dtype=np.int64)
     frozen = snap.frozen_items() if frozen is None else frozen
-    shape = (len(users), frozen.codes.shape[1])
-    out = np.empty(shape, frozen.codes.dtype) if out is None else out[:len(users)]
-    bounds = _even_bounds(len(users), _SCORE_BLOCK)
+    # a lone user is scored as two rows: numpy rounds a one-row product as a vector one
+    rows = np.repeat(users, 2) if len(users) == 1 else users
+    out = (np.empty((len(rows), frozen.codes.shape[1]), frozen.codes.dtype) if out is None
+           else out[:len(rows)])
+    bounds = _even_bounds(len(rows), _SCORE_BLOCK)
     lanes = gen._lanes(len(bounds) - 1, (bounds[-1] - bounds[-2]) * out.shape[1])
     scratch = np.empty((lanes, bounds[-1] - bounds[-2], out.shape[1]), out.dtype)
 
     def task(k, lane):
-        rows = users[bounds[k]: bounds[k + 1]]
-        codes, probs, dest = snap.user_codes[:, rows], snap.P[rows], out[bounds[k]: bounds[k + 1]]
+        block = rows[bounds[k]: bounds[k + 1]]
+        codes, probs, dest = snap.user_codes[:, block], snap.P[block], out[bounds[k]: bounds[k + 1]]
         gen._addend(codes[0], probs, frozen, 0, out=dest)
         for a in range(1, len(codes)):
-            dest += gen._addend(codes[a], probs, frozen, a, out=scratch[lane, :len(rows)])
+            dest += gen._addend(codes[a], probs, frozen, a, out=scratch[lane, :len(block)])
 
     gen._map(task, len(bounds) - 1, lanes)
-    return out
+    return out[:len(users)]
 
 
 def score_all(snap: Snapshot, users, masks, frozen: "gen.FrozenSide | None" = None,
@@ -95,7 +97,7 @@ def rank(snap: Snapshot, users, masks, n: int):
     users = np.asarray(users, dtype=np.int64)
     frozen = snap.frozen_items()
     bounds = _even_bounds(len(users), _RANK_USERS)
-    buf = np.empty((bounds[-1] - bounds[-2], frozen.codes.shape[1]), frozen.codes.dtype)
+    buf = np.empty((max(bounds[-1] - bounds[-2], 2), frozen.codes.shape[1]), frozen.codes.dtype)
     ranked, top = [], []
     for lo, hi in zip(bounds, bounds[1:]):
         scores = score_all(snap, users[lo:hi], masks, frozen, buf)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,6 +66,10 @@ class FrozenSide:
 
     def __post_init__(self):
         self.neg_codes = np.negative(self.codes)
+
+    @cached_property
+    def weighted(self):  # c_a * codes_a, for training only: the codes vjp, the neighbourhoods
+        return self.codes * self.probs.T[:, :, None]
 
     @property
     def n_aspects(self):
@@ -261,7 +266,7 @@ def poisson_loglik(codes, probs, frozen: FrozenSide, target) -> Tensor:
         k, ratio = ratio_of(g)
         out = np.empty_like(cv)
         derivs = np.empty_like(sigmoids[:lanes])  # sigma_a * (1 - sigma_a), one per lane
-        weighted = fcodes * cprobs.T[:, :, None]  # c_a * codes_a of every frozen entity
+        weighted = frozen.weighted  # built here, not by the lanes at once
 
         def backward(a, lane):
             sig, sig_stored, deriv = sigmoids[a], stored[a], derivs[lane]

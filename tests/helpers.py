@@ -8,12 +8,13 @@ paths it checks, apart from the small adapters marked as such.
 import functools
 import hashlib
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from dualvae import data, encoder as enc_mod, evaluation, generation as gen, tensor as T
-from dualvae.errors import ShapeError
+from dualvae.errors import DataError, ShapeError
 from dualvae.gradcheck import finite_difference  # noqa: F401  (re-exported for the tests)
 
 
@@ -363,6 +364,13 @@ class LoopAdam:
             p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
+def pairs(matrix):
+    """Adapter, not an oracle: the (user, item) pairs of an InteractionMatrix,
+    in user-major order."""
+    rows, cols = matrix._coords()
+    return zip(rows.tolist(), cols.tolist())
+
+
 class SlowMatrix:
     """Per-pair reference for ``data.InteractionMatrix``: lists of row arrays
     built from a sorted set of tuples, and the digest hashed pair by pair."""
@@ -393,9 +401,53 @@ class SlowMatrix:
         return h.hexdigest()[:16]
 
 
+def _is_number(tok):
+    try:
+        float(tok)
+        return True
+    except ValueError:
+        return False
+
+
+def slow_read_pairs(path, fmt=None):
+    """Line-by-line reference for ``data.read_pairs``: the ``(user, item)``
+    token pair of every data line, in file order."""
+    path = Path(path)
+    delim = {"tsv": "\t", "csv": ","}[fmt or ("csv" if path.suffix.lower() == ".csv" else "tsv")]
+
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [(n, ln.rstrip("\n").rstrip("\r")) for n, ln in enumerate(fh, start=1)]
+    lines = [(n, ln) for n, ln in lines if ln]
+
+    # header only when line 1 looks symbolic while line 2 looks like data;
+    # all-string id files keep their first line
+    if len(lines) >= 2:
+        first, second = lines[0][1].split(delim), lines[1][1].split(delim)
+        if (
+            len(first) >= 2
+            and len(second) >= 2
+            and not _is_number(first[0].strip())
+            and not _is_number(first[1].strip())
+            and _is_number(second[0].strip())
+            and _is_number(second[1].strip())
+        ):
+            lines = lines[1:]
+
+    pairs = []
+    for lineno, line in lines:
+        toks = line.split(delim)
+        if len(toks) < 2:
+            raise DataError(f"{path}:{lineno}: expected at least 2 columns, got {len(toks)}")
+        u, i = toks[0].strip(), toks[1].strip()
+        if not u or not i:
+            raise DataError(f"{path}:{lineno}: empty user or item token")
+        pairs.append((u, i))
+    return pairs
+
+
 def slow_ingest(path, fmt=None, min_user_core=1, min_item_core=1):
     """Dict-and-set reference for ``data.ingest``; None when nothing survives."""
-    pairs = set(data.read_pairs(path, fmt))
+    pairs = set(slow_read_pairs(path, fmt))
     while True:
         ucnt, icnt = {}, {}
         for u, i in pairs:

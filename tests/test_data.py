@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dualvae import data
 from dualvae.errors import ConfigError, DataError
-from helpers import from_dense, slow_ingest, slow_split
+from helpers import from_dense, pairs, slow_ingest, slow_read_pairs, slow_split
 
 
 def write(tmp_path, text, name="inter.tsv"):
@@ -110,7 +110,7 @@ def test_ingest_roundtrip_via_id_maps(tmp_path):
     m1 = data.ingest(write(tmp_path, "\n".join(f"{u}\t{i}" for u, i in sorted(lines))))
     # serialize using the retained id maps, re-ingest, expect identical matrix
     m1.write_tsv(tmp_path / "maps")
-    want = "".join(f"{m1.user_ids[u]}\t{m1.item_ids[i]}\n" for u, i in m1.pairs())
+    want = "".join(f"{m1.user_ids[u]}\t{m1.item_ids[i]}\n" for u, i in pairs(m1))
     assert (tmp_path / "maps" / "interactions.tsv").read_text() == want
     m2 = data.ingest(tmp_path / "maps" / "interactions.tsv")
     assert m1.digest() == m2.digest()
@@ -151,8 +151,8 @@ def test_split_deterministic_and_disjoint():
     assert s1.train.digest() == s2.train.digest()
     assert s1.valid.digest() == s2.valid.digest()
     assert s1.test.digest() == s2.test.digest()
-    all_pairs = set(m.pairs())
-    tr, va, te = set(s1.train.pairs()), set(s1.valid.pairs()), set(s1.test.pairs())
+    all_pairs = set(pairs(m))
+    tr, va, te = set(pairs(s1.train)), set(pairs(s1.valid)), set(pairs(s1.test))
     assert tr | va | te == all_pairs
     assert tr & va == set() and tr & te == set() and va & te == set()
     assert s1.train.nnz + s1.valid.nnz + s1.test.nnz == m.nnz
@@ -235,7 +235,7 @@ def test_neighbor_sets_symmetry_and_counts():
 def test_no_test_leakage_into_neighbors():
     m = make_matrix(seed=12)
     s = data.split(m, 0.8, 0.1, seed=1)
-    held_out = set(s.valid.pairs()) | set(s.test.pairs())
+    held_out = set(pairs(s.valid)) | set(pairs(s.test))
     for u, i in held_out:
         assert i not in s.train.user_items[u]
 
@@ -290,8 +290,76 @@ def test_ingest_and_split_match_per_pair_oracle(tmp_path_factory, lines, header,
     s = data.split(got, train_ratio, valid_of_test, seed)
     for g, w in [(got, want)] + list(zip((s.train, s.valid, s.test),
                                          slow_split(want, train_ratio, valid_of_test, seed))):
-        assert (g.user_ids, g.item_ids, g.nnz) == (w.user_ids, w.item_ids, w.nnz)
-        assert [r.tolist() for r in g.user_items] == [r.tolist() for r in w.user_items]
-        assert [r.tolist() for r in g.item_users] == [r.tolist() for r in w.item_users]
-        assert list(g.pairs()) == list(w.pairs())
-        assert g.digest() == w.digest()
+        assert_same_matrix(g, w)
+
+
+def assert_same_matrix(got, want):
+    assert (got.user_ids, got.item_ids, got.nnz) == (want.user_ids, want.item_ids, want.nnz)
+    assert [r.tolist() for r in got.user_items] == [r.tolist() for r in want.user_items]
+    assert [r.tolist() for r in got.item_users] == [r.tolist() for r in want.item_users]
+    assert list(pairs(got)) == list(want.pairs())
+    assert got.digest() == want.digest()
+
+
+# random interaction files for the bulk parser: blank lines, CRLF and lone
+# CR, whitespace (non-ASCII too) around tokens, extra columns (some long),
+# a header or an all-string first line, "01" beside "1", non-ASCII ids and
+# ids with NULs, and lines with one column or an empty token
+_ids = st.sampled_from(["1", "01", "10", "9", "1.5", "nan", "a", "user", "item", "é", "中",
+                        "😀", "a\0", "\0", "\0b", "\x01", "\x01\x02", "\0\x01", "x y", "B"])
+_pads = st.sampled_from(["", " ", "  ", "\u3000", "\xa0", "\x1c", "\x85", "\u2028", "\x0b"])
+_extras = st.sampled_from(["", "{d}4", "{d}4{d}t", "{d}" + "r" * 300, "{d}"])
+
+
+@st.composite
+def interaction_text(draw):
+    delim = draw(st.sampled_from(["\t", ","]))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["pair"] * 6 + ["blank", "spaces", "one column", "empty"]))
+        u, i = draw(_ids), draw(_ids)
+
+        def pad(tok):
+            return draw(_pads) + tok + draw(_pads)
+
+        lines.append({"pair": pad(u) + delim + pad(i) + draw(_extras).format(d=delim),
+                      "blank": "", "spaces": draw(_pads) + " ", "one column": pad(u),
+                      "empty": pad(u) + delim + draw(_pads)}[kind])
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[:-len(ends[-1])]  # no newline at the end of the file
+    return delim, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(interaction_text())
+def test_read_pairs_and_ingest_match_line_by_line_oracle(tmp_path_factory, case):
+    delim, text = case
+    path = tmp_path_factory.mktemp("parse") / ("inter.tsv" if delim == "\t" else "inter.csv")
+    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        want = slow_read_pairs(path)
+    except DataError as exc:
+        for parse in (data.read_pairs, data.ingest):
+            with pytest.raises(DataError) as got:
+                parse(path)
+            assert str(got.value) == str(exc)
+        return
+    if not want:
+        with pytest.raises(DataError, match="no interactions parsed"):
+            data.ingest(path)
+        return
+    (user_ids, users), (item_ids, items) = data.read_pairs(path)
+    assert users.dtype == items.dtype == np.int64
+    assert (user_ids, item_ids) == (sorted({u for u, _ in want}), sorted({i for _, i in want}))
+    assert [(user_ids[u], item_ids[i]) for u, i in zip(users.tolist(), items.tolist())] == want
+    assert_same_matrix(data.ingest(path), slow_ingest(path))
+
+
+def test_parser_strip_is_str_strip_on_every_codepoint():
+    # the parser strips its token columns with numpy; NUL, which fixed-width
+    # strings cannot end in, is escaped before they are made
+    toks = [chr(c) + "x" + chr(c) for c in range(1, 0x110000) if not 0xD800 <= c < 0xE000]
+    got = data._tokens(np.array(toks, np.dtypes.StringDType()))
+    assert got.tolist() == [t.strip() for t in toks]

@@ -205,6 +205,25 @@ def scored_world(seed=0, m=12, n=15):
     return matrix, split, params, snap
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([np.float32, np.float64]), st.integers(0, 2**31 - 1),
+       st.integers(1, 40))
+def test_a_lone_user_scores_as_in_a_larger_call(n_aspects, dtype, seed, n):
+    # one user is scored as a two-row block, so recommend for one user prints
+    # the bytes a multi-user call gives that user
+    rng = np.random.default_rng(seed)
+    m, d = 5, 3
+    probs = [rng.dirichlet(np.ones(n_aspects), size) for size in (n, m)]
+    snap = model.Snapshot(*(p.astype(dtype) for p in probs),
+                          *(rng.uniform(-3.0, 3.0, (n_aspects, size, 2 * d)).astype(dtype)
+                            for size in (m, n)))
+    u, v = rng.integers(0, m, 2)
+    alone, pair = ev.score_block(snap, [u]), ev.score_block(snap, [u, v])
+    assert alone.shape == (1, n) and alone.dtype == dtype
+    assert alone.tobytes() == pair[:1].tobytes()
+    assert ev.rank(snap, [u], [], 3)[0].tolist() == ev.top_n(pair[:1], 3).tolist()
+
+
 def test_scores_repeatable_and_in_range():
     _, split, params, snap = scored_world()
     users = np.arange(split.train.num_users)

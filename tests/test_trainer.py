@@ -13,7 +13,7 @@ from dualvae import data, evaluation, synth, trainer
 from dualvae.errors import CheckpointError, ConfigError, ContractError, NumericError
 from dualvae.tensor import Parameter, ParamGroup, RngState
 
-from helpers import LoopAdam, from_dense, recall_at_n
+from helpers import LoopAdam, from_dense, pairs, recall_at_n
 
 
 def small_cfg(**kw):
@@ -641,7 +641,7 @@ def test_recommend_aspect_attribution_matches_planted_blocks():
             best_perm, best_hits = np.array(perm), hits
     assert best_hits / 300 > 0.8  # sanity: aspects recovered at all
 
-    users, items = np.array(list(split.test.pairs()) + list(split.valid.pairs())).T
+    users, items = np.array(list(pairs(split.test)) + list(pairs(split.valid))).T
     addends = evaluation.pair_addends(snap, users, items)
     agree = np.sum(best_perm[addends.argmax(axis=1)] == planted_items[items])
     assert agree / len(users) >= 0.8
