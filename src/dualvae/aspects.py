@@ -1,7 +1,8 @@
 """Attention-based aspect assignment.
 
-Each side owns a small bank of trainable prototype vectors, one per aspect.
-An entity's aspect probability row is the softmax (optionally temperature
+Each side owns a small bank of trainable prototype vectors, one per aspect
+(``ModelParams.item_protos`` and ``user_protos``, in that side's group). An
+entity's aspect probability row is the softmax (optionally temperature
 scaled) of the cosine affinity between its per-aspect latent mean and the
 matching prototype. Rows therefore live on the probability simplex, which is
 what makes the masked-interaction decomposition exact downstream.
@@ -15,25 +16,9 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
-from .tensor import Parameter, RngState, Tensor
+from .tensor import Tensor
 
 log = logging.getLogger(__name__)
-
-
-class Prototypes:
-    """Trainable per-aspect anchor vectors for both sides.
-
-    ``item_protos`` (rows h_a) drive item aspect probabilities; ``user_protos``
-    (rows m_a) drive user preference probabilities. Initialized i.i.d. normal
-    with std 1/sqrt(dim); no norm constraint is imposed, training shapes them.
-    """
-
-    def __init__(self, n_aspects: int, dim: int, rng: "RngState | None", dtype=np.float64):
-        self.n_aspects = n_aspects
-        self.dim = dim
-        scale = 1.0 / float(np.sqrt(dim))
-        self.item_protos = Parameter("protos.item", T.init_weights(rng, n_aspects, dim, scale, dtype))
-        self.user_protos = Parameter("protos.user", T.init_weights(rng, n_aspects, dim, scale, dtype))
 
 
 def aspect_probs_live(means, protos, temp: float) -> Tensor:

@@ -2,14 +2,15 @@
 
 Builds the sparse user-item interaction matrix from delimited text, applies
 iterative k-core filtering, produces per-user train/validation/test splits
-and per-side minibatches. Pairs are held as integer arrays (CSR for each
-side), so every step is an array operation rather than a per-pair loop.
+and per-side minibatches of row indices. Pairs are held as integer arrays
+(CSR for each side, ``rows(side)``), so every step is an array operation
+rather than a per-pair loop.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +31,14 @@ def _is_number(tok: str) -> bool:
 
 
 class Csr:
-    """Rows of one side in CSR form: ``rows[k]`` is the sorted, read-only
-    array ``indices[indptr[k]:indptr[k + 1]]``."""
+    """Rows of one side in CSR form, ``width`` columns wide: ``rows[k]`` is
+    the sorted, read-only array ``indices[indptr[k]:indptr[k + 1]]``."""
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, n_rows: int):
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, n_rows: int, width: int):
         # pairs sorted by row, then by column
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
         self.indices = cols
+        self.width = width
         cols.flags.writeable = False
 
     def __len__(self) -> int:
@@ -54,12 +56,12 @@ class Csr:
         flat = np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
         return np.repeat(np.arange(len(rows)), lens), self.indices[flat]
 
-    def select(self, rows, n_cols: int, dtype=np.float64) -> sp.csr_matrix:
-        """The given rows as a scipy CSR matrix of ones, ``n_cols`` wide."""
+    def select(self, rows, dtype=np.float64) -> sp.csr_matrix:
+        """The given rows as a scipy CSR matrix of ones: the encoders' input."""
         rows = np.asarray(rows, dtype=np.int64)
         _, cols = self.gather(rows)
         indptr = np.concatenate([[0], np.cumsum(np.diff(self.indptr)[rows])])
-        return sp.csr_matrix((np.ones(len(cols), dtype), cols, indptr), shape=(len(rows), n_cols))
+        return sp.csr_matrix((np.ones(len(cols), dtype), cols, indptr), shape=(len(rows), self.width))
 
 
 class InteractionMatrix:
@@ -93,9 +95,9 @@ class InteractionMatrix:
         # sorted keys: faster than np.unique (which hashes) or a stable argsort
         keys = np.sort(users * self.num_items + items)
         rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) != 0], self.num_items)
-        self.user_items = Csr(rows, cols, self.num_users)
+        self.user_items = Csr(rows, cols, self.num_users, self.num_items)
         self.item_users = Csr(*np.divmod(np.sort(cols * self.num_users + rows), self.num_users),
-                              self.num_items)
+                              self.num_items, self.num_users)
         self.nnz = len(cols)
 
     def _coords(self):
@@ -103,14 +105,14 @@ class InteractionMatrix:
         rows = self.user_items
         return np.repeat(np.arange(self.num_users), np.diff(rows.indptr)), rows.indices
 
-    def sparse_users(self, users, dtype=np.float64) -> sp.csr_matrix:
-        """CSR interaction rows, one per requested user (``densify_users``
-        without the zeros)."""
-        return self.user_items.select(users, self.num_items, dtype)
-
-    def sparse_items(self, items, dtype=np.float64) -> sp.csr_matrix:
-        """CSR interaction columns, one row per requested item."""
-        return self.item_users.select(items, self.num_users, dtype)
+    def rows(self, side: str) -> Csr:
+        """The CSR view of one side: ``user_items`` for "user", ``item_users``
+        for "item"."""
+        if side == "user":
+            return self.user_items
+        if side == "item":
+            return self.item_users
+        raise ConfigError(f"unknown side {side!r}")
 
     def densify_users(self, users, dtype=np.float64) -> np.ndarray:
         """Dense slab of interaction rows, one per requested user."""
@@ -152,18 +154,6 @@ class DatasetSplit:
     valid: InteractionMatrix
     test: InteractionMatrix
     source: dict  # the split_record of how the three were made
-
-
-@dataclass
-class Batch:
-    side: str  # "user" or "item"
-    indices: np.ndarray
-    _matrix: InteractionMatrix = field(repr=False)
-
-    def sparse(self, dtype=np.float64) -> sp.csr_matrix:
-        if self.side == "user":
-            return self._matrix.sparse_users(self.indices, dtype)
-        return self._matrix.sparse_items(self.indices, dtype)
 
 
 def _resolve_format(path: Path, fmt):
@@ -226,7 +216,10 @@ def read_pairs(path, fmt=None):
     """
     path = Path(path)
     delim = _DELIMS[_resolve_format(path, fmt)]
-    text = path.read_text("utf-8")  # universal newlines, as ``open`` in text mode
+    try:
+        text = path.read_text("utf-8")  # universal newlines, as ``open`` in text mode
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text (byte offset {e.start})") from e
     # fixed-width numpy strings drop trailing NULs: this escape, prefix-free
     # and order-keeping, leaves none (\x01 -> \x01\x02, \x00 -> \x01\x01)
     if escaped := "\0" in text:
@@ -342,17 +335,14 @@ def split(
                         split_record(matrix.source, train_ratio, valid_of_test, seed))
 
 
-def make_batches(matrix: InteractionMatrix, side: str, batch_size: int, seed: int, epoch: int = 0):
-    """Seeded shuffled minibatches over one side; the last batch may be short.
+def make_batches(n: int, batch_size: int, seed: int, epoch: int = 0):
+    """Seeded shuffled minibatches of the row indices 0..n-1 of one side, as
+    index arrays; the last batch may be short.
 
     Shuffles differ across epochs but are reproducible for a given
-    (seed, epoch) pair. Rows are materialized lazily, as CSR, by
-    ``Batch.sparse()``.
+    (seed, epoch) pair. A batch's rows are ``matrix.rows(side).select(batch)``.
     """
-    if side not in ("user", "item"):
-        raise ConfigError(f"unknown side {side!r}")
-    n = matrix.num_users if side == "user" else matrix.num_items
     order = RngState(seed).derive(7, epoch).permutation(n)
     for start in range(0, n, batch_size):
-        yield Batch(side, order[start: start + batch_size], matrix)
+        yield order[start: start + batch_size]
 

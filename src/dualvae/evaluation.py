@@ -49,9 +49,9 @@ def score_block(snap: Snapshot, users, frozen: "gen.FrozenSide | None" = None,
     the aspect pool's lanes (``generation._map``): a task's first addend is
     made in its output rows and the others, added in aspect order, in its
     lane's scratch rows. A caller scoring many chunks of users may pass
-    ``frozen`` (``snap.frozen_items()``) and ``out`` (score rows; a lone user needs two)."""
+    ``frozen`` (``snap.frozen("item")``) and ``out`` (score rows; a lone user needs two)."""
     users = np.asarray(users, dtype=np.int64)
-    frozen = snap.frozen_items() if frozen is None else frozen
+    frozen = snap.frozen("item") if frozen is None else frozen
     # a lone user is scored as two rows: numpy rounds a one-row product as a vector one
     rows = np.repeat(users, 2) if len(users) == 1 else users
     out = (np.empty((len(rows), frozen.codes.shape[1]), frozen.codes.dtype) if out is None
@@ -95,7 +95,7 @@ def rank(snap: Snapshot, users, masks, n: int):
     buffer and ranked in even chunks of at most ``_RANK_USERS``; only each
     chunk's n best are kept."""
     users = np.asarray(users, dtype=np.int64)
-    frozen = snap.frozen_items()
+    frozen = snap.frozen("item")
     bounds = _even_bounds(len(users), _RANK_USERS)
     buf = np.empty((max(bounds[-1] - bounds[-2], 2), frozen.codes.shape[1]), frozen.codes.dtype)
     ranked, top = [], []

@@ -206,7 +206,7 @@ def _addend(code: np.ndarray, probs: np.ndarray, frozen: FrozenSide, a: int, out
 
 
 def poisson_loglik(codes, probs, frozen: FrozenSide, target) -> Tensor:
-    """Batch mean of the Poisson log-likelihood sum_j r_j * log g_j - g_j of
+    """The batch's mean Poisson log-likelihood sum_j r_j * log g_j - g_j of
     each row's whole interaction vector, as one (1, 1) tape op.
 
     ``codes`` holds the batch's (A * b, 2d) codes ``[z_a, f(z_a)]``,

@@ -19,12 +19,9 @@ from .tensor import RngState, Tape
 def _side_objective(side, matrix, params, snap, cfg, eps):
     """Closure computing one side's full-batch objective, ``trainer.batch_loss``."""
     enc, dec, protos, _ = params.side(side)
-    if side == "user":
-        rows = matrix.sparse_users(np.arange(matrix.num_users))
-        frozen = snap.frozen_items()
-    else:
-        rows = matrix.sparse_items(np.arange(matrix.num_items))
-        frozen = snap.frozen_users()
+    side_rows = matrix.rows(side)
+    rows = side_rows.select(np.arange(len(side_rows)))
+    frozen = snap.frozen(model_mod.OTHER_SIDE[side])
 
     def build(tape):
         return trainer.batch_loss(rows, rows, enc, dec, protos, frozen, cfg, cfg.beta,

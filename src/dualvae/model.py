@@ -4,8 +4,11 @@ A Snapshot is the phase-boundary view of the model: both sides' codes
 [posterior means | decoder images] (the means computed under the previous
 aspect probabilities), aspect-major as training makes them, and the
 refreshed aspect probability matrices. The side being trained next reads
-the other side's half of the snapshot as constants, and the same snapshot
-is what scoring, checkpointing and exports consume.
+the other side's half of the snapshot (``frozen(side)``) as constants, and
+the same snapshot is what scoring, checkpointing and exports consume.
+
+Each side's aspect prototypes (item rows h_a drive C, user rows m_a drive
+P) are trainable parameters of ``ModelParams``, in that side's group.
 """
 
 from __future__ import annotations
@@ -19,10 +22,13 @@ from .data import InteractionMatrix
 from .errors import ShapeError
 from .tensor import RngState
 
+OTHER_SIDE = {"user": "item", "item": "user"}
+
 
 class ModelParams:
     """All trainable tensors, in the flat groups ``user`` and ``item``; with
-    no ``rng`` the weights are unset, for ``load_checkpoint`` to assign."""
+    no ``rng`` the weights are unset, for ``load_checkpoint`` to assign.
+    The prototypes start i.i.d. normal with std 1/sqrt(dim), item bank first."""
 
     def __init__(self, num_users: int, num_items: int, n_aspects: int, dim: int,
                  hidden: int, rng: "RngState | None", dtype=np.float64):
@@ -33,18 +39,19 @@ class ModelParams:
         self.enc_i = enc_mod.EncoderParams("enc_i", num_users, hidden, dim, streams[1], dtype)
         self.dec_u = gen.DecoderParams("dec_u", dim, streams[2], dtype)
         self.dec_i = gen.DecoderParams("dec_i", dim, streams[3], dtype)
-        self.protos = aspects.Prototypes(n_aspects, dim, streams[4], dtype)
-        self.user = T.ParamGroup(self.enc_u.params() + self.dec_u.params()
-                                 + [self.protos.user_protos])
-        self.item = T.ParamGroup(self.enc_i.params() + self.dec_i.params()
-                                 + [self.protos.item_protos])
+        scale = 1.0 / float(np.sqrt(dim))
+        self.item_protos, self.user_protos = (  # drawn in this order, from one stream
+            T.Parameter(f"protos.{s}", T.init_weights(streams[4], n_aspects, dim, scale, dtype))
+            for s in ("item", "user"))
+        self.user = T.ParamGroup(self.enc_u.params() + self.dec_u.params() + [self.user_protos])
+        self.item = T.ParamGroup(self.enc_i.params() + self.dec_i.params() + [self.item_protos])
 
     def side(self, name: str):
         """``(encoder, decoder, prototypes, group)`` of the user or item side."""
         if name == "user":
-            return self.enc_u, self.dec_u, self.protos.user_protos, self.user
+            return self.enc_u, self.dec_u, self.user_protos, self.user
         if name == "item":
-            return self.enc_i, self.dec_i, self.protos.item_protos, self.item
+            return self.enc_i, self.dec_i, self.item_protos, self.item
         raise ShapeError(f"unknown side {name!r}")
 
     def all_params(self):
@@ -60,11 +67,11 @@ class Snapshot:
     user_codes: np.ndarray  # (A, m, 2d) [means | images], aspect-major
     item_codes: np.ndarray  # (A, n, 2d)
 
-    def frozen_items(self) -> gen.FrozenSide:
-        return gen.FrozenSide(self.item_codes, self.C)
-
-    def frozen_users(self) -> gen.FrozenSide:
-        return gen.FrozenSide(self.user_codes, self.P)
+    def frozen(self, side: str) -> gen.FrozenSide:
+        """The half of ``side``, "user" or "item", that the other side trains
+        and ranks against: views of its codes and its probabilities."""
+        codes, probs = {"user": (self.user_codes, self.P), "item": (self.item_codes, self.C)}[side]
+        return gen.FrozenSide(codes, probs)
 
 
 def compute_side_state(matrix: InteractionMatrix, side: str, params: ModelParams,
@@ -72,11 +79,8 @@ def compute_side_state(matrix: InteractionMatrix, side: str, params: ModelParams
     """Evaluation-mode codes [posterior means | decoder images] of one whole
     side, as one (A, N, 2d) array."""
     enc, dec, _, _ = params.side(side)
-    if side == "user":
-        n_entities, rows_of = matrix.num_users, matrix.sparse_users
-    else:
-        n_entities, rows_of = matrix.num_items, matrix.sparse_items
-    n_aspects = params.n_aspects
+    rows = matrix.rows(side)
+    n_entities, n_aspects = len(rows), params.n_aspects
     if mask_probs.shape[1] != n_aspects:
         raise ShapeError("mask probability column count != aspect count")
 
@@ -84,26 +88,26 @@ def compute_side_state(matrix: InteractionMatrix, side: str, params: ModelParams
     for start in range(0, n_entities, block):
         idx = np.arange(start, min(start + block, n_entities))
         # one encoder pass over the block's (A * b) aspect-major rows
-        mu, _, _ = enc_mod.encode(enc_mod.mask_aspects(rows_of(idx, dtype), mask_probs), enc)
+        mu, _, _ = enc_mod.encode(enc_mod.mask_aspects(rows.select(idx, dtype), mask_probs), enc)
         block_codes = T.concat_cols([mu, gen.decode(mu, dec)]).value
         codes[:, start:start + len(idx)] = block_codes.reshape(n_aspects, len(idx), -1)
     return codes
 
 
 def refresh(matrix: InteractionMatrix, params: ModelParams, C: np.ndarray, P: np.ndarray,
-            temp: float, pin_c: bool = False, pin_p: bool = False, dtype=np.float64) -> Snapshot:
+            temp: float, pinned=(), dtype=np.float64) -> Snapshot:
     """Recompute both sides' codes under the current masks, then the probs;
-    a pinned side's probabilities stay uniform."""
+    the probabilities of a side named in ``pinned`` stay uniform."""
     item_codes = compute_side_state(matrix, "item", params, P, dtype=dtype)
     user_codes = compute_side_state(matrix, "user", params, C, dtype=dtype)
-    if pin_c:
+    if "item" in pinned:
         new_C = aspects.uniform_probs(matrix.num_items, params.n_aspects, dtype)
     else:
-        new_C = aspects.item_aspect_probs(item_codes, params.protos.item_protos.value, temp).astype(dtype)
-    if pin_p:
+        new_C = aspects.item_aspect_probs(item_codes, params.item_protos.value, temp).astype(dtype)
+    if "user" in pinned:
         new_P = aspects.uniform_probs(matrix.num_users, params.n_aspects, dtype)
     else:
-        new_P = aspects.user_aspect_probs(user_codes, params.protos.user_protos.value, temp).astype(dtype)
+        new_P = aspects.user_aspect_probs(user_codes, params.user_protos.value, temp).astype(dtype)
     return Snapshot(new_C, new_P, user_codes, item_codes)
 
 
@@ -113,4 +117,4 @@ def bootstrap(matrix: InteractionMatrix, params: ModelParams, dtype=np.float64) 
     and aspect assignments. No temperature is read."""
     C0 = aspects.uniform_probs(matrix.num_items, params.n_aspects, dtype)
     P0 = aspects.uniform_probs(matrix.num_users, params.n_aspects, dtype)
-    return refresh(matrix, params, C0, P0, None, pin_c=True, pin_p=True, dtype=dtype)
+    return refresh(matrix, params, C0, P0, None, pinned=("user", "item"), dtype=dtype)

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import contrast as nrc, evaluation, generation as gen, model as model_mod
-from .data import DatasetSplit, InteractionMatrix
+from .data import DatasetSplit, InteractionMatrix, make_batches
 from .errors import CheckpointError, ConfigError, ContractError, DataError, NumericError
 from .model import ModelParams, Snapshot
 from .tensor import ParamGroup, RngState, Tape
@@ -85,13 +85,10 @@ class TrainConfig:
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
 
-    @property
-    def pin_c(self) -> bool:
-        return "no_add" in self.ablate or "no_id" in self.ablate
-
-    @property
-    def pin_p(self) -> bool:
-        return "no_add" in self.ablate or "no_ud" in self.ablate
+    def pinned(self, side: str) -> bool:
+        """Whether ``side``'s aspect probabilities (P for "user", C for
+        "item") stay uniform under the ablations."""
+        return "no_add" in self.ablate or {"user": "no_ud", "item": "no_id"}[side] in self.ablate
 
     @property
     def effective_gamma(self) -> float:
@@ -180,28 +177,26 @@ def batch_loss(rows, enc_rows, enc, dec, protos, frozen, cfg: TrainConfig, beta:
 def train_phase(side: str, train: InteractionMatrix, params: ModelParams, snap: Snapshot,
                 opt: Adam, cfg: TrainConfig, epoch: int, rng: RngState) -> PhaseStats:
     """One pass over one side's batches against the frozen other side."""
-    from .data import make_batches
-
     enc, dec, protos, live_group = params.side(side)
-    user = side == "user"
-    frozen = snap.frozen_items() if user else snap.frozen_users()
-    frozen_group = params.item if user else params.user
-    if cfg.pin_p if user else cfg.pin_c:
+    other = model_mod.OTHER_SIDE[side]
+    frozen, frozen_group = snap.frozen(other), params.side(other)[3]
+    if cfg.pinned(side):
         protos = None
     frozen_group.zero_grad()
 
     beta = cfg.beta_at(epoch)
     dtype = cfg.np_dtype
-    noise_rng = rng.derive(epoch, 0 if user else 1)
+    noise_rng = rng.derive(epoch, 0 if side == "user" else 1)
 
+    side_rows = train.rows(side)
     totals = np.zeros(4)
     n_batches = 0
-    for batch in make_batches(train, side, cfg.batch_size, cfg.seed, epoch):
+    for batch in make_batches(len(side_rows), cfg.batch_size, cfg.seed, epoch):
         live_group.zero_grad()
-        rows = batch.sparse(dtype)
+        rows = side_rows.select(batch, dtype)
         enc_rows = _encoder_rows(rows, cfg, noise_rng)
         # aspect-major (A * b, d): the stream of A successive (b, d) draws
-        eps = noise_rng.standard_normal(params.n_aspects * len(batch.indices), params.dim, dtype)
+        eps = noise_rng.standard_normal(params.n_aspects * len(batch), params.dim, dtype)
         tape = Tape()
         loss, terms, closs = batch_loss(rows, enc_rows, enc, dec, protos, frozen, cfg, beta, eps,
                                         tape)
@@ -233,12 +228,11 @@ def train_epoch_pair(split: DatasetSplit, params: ModelParams, opt_u: Adam, opt_
     epoch (or the uniform bootstrap); the returned one feeds validation and
     the next epoch.
     """
+    pinned = [side for side in ("user", "item") if cfg.pinned(side)]
     user_stats = train_phase("user", split.train, params, snap, opt_u, cfg, epoch, rng)
-    snap = model_mod.refresh(split.train, params, snap.C, snap.P, cfg.temp,
-                             cfg.pin_c, cfg.pin_p, dtype=cfg.np_dtype)
+    snap = model_mod.refresh(split.train, params, snap.C, snap.P, cfg.temp, pinned, cfg.np_dtype)
     item_stats = train_phase("item", split.train, params, snap, opt_i, cfg, epoch, rng)
-    snap = model_mod.refresh(split.train, params, snap.C, snap.P, cfg.temp,
-                             cfg.pin_c, cfg.pin_p, dtype=cfg.np_dtype)
+    snap = model_mod.refresh(split.train, params, snap.C, snap.P, cfg.temp, pinned, cfg.np_dtype)
     return snap, user_stats, item_stats
 
 
@@ -297,10 +291,8 @@ def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = Fa
             history.append({"epoch": epoch, "user": user_stats, "item": item_stats, "val_r20": r20})
             if log_fh:
                 for phase, st in (("user", user_stats), ("item", item_stats)):
-                    log_fh.write(
-                        f"{epoch}\t{phase}\t{st.loss:.6f}\t{st.recon:.6f}\t{st.kl:.6f}"
-                        f"\t{st.contrast:.6f}\t{r20 if not np.isnan(r20) else float('nan'):.6f}\n"
-                    )
+                    log_fh.write(f"{epoch}\t{phase}\t{st.loss:.6f}\t{st.recon:.6f}\t{st.kl:.6f}"
+                                 f"\t{st.contrast:.6f}\t{r20:.6f}\n")
                 log_fh.flush()
             if verbose:
                 print(f"epoch {epoch}: user loss {user_stats.loss:.4f} "

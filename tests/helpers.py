@@ -116,7 +116,7 @@ def snapshot_addends(snap, users):
     """Adapter, not an oracle: ``aspect_addends`` of the given users against
     every item, from a snapshot's arrays."""
     codes = snap.user_codes[:, users].reshape(-1, snap.user_codes.shape[2])
-    return aspect_addends(codes, snap.P[users], snap.frozen_items())
+    return aspect_addends(codes, snap.P[users], snap.frozen("item"))
 
 
 def whole_matrix_rank(snap, users, masks, n):

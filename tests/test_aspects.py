@@ -101,28 +101,26 @@ def test_temperature_must_be_positive():
 
 def test_live_probs_match_eval_path_and_gradcheck():
     A, d, b = 3, 4, 5
-    rng = T.RngState(0)
-    protos = aspects.Prototypes(A, d, rng)
+    protos = T.Parameter("protos.user", T.init_weights(T.RngState(0), A, d, d ** -0.5, np.float64))
     # the (A * b, d) aspect-major stack of the per-aspect means
     mean_param = T.Parameter("mu", RNG.standard_normal((A * b, d)))
     weights = RNG.standard_normal((b, A))
 
     def build(tape):
-        probs = aspects.aspect_probs_live(tape.leaf(mean_param), tape.leaf(protos.user_protos),
-                                          temp=0.4)
+        probs = aspects.aspect_probs_live(tape.leaf(mean_param), tape.leaf(protos), temp=0.4)
         return T.sum_all(T.mul(probs, weights))
 
     tape = T.Tape()
     live = build(tape)
     stored = mean_param.value.reshape(A, b, d).transpose(1, 0, 2)  # (b, A, d)
-    eval_probs = aspects.user_aspect_probs(stacked_codes(stored), protos.user_protos.value, 0.4)
+    eval_probs = aspects.user_aspect_probs(stacked_codes(stored), protos.value, 0.4)
     probs_again = aspects.aspect_probs_live(
-        T.constant(mean_param.value), T.constant(protos.user_protos.value), 0.4
+        T.constant(mean_param.value), T.constant(protos.value), 0.4
     )
     np.testing.assert_allclose(probs_again.value, eval_probs, atol=1e-12)
 
     # gradients reach both the prototypes and the latent means
-    checked = [mean_param, protos.user_protos]
+    checked = [mean_param, protos]
     for p in checked:
         p.grad[...] = 0.0
     tape.backward(live)

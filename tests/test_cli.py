@@ -105,6 +105,21 @@ def test_missing_dataset_exit_code_2(tmp_path):
     assert "/nonexistent/x.tsv" in out.stderr
 
 
+def test_non_utf8_dataset_exit_code_2(tmp_path):
+    path = tmp_path / "inter.tsv"
+    path.write_bytes(b"\xff\xfeu1\ti1\nu2\ti2\n")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[data]\npath = {path}\n")
+    for args in (("ingest", str(path), "--out", str(tmp_path / "data")),
+                 ("train", "--config", str(cfg)),
+                 ("sweep", "--config", str(cfg), "--lr-grid", "1e-2", "--gamma-grid", "0.1",
+                  "--out", str(tmp_path / "sweep"))):
+        out = run_cli(*args)
+        assert out.returncode == 2, (args, out.stderr)
+        assert out.stderr.startswith("data error: ") and "byte offset 0" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
 def test_bad_config_value_exit_code_1(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[train]\nlr = 0.9\n")

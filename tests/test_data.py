@@ -99,6 +99,15 @@ def test_ingest_bad_line_reports_number(tmp_path):
         data.ingest(write(tmp_path, "1\t2\nonlyonecolumn\n"))
 
 
+def test_non_utf8_file_is_a_data_error_at_its_byte_offset(tmp_path):
+    p = tmp_path / "inter.tsv"
+    p.write_bytes("é\t1\n".encode() + b"\xff\xfe\t2\n")  # é is two bytes
+    with pytest.raises(DataError, match=r"inter\.tsv: not UTF-8 text \(byte offset 5\)"):
+        data.read_pairs(p)
+    with pytest.raises(DataError, match="byte offset 5"):
+        data.ingest(p)
+
+
 def test_ingest_missing_file():
     with pytest.raises(DataError):
         data.ingest("/nonexistent/file.tsv")
@@ -167,20 +176,19 @@ def test_split_rejects_bad_ratio():
 # batches
 
 def test_batch_sizes_300_users():
-    m = make_matrix(num_users=300, num_items=10, density=0.5)
-    sizes = [len(b.indices) for b in data.make_batches(m, "user", 128, seed=0)]
+    sizes = [len(b) for b in data.make_batches(300, 128, seed=0)]
     assert sizes == [128, 128, 44]
 
 
 def test_batch_dense_matches_sparse_rows():
     m = make_matrix(seed=2)
-    batch = next(data.make_batches(m, "user", 7, seed=3))
-    slab = batch.sparse().toarray()
-    for k, u in enumerate(batch.indices):
+    batch = next(data.make_batches(m.num_users, 7, seed=3))
+    slab = m.rows("user").select(batch).toarray()
+    for k, u in enumerate(batch):
         np.testing.assert_array_equal(np.nonzero(slab[k])[0], m.user_items[u])
-    ib = next(data.make_batches(m, "item", 5, seed=3))
-    islab = ib.sparse().toarray()
-    for k, i in enumerate(ib.indices):
+    ib = next(data.make_batches(m.num_items, 5, seed=3))
+    islab = m.rows("item").select(ib).toarray()
+    for k, i in enumerate(ib):
         np.testing.assert_array_equal(np.nonzero(islab[k])[0], m.item_users[i])
 
 
@@ -188,22 +196,29 @@ def test_batch_dense_matches_sparse_rows():
 def test_batch_csr_equals_dense_slab(dtype):
     m = make_matrix(seed=5)
     for side, size in (("user", 7), ("item", 5)):
-        for batch in data.make_batches(m, side, size, seed=1):
-            rows = batch.sparse(dtype)
+        densify = m.densify_users if side == "user" else m.densify_items
+        for batch in data.make_batches(len(m.rows(side)), size, seed=1):
+            rows = m.rows(side).select(batch, dtype)
             assert rows.dtype == dtype and rows.has_sorted_indices
-            densify = m.densify_users if side == "user" else m.densify_items
-            np.testing.assert_array_equal(rows.toarray(), densify(batch.indices, dtype))
-    some = np.array([4, 0, 4, 2])
-    np.testing.assert_array_equal(m.sparse_users(some).toarray(), m.densify_users(some))
-    np.testing.assert_array_equal(m.sparse_items(some).toarray(), m.densify_items(some))
-    assert m.sparse_users(np.array([], dtype=int)).shape == (0, m.num_items)
+            np.testing.assert_array_equal(rows.toarray(), densify(batch, dtype))
+        some = np.array([4, 0, 4, 2])
+        rows = m.rows(side).select(some, dtype)
+        assert rows.dtype == dtype
+        np.testing.assert_array_equal(rows.toarray(), densify(some, dtype))
+        # an empty selection keeps the side's width
+        width = m.num_items if side == "user" else m.num_users
+        assert m.rows(side).select(np.array([], dtype=int), dtype).shape == (0, width)
+
+
+def test_rows_rejects_an_unknown_side():
+    with pytest.raises(ConfigError, match="unknown side 'bogus'"):
+        make_matrix().rows("bogus")
 
 
 def test_batch_shuffles_differ_by_epoch_but_reproduce():
-    m = make_matrix(num_users=50)
-    e0 = np.concatenate([b.indices for b in data.make_batches(m, "user", 16, seed=4, epoch=0)])
-    e1 = np.concatenate([b.indices for b in data.make_batches(m, "user", 16, seed=4, epoch=1)])
-    e0_again = np.concatenate([b.indices for b in data.make_batches(m, "user", 16, seed=4, epoch=0)])
+    e0 = np.concatenate(list(data.make_batches(50, 16, seed=4, epoch=0)))
+    e1 = np.concatenate(list(data.make_batches(50, 16, seed=4, epoch=1)))
+    e0_again = np.concatenate(list(data.make_batches(50, 16, seed=4, epoch=0)))
     assert not np.array_equal(e0, e1)
     np.testing.assert_array_equal(e0, e0_again)
 

@@ -242,14 +242,14 @@ def test_training_and_ranking_score_the_same_pairs():
     params = model.ModelParams(9, 11, 3, 4, 5, T.RngState(4))
     snap = model.bootstrap(matrix, params)
     users = np.array([0, 3, 4, 8])
-    rows = matrix.sparse_users(users)
+    rows = matrix.rows("user").select(users)
     terms, fwd = gen.side_loss(
         rows, rows, params.enc_u, params.dec_u,
-        None, snap.frozen_items(), temp=0.5, beta=1.0, eps=None, tape=None,
+        None, snap.frozen("item"), temp=0.5, beta=1.0, eps=None, tape=None,
     )
     scores = ev.score_block(snap, users)
     codes = np.concatenate([fwd.z.value, gen.decode(fwd.z, params.dec_u).value], axis=1)
-    training = sum(aspect_addends(codes, fwd.probs.value, snap.frozen_items()))
+    training = sum(aspect_addends(codes, fwd.probs.value, snap.frozen("item")))
     np.testing.assert_allclose(training, scores, rtol=0.0, atol=1e-12)
     # and the fused likelihood is the Poisson term of those very scores
     r = matrix.densify_users(users)

@@ -227,10 +227,10 @@ def test_user_loss_closed_form_all_zero_rows():
     matrix, params, snap = tiny_world(seed=3)
     empty = sp.csr_matrix((1, matrix.num_items))
     terms, fwd = gen.side_loss(
-        empty, empty, params.enc_u, params.dec_u, params.protos.user_protos,
-        snap.frozen_items(), temp=0.5, beta=1.0, eps=None, tape=None,
+        empty, empty, params.enc_u, params.dec_u, params.user_protos,
+        snap.frozen("item"), temp=0.5, beta=1.0, eps=None, tape=None,
     )
-    scores = forward_scores(fwd, params.dec_u, snap.frozen_items())
+    scores = forward_scores(fwd, params.dec_u, snap.frozen("item"))
     np.testing.assert_allclose(terms.recon.item(), -scores.sum(), atol=1e-12)
     assert np.all(scores > 0.0) and np.all(scores < 1.0)
 
@@ -241,10 +241,10 @@ def test_user_loss_kl_is_sum_of_per_aspect_kls():
     matrix, params, snap = tiny_world(seed=5)
     users = [0, 1]
     slab = matrix.densify_users(users)
-    rows = matrix.sparse_users(users)
+    rows = matrix.rows("user").select(users)
     terms, fwd = gen.side_loss(
-        rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
-        snap.frozen_items(), temp=0.5, beta=1.0, eps=None, tape=None,
+        rows, rows, params.enc_u, params.dec_u, params.user_protos,
+        snap.frozen("item"), temp=0.5, beta=1.0, eps=None, tape=None,
     )
     want = 0.0
     for a in range(params.n_aspects):
@@ -256,10 +256,10 @@ def test_user_loss_kl_is_sum_of_per_aspect_kls():
 
 def test_elbo_terms_sign_convention():
     matrix, params, snap = tiny_world(seed=6)
-    rows = matrix.sparse_users([0, 1, 2])
+    rows = matrix.rows("user").select([0, 1, 2])
     terms, _ = gen.side_loss(
-        rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
-        snap.frozen_items(), temp=0.5, beta=0.7, eps=None, tape=None,
+        rows, rows, params.enc_u, params.dec_u, params.user_protos,
+        snap.frozen("item"), temp=0.5, beta=0.7, eps=None, tape=None,
     )
     np.testing.assert_allclose(
         terms.loss.item(), -(terms.recon.item() - 0.7 * terms.kl.item()), atol=1e-12
@@ -268,14 +268,14 @@ def test_elbo_terms_sign_convention():
 
 def test_user_loss_gradient_matches_finite_differences():
     matrix, params, snap = tiny_world(m=4, n=6, A=2, d=3, hidden=4, seed=8)
-    rows = matrix.sparse_users([0, 1, 2, 3])
+    rows = matrix.rows("user").select([0, 1, 2, 3])
     eps = RNG.standard_normal((2 * 4, 3))  # A = 2 aspects of 4 users, aspect-major
-    frozen = snap.frozen_items()
+    frozen = snap.frozen("item")
     live = params.user
 
     def build(tape):
         terms, _ = gen.side_loss(
-            rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
+            rows, rows, params.enc_u, params.dec_u, params.user_protos,
             frozen, temp=0.5, beta=1.0, eps=eps, tape=tape,
         )
         return terms.loss
@@ -291,13 +291,13 @@ def test_user_loss_gradient_matches_finite_differences():
 
 def test_frozen_side_gets_zero_gradient():
     matrix, params, snap = tiny_world(seed=9)
-    rows = matrix.sparse_users([0, 1])
+    rows = matrix.rows("user").select([0, 1])
     for p in params.all_params():
         p.grad[...] = 0.0
     tape = T.Tape()
     terms, _ = gen.side_loss(
-        rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
-        snap.frozen_items(), temp=0.5, beta=1.0, eps=None, tape=tape,
+        rows, rows, params.enc_u, params.dec_u, params.user_protos,
+        snap.frozen("item"), temp=0.5, beta=1.0, eps=None, tape=tape,
     )
     tape.backward(terms.loss)
     for p in params.item:
@@ -328,8 +328,8 @@ def test_item_loss_equals_user_loss_on_transposed_data():
         pd.value[...] = ps.value
     for pd, ps in zip(params_t.dec_i.params(), params.dec_u.params()):
         pd.value[...] = ps.value
-    params_t.protos.user_protos.value[...] = params.protos.item_protos.value
-    params_t.protos.item_protos.value[...] = params.protos.user_protos.value
+    params_t.user_protos.value[...] = params.item_protos.value
+    params_t.item_protos.value[...] = params.user_protos.value
 
     snap = model.bootstrap(matrix, params)
     snap = model.refresh(matrix, params, snap.C, snap.P, temp=0.5)
@@ -338,39 +338,39 @@ def test_item_loss_equals_user_loss_on_transposed_data():
 
     items = list(range(n))
     terms_item, _ = gen.side_loss(
-        matrix.sparse_items(items), matrix.sparse_items(items),
-        params.enc_i, params.dec_i, params.protos.item_protos,
-        snap.frozen_users(), temp=0.5, beta=1.0, eps=None, tape=None,
+        matrix.rows("item").select(items), matrix.rows("item").select(items),
+        params.enc_i, params.dec_i, params.item_protos,
+        snap.frozen("user"), temp=0.5, beta=1.0, eps=None, tape=None,
     )
     terms_user_t, _ = gen.side_loss(
-        matrix_t.sparse_users(items), matrix_t.sparse_users(items),
-        params_t.enc_u, params_t.dec_u, params_t.protos.user_protos,
-        snap_t.frozen_items(), temp=0.5, beta=1.0, eps=None, tape=None,
+        matrix_t.rows("user").select(items), matrix_t.rows("user").select(items),
+        params_t.enc_u, params_t.dec_u, params_t.user_protos,
+        snap_t.frozen("item"), temp=0.5, beta=1.0, eps=None, tape=None,
     )
     assert abs(terms_item.loss.item() - terms_user_t.loss.item()) < 1e-9
 
 
 def test_eval_mode_scores_are_deterministic():
     matrix, params, snap = tiny_world(seed=13)
-    rows = matrix.sparse_users([0, 1])
-    args = (rows, rows, params.enc_u, params.dec_u, params.protos.user_protos, snap.frozen_items())
+    rows = matrix.rows("user").select([0, 1])
+    args = (rows, rows, params.enc_u, params.dec_u, params.user_protos, snap.frozen("item"))
     _, fwd1 = gen.side_loss(*args, temp=0.5, beta=1.0, eps=None, tape=None)
     _, fwd2 = gen.side_loss(*args, temp=0.5, beta=1.0, eps=None, tape=None)
-    np.testing.assert_array_equal(forward_scores(fwd1, params.dec_u, snap.frozen_items()),
-                                  forward_scores(fwd2, params.dec_u, snap.frozen_items()))
+    np.testing.assert_array_equal(forward_scores(fwd1, params.dec_u, snap.frozen("item")),
+                                  forward_scores(fwd2, params.dec_u, snap.frozen("item")))
 
 
 def test_frozen_perturbation_moves_loss_but_not_accumulators():
     # wiggling a frozen-side parameter changes the objective value (through
     # the frozen pack) while its gradient accumulator stays exactly zero
     matrix, params, snap = tiny_world(seed=21)
-    rows = matrix.sparse_users([0, 1, 2])
+    rows = matrix.rows("user").select([0, 1, 2])
 
     def loss_with_current_item_side():
         s = model.refresh(matrix, params, snap.C, snap.P, temp=0.5)
         terms, _ = gen.side_loss(
-            rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
-            s.frozen_items(), temp=0.5, beta=1.0, eps=None, tape=None,
+            rows, rows, params.enc_u, params.dec_u, params.user_protos,
+            s.frozen("item"), temp=0.5, beta=1.0, eps=None, tape=None,
         )
         return terms.loss.item()
 
@@ -384,8 +384,8 @@ def test_frozen_perturbation_moves_loss_but_not_accumulators():
         p.grad[...] = 0.0
     tape = T.Tape()
     terms, _ = gen.side_loss(
-        rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
-        snap.frozen_items(), temp=0.5, beta=1.0, eps=None, tape=tape,
+        rows, rows, params.enc_u, params.dec_u, params.user_protos,
+        snap.frozen("item"), temp=0.5, beta=1.0, eps=None, tape=tape,
     )
     tape.backward(terms.loss)
     np.testing.assert_array_equal(params.enc_i.w1.grad, 0.0)
@@ -404,7 +404,7 @@ def test_stacked_side_loss_matches_per_aspect_composition(seed, b, A, d, pinned,
     streams = T.RngState(seed)
     enc = encoder.EncoderParams("enc", n, hidden, d, streams.derive(1), dtype)
     dec = gen.DecoderParams("dec", d, streams.derive(2), dtype)
-    protos = aspects.Prototypes(A, d, streams.derive(3), dtype).user_protos
+    protos = T.Parameter("protos", T.init_weights(streams.derive(3), A, d, d ** -0.5, dtype))
     live = enc.params() + dec.params() + [protos]
     eps = rng.standard_normal((A * b, d)).astype(dtype) if noisy else None
     eps_list = None if eps is None else np.split(eps, A)
@@ -432,10 +432,10 @@ def test_side_loss_tape_does_not_grow_with_aspects():
     nodes = []
     for A in (1, 2, 4):
         matrix, params, snap = tiny_world(A=A, seed=2)
-        rows = matrix.sparse_users([0, 1, 2])
+        rows = matrix.rows("user").select([0, 1, 2])
         tape = T.Tape()
-        gen.side_loss(rows, rows, params.enc_u, params.dec_u, params.protos.user_protos,
-                      snap.frozen_items(), temp=0.5, beta=1.0,
+        gen.side_loss(rows, rows, params.enc_u, params.dec_u, params.user_protos,
+                      snap.frozen("item"), temp=0.5, beta=1.0,
                       eps=RNG.standard_normal((A * 3, params.dim)), tape=tape)
         nodes.append(len(tape.nodes))
     assert nodes[0] == nodes[1] == nodes[2]
@@ -449,7 +449,7 @@ def test_stacked_side_state_matches_single_aspect_encodes(side):
                             else (snap.P, params.enc_i, params.dec_i))
     codes = model.compute_side_state(matrix, side, params, mask_probs, block=4)
     d = params.dim
-    rows = (matrix.sparse_users if side == "user" else matrix.sparse_items)(np.arange(n_entities))
+    rows = matrix.rows(side).select(np.arange(n_entities))
     for a in range(3):
         col = mask_probs[:, a]
         masked = sp.csr_matrix((rows.data * col[rows.indices], rows.indices, rows.indptr),
@@ -461,8 +461,8 @@ def test_stacked_side_state_matches_single_aspect_encodes(side):
 
 def test_frozen_sides_are_views_of_the_snapshot():
     _, _, snap = tiny_world(seed=32)
-    for frozen, codes, probs in ((snap.frozen_items(), snap.item_codes, snap.C),
-                                 (snap.frozen_users(), snap.user_codes, snap.P)):
+    for frozen, codes, probs in ((snap.frozen("item"), snap.item_codes, snap.C),
+                                 (snap.frozen("user"), snap.user_codes, snap.P)):
         assert np.shares_memory(frozen.codes, codes) and np.shares_memory(frozen.probs, probs)
 
 
@@ -496,14 +496,14 @@ def test_float32_batch_records_only_float32_nodes():
     snap = model.bootstrap(matrix, params, dtype=f32)
     snap = model.refresh(matrix, params, snap.C, snap.P, temp=0.5, dtype=f32)
     users = [0, 1, 2, 3]
-    rows = matrix.sparse_users(users, f32)
-    frozen = snap.frozen_items()
+    rows = matrix.rows("user").select(users, f32)
+    frozen = snap.frozen("item")
     eps = T.RngState(3).standard_normal(A * len(users), d, f32)
 
     tape = T.Tape()
     terms, fwd = gen.side_loss(
         rows, rows, params.enc_u, params.dec_u,
-        params.protos.user_protos, frozen, temp=0.5, beta=1.0, eps=eps, tape=tape,
+        params.user_protos, frozen, temp=0.5, beta=1.0, eps=eps, tape=tape,
     )
     o = contrast.batch_neighborhood_reprs(rows, frozen)
     closs = contrast.batch_contrast(fwd.z, o, trainer.TrainConfig(), np.diff(rows.indptr) > 0)

@@ -1,5 +1,5 @@
-"""Every public function and method of ``src/dualvae`` has a caller in the
-program: a reference in ``src/`` outside its own definition, or in
+"""Every public class, function and method of ``src/dualvae`` has a caller
+in the program: a reference in ``src/`` outside its own definition, or in
 ``benchmarks/`` (whose ``layers.py`` names its wrap targets as strings). A
 name that only tests call is an oracle and belongs in ``tests/helpers.py``."""
 
@@ -17,12 +17,13 @@ ALLOWED = {
 
 
 def public_defs(tree):
-    """(name, first line, last line) of the module's public functions and
-    the public methods of its classes."""
+    """(name, first line, last line) of the module's public classes and
+    functions and the public methods of its classes."""
     for node in tree.body:
-        members = node.body if isinstance(node, ast.ClassDef) else [node]
-        for member in members:
-            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for member in [node, *members]:
+            if (isinstance(member, (ast.ClassDef, ast.FunctionDef))
+                    and not member.name.startswith("_")):
                 yield member.name, member.lineno, member.end_lineno
 
 

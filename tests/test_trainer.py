@@ -53,7 +53,7 @@ def test_config_rejects_out_of_grid_values():
 def test_ablation_flags():
     cfg = small_cfg(ablate=("no_nrc", "no_add"))
     assert cfg.effective_gamma == 0.0
-    assert cfg.pin_c and cfg.pin_p
+    assert cfg.pinned("user") and cfg.pinned("item")
     with pytest.raises(ConfigError):
         small_cfg(ablate=("bogus",))
 
@@ -208,7 +208,7 @@ def test_frozen_audit_names_the_touched_parameter():
     cfg = small_cfg()
     _, params, _, _, _ = setup_run(cfg, small_split())
     trainer._assert_frozen_untouched(params.item, "user")
-    params.protos.item_protos.grad[0, 0] = 1e-300
+    params.item_protos.grad[0, 0] = 1e-300
     with pytest.raises(ContractError, match="frozen parameter protos.item .* user phase"):
         trainer._assert_frozen_untouched(params.item, "user")
 
@@ -309,13 +309,27 @@ def test_training_step_tape_is_freed_without_gc(monkeypatch, side):
         gc.enable()
 
 
-def test_no_add_keeps_probs_uniform():
-    cfg = small_cfg(ablate=("no_add",))
+@pytest.mark.parametrize("ablate, pinned", [((), set()), (("no_add",), {"user", "item"}),
+                                             (("no_ud",), {"user"}), (("no_id",), {"item"})],
+                         ids=["none", "no_add", "no_ud", "no_id"])
+def test_pins_keep_exactly_the_pinned_probs_uniform(ablate, pinned):
+    # no_ud pins the users' P, no_id the items' C, no_add both: exactly the
+    # pinned matrices stay uniform, and only the unpinned prototypes train
+    cfg = small_cfg(ablate=ablate)
     split = small_split()
     rng, params, opt_u, opt_i, snap = setup_run(cfg, split)
+    protos = {"user": params.user_protos, "item": params.item_protos}
+    grads = {"user": [], "item": []}  # per step: whether the side's prototypes got a gradient
+    for side, opt in (("user", opt_u), ("item", opt_i)):
+        def recording_step(side=side, step=opt.step):
+            grads[side].append(bool(np.any(protos[side].grad)))
+            step()
+        opt.step = recording_step
     snap, _, _ = trainer.train_epoch_pair(split, params, opt_u, opt_i, snap, cfg, 1, rng)
-    np.testing.assert_allclose(snap.C, 1.0 / cfg.aspects)
-    np.testing.assert_allclose(snap.P, 1.0 / cfg.aspects)
+    for side, probs in (("user", snap.P), ("item", snap.C)):
+        assert cfg.pinned(side) == (side in pinned)
+        assert np.allclose(probs, 1.0 / cfg.aspects) == (side in pinned)
+        assert grads[side] and any(grads[side]) == (side not in pinned)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +619,7 @@ def test_encoder_rows_on_csr_match_dense_formula(dropout, normalize, dtype):
     matrix = from_dense((np.random.default_rng(4).random((9, 40)) < 0.3))
     users = np.array([3, 0, 8, 5])
     cfg = small_cfg(input_dropout=dropout, normalize_input=normalize)
-    got = trainer._encoder_rows(matrix.sparse_users(users, dtype), cfg, RngState(2).derive(1))
+    got = trainer._encoder_rows(matrix.rows("user").select(users, dtype), cfg, RngState(2).derive(1))
     want = dense_encoder_rows(matrix.densify_users(users, dtype), cfg, RngState(2).derive(1))
     assert got.dtype == dtype
     np.testing.assert_array_max_ulp(got.toarray(), want, maxulp=1)
