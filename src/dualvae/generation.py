@@ -153,9 +153,10 @@ def side_loss(
 #   not ``_map``, whose tasks would wait for the workers that wait on them;
 # - enters any ``np.errstate`` it needs itself: errstate is per thread;
 # - allocates nothing (b, N)-sized, but writes into arrays its caller made:
-#   glibc gives each thread its own heap arena and keeps what it freed there.
-#   Scratch is one array per lane, not per task: more (b, N) blocks live at
-#   once make glibc hand the heap back and fault it in again every batch.
+#   a worker thread has its own glibc arena, whose freed blocks the main
+#   thread does not reuse. Scratch is one array per lane, not per task.
+#   ``trainer.fit`` pins the heap so freed blocks stay for the next batch; a
+#   process that serves without fitting keeps glibc's trimming defaults.
 
 _GATE = 1 << 17  # cells in one task's dense block below which the pool loses
 _pool = None     # the ThreadPoolExecutor, made on first use

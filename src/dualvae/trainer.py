@@ -10,6 +10,7 @@ that holds the split it was trained on, written atomically.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -101,7 +102,8 @@ class TrainConfig:
 
 
 class Adam:
-    """Bias-corrected Adam over one parameter group's flat buffers."""
+    """Bias-corrected Adam over one parameter group's flat buffers, updated
+    in place through two scratch buffers, so a step allocates nothing."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -111,19 +113,28 @@ class Adam:
         self.step_count = 0
         self.m = np.zeros_like(group.value)
         self.v = np.zeros_like(group.value)
+        self._s1 = np.empty_like(group.value)
+        self._s2 = np.empty_like(group.value)
 
     def step(self):
-        self.step_count += 1
-        t = self.step_count
         g = self.group.grad
-        if not np.isfinite(g).all():
+        # the mask goes into the first bytes of a scratch buffer, which the
+        # update overwrites; a refused step leaves everything as it was
+        if not np.isfinite(g, out=self._s2.view(np.bool_)[:g.size]).all():
             bad = next(p.name for p in self.group if not np.isfinite(p.grad).all())
             raise NumericError(f"non-finite gradient for parameter {bad}")
-        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * g
-        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * (g * g)
-        m_hat = self.m / (1.0 - self.BETA1 ** t)
-        v_hat = self.v / (1.0 - self.BETA2 ** t)
-        self.group.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+        self.step_count += 1
+        t = self.step_count
+        m, v, s1, s2 = self.m, self.v, self._s1, self._s2
+        # m = BETA1 * m + (1 - BETA1) * g; v = BETA2 * v + (1 - BETA2) * (g * g)
+        np.multiply(m, self.BETA1, out=m)
+        np.add(m, np.multiply(g, 1.0 - self.BETA1, out=s1), out=m)
+        np.multiply(np.multiply(g, g, out=s1), 1.0 - self.BETA2, out=s1)
+        np.add(np.multiply(v, self.BETA2, out=v), s1, out=v)
+        # value -= lr * m_hat / (sqrt(v_hat) + EPS)
+        np.multiply(np.divide(m, 1.0 - self.BETA1 ** t, out=s1), self.lr, out=s1)
+        np.add(np.sqrt(np.divide(v, 1.0 - self.BETA2 ** t, out=s2), out=s2), self.EPS, out=s2)
+        np.subtract(self.group.value, np.divide(s1, s2, out=s1), out=self.group.value)
 
 
 @dataclass
@@ -254,10 +265,28 @@ class FitResult:
     valid_metrics: dict = field(default_factory=dict)  # the best epoch's, at ``fit``'s cutoffs
 
 
+def _pin_heap() -> bool:
+    """Hold the heap still: glibc serves blocks below 32 MiB (the top of its
+    dynamic mmap threshold) from the heap and keeps up to 256 MiB of freed
+    top, so a batch reuses the pages the previous batch's tape freed rather
+    than faulting in pages glibc handed back. Setting the trim threshold
+    alone would also stop glibc adapting the mmap threshold, so both are set.
+    Idempotent; a no-op where libc has no ``mallopt``. True if glibc took both."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mmap_ok = mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    trim_ok = mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    return mmap_ok == 1 and trim_ok == 1
+
+
 def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = False,
         cutoffs=(20,)) -> FitResult:
     """Full training run returning the best-validation checkpoint. Each
     epoch's validation ranks at ``cutoffs`` and 20, which selects the best."""
+    _pin_heap()
     cfg.validate()
     dtype = cfg.np_dtype
     train = split.train

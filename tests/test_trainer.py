@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import platform
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -119,10 +121,29 @@ def test_adam_names_the_nonfinite_member_and_moves_no_weight():
     group = ParamGroup([Parameter("enc.b1", np.ones((1, 3))), Parameter("enc.w2", np.ones((3, 2)))])
     opt = trainer.Adam(group, lr=0.01)
     group.grad[...] = 0.5
+    opt.step()  # a taken step, so the moments and the count are not their initial zeros
+    before = (opt.step_count, opt.m.copy(), opt.v.copy(), group.value.copy())
     group.params[1].grad[2, 1] = np.inf
     with pytest.raises(NumericError, match="parameter enc.w2$"):
         opt.step()
-    np.testing.assert_array_equal(group.value, 1.0)
+    # the refused step leaves the count, both moments and the weights as they were
+    assert opt.step_count == before[0] == 1
+    for got, want in zip((opt.m, opt.v, group.value), before[1:]):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_adam_step_allocates_nothing_the_size_of_the_group():
+    group = ParamGroup([Parameter("w", np.ones((250, 400)))])  # 100k floats, 800 kB
+    opt = trainer.Adam(group, lr=0.01)
+    group.grad[...] = np.random.default_rng(0).standard_normal(group.grad.shape)
+    opt.step()
+    tracemalloc.start()
+    try:
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < group.value.nbytes / 4
 
 
 @settings(max_examples=40, deadline=None)
@@ -450,6 +471,31 @@ def test_checkpoint_f32_widens_to_f64(tmp_path):
     )
     # widening leaves the split's integer arrays alone
     assert_same_split(loaded.split, split)
+
+
+def test_fit_pins_the_heap_once(monkeypatch):
+    calls = []
+    pin = trainer._pin_heap
+    monkeypatch.setattr(trainer, "_pin_heap", lambda: calls.append(1) or pin())
+    trainer.fit(small_split(), small_cfg(epochs=1))
+    assert calls == [1]
+
+
+def test_pinning_the_heap_twice_does_no_harm():
+    first = trainer._pin_heap()
+    assert trainer._pin_heap() == first
+    if platform.libc_ver()[0] == "glibc":
+        assert first  # glibc takes both thresholds
+
+
+def test_fit_without_mallopt_writes_the_same_bytes(tmp_path, monkeypatch):
+    _, _, pinned = fitted(tmp_path)
+    monkeypatch.setattr(trainer.ctypes, "CDLL", lambda name: object())  # a libc without mallopt
+    assert trainer._pin_heap() is False
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    _, _, unpinned = fitted(bare)
+    assert unpinned.read_bytes() == pinned.read_bytes()
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
