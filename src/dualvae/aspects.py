@@ -67,7 +67,7 @@ def user_aspect_probs(user_codes: np.ndarray, user_protos: np.ndarray, temp: flo
     return _stored_probs(user_codes, user_protos, temp)
 
 
-def uniform_probs(n: int, n_aspects: int, dtype=np.float64) -> np.ndarray:
+def uniform_probs(n: int, n_aspects: int, dtype) -> np.ndarray:
     return np.full((n, n_aspects), 1.0 / n_aspects, dtype=dtype)
 
 

@@ -299,7 +299,7 @@ def cmd_sweep(args) -> int:
         for lr in lrs:
             for gamma in gammas:
                 cfg = run_cfg.train_config()
-                cfg.aspects, cfg.dim = A, 0
+                cfg.aspects, cfg.dim = A, run_cfg["model", "dim"]  # 0: derived per A
                 cfg.lr, cfg.gamma = lr, gamma
                 if args.epochs is not None:
                     cfg.epochs = args.epochs

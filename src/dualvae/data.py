@@ -56,8 +56,8 @@ class Csr:
         flat = np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
         return np.repeat(np.arange(len(rows)), lens), self.indices[flat]
 
-    def select(self, rows, dtype=np.float64) -> sp.csr_matrix:
-        """The given rows as a scipy CSR matrix of ones: the encoders' input."""
+    def select(self, rows, dtype) -> sp.csr_matrix:
+        """The given rows as a scipy CSR matrix of ``dtype`` ones: the encoders' input."""
         rows = np.asarray(rows, dtype=np.int64)
         _, cols = self.gather(rows)
         indptr = np.concatenate([[0], np.cumsum(np.diff(self.indptr)[rows])])
@@ -167,7 +167,7 @@ def _resolve_format(path: Path, fmt):
     return fmt
 
 
-def file_record(path, fmt=None, min_user_core: int = 1, min_item_core: int = 1) -> dict:
+def file_record(path, fmt, min_user_core: int, min_item_core: int) -> dict:
     """What ``ingest`` makes its matrix from, without the path: the file's
     SHA-256 and size, the resolved format and the k-core thresholds."""
     path = Path(path)
@@ -204,15 +204,15 @@ def _factorize(tokens: np.ndarray, escaped: bool):
     return distinct, codes
 
 
-def read_pairs(path, fmt=None):
+def read_pairs(path, fmt):
     """Parse ``user<delim>item[<delim>ignored...]`` lines into factorized id
     pairs, ``(user_ids, users), (item_ids, items)``: a column's distinct
     stripped tokens in ``sorted`` order, and each line's index among them.
 
-    The delimiter comes from ``fmt`` ("tsv"/"csv") or the file suffix. Blank
-    lines are skipped, as is a first line of non-numeric tokens before numeric
-    ones. Lines are split, partitioned and stripped as whole arrays; an error
-    message is made only for the first bad line.
+    The delimiter comes from ``fmt`` ("tsv"/"csv"), or if None the file suffix.
+    Blank lines are skipped, as is a first line of non-numeric tokens before
+    numeric ones. Lines are split, partitioned and stripped as whole arrays; an
+    error message is made only for the first bad line.
     """
     path = Path(path)
     delim = _DELIMS[_resolve_format(path, fmt)]
@@ -243,11 +243,15 @@ def read_pairs(path, fmt=None):
     del head, found
     items = _tokens(np.strings.partition(rest, sep)[0])[kept]
     del rest
-    bad = np.flatnonzero(lone | (users == "") | (items == ""))
+    empty = (users == "") | (items == "")
+    # every file written is tab-separated: a tab inside a CSV token would split it there
+    tab = delim != "\t" and np.strings.find(users + items, "\t") >= 0
+    bad = np.flatnonzero(lone | empty | tab)
     if len(bad):
         k = bad[0]
         raise DataError(f"{path}:{kept[k] + 1}: " + (
-            "expected at least 2 columns, got 1" if lone[k] else "empty user or item token"))
+            "expected at least 2 columns, got 1" if lone[k] else
+            "empty user or item token" if empty[k] else "tab inside a user or item token"))
     return _factorize(users, escaped), _factorize(items, escaped)
 
 
@@ -274,7 +278,7 @@ def _renumber(codes: np.ndarray, ids: list):
     return (np.cumsum(present) - 1)[codes], [ids[k] for k in np.flatnonzero(present).tolist()]
 
 
-def ingest(path, fmt=None, min_user_core: int = 1, min_item_core: int = 1) -> InteractionMatrix:
+def ingest(path, fmt, min_user_core: int, min_item_core: int) -> InteractionMatrix:
     """Read interactions, dedup, k-core filter, and reindex contiguously.
 
     Indices follow ``sorted`` order of the surviving string ids, and the
@@ -293,12 +297,8 @@ def ingest(path, fmt=None, min_user_core: int = 1, min_item_core: int = 1) -> In
                              source)
 
 
-def split(
-    matrix: InteractionMatrix,
-    train_ratio: float = 0.8,
-    valid_of_test: float = 0.1,
-    seed: int = 0,
-) -> DatasetSplit:
+def split(matrix: InteractionMatrix, train_ratio: float, valid_of_test: float,
+          seed: int) -> DatasetSplit:
     """Per-user random split into train/validation/test.
 
     For each user, floor(n_u * (1 - train_ratio)) interactions go to a test

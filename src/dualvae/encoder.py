@@ -29,7 +29,7 @@ class EncoderParams:
     """input -> tanh hidden -> [mu; logvar] affine head."""
 
     def __init__(self, name: str, input_dim: int, hidden_dim: int, latent_dim: int,
-                 rng: "RngState | None", dtype=np.float64):
+                 rng: "RngState | None", dtype):
         self.name = name
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim

@@ -129,8 +129,8 @@ def top_n(score_rows: np.ndarray, n: int) -> np.ndarray:
 _MASKS = {"valid": ("train",), "test": ("train", "valid"), "train": ()}
 
 
-def evaluate_ranking(params: ModelParams, snap: Snapshot, split: DatasetSplit,
-                     target: str = "test", cutoffs=(20, 50)) -> dict:
+def evaluate_ranking(params: ModelParams, snap: Snapshot, split: DatasetSplit, target: str,
+                     cutoffs) -> dict:
     """Macro-averaged capped Recall@N and NDCG@N on the validation, test or
     train split: |top N ∩ held| / min(N, |held|), and the discounted gain of
     the hits over that of min(N, |held|) hits ranked first. ``params`` is not
@@ -175,13 +175,13 @@ def evaluate_ranking(params: ModelParams, snap: Snapshot, split: DatasetSplit,
     return result
 
 
-def metric_lines(result: dict, cutoffs=(20, 50)) -> list:
+def metric_lines(result: dict, cutoffs) -> list:
     """The report's lines, ``metric N value n_users``: Recall, then NDCG."""
     return [f"{m}\t{n}\t{result[f'{m}@{n}']:.6f}\t{result['n_users']}"
             for m in ("recall", "ndcg") for n in cutoffs]
 
 
-def write_metrics_tsv(path, result: dict, cutoffs=(20, 50)):
+def write_metrics_tsv(path, result: dict, cutoffs):
     """``metric_lines`` under a header line."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("metric\tN\tvalue\tn_users\n")

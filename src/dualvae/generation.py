@@ -40,7 +40,7 @@ from .tensor import Parameter, RngState, Tensor
 class DecoderParams:
     """One-layer tanh map d -> d, shared across aspects within a side."""
 
-    def __init__(self, name: str, dim: int, rng: "RngState | None", dtype=np.float64):
+    def __init__(self, name: str, dim: int, rng: "RngState | None", dtype):
         self.name = name
         self.dim = dim
         self.w = Parameter(f"{name}.w", T.init_weights(rng, dim, dim, 1.0 / float(np.sqrt(dim)), dtype))

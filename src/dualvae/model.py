@@ -9,6 +9,7 @@ the same snapshot is what scoring, checkpointing and exports consume.
 
 Each side's aspect prototypes (item rows h_a drive C, user rows m_a drive
 P) are trainable parameters of ``ModelParams``, in that side's group.
+Every array built here takes the parameters' float dtype, ``params.dtype``.
 """
 
 from __future__ import annotations
@@ -23,17 +24,21 @@ from .errors import ShapeError
 from .tensor import RngState
 
 OTHER_SIDE = {"user": "item", "item": "user"}
+# entities a refresh encodes per pass: a whole-side pass gives the same bytes,
+# but it raised the peak RSS of a process fitting the proxy twice by 2-6 MB
+_REFRESH_BLOCK = 512
 
 
 class ModelParams:
-    """All trainable tensors, in the flat groups ``user`` and ``item``; with
-    no ``rng`` the weights are unset, for ``load_checkpoint`` to assign.
-    The prototypes start i.i.d. normal with std 1/sqrt(dim), item bank first."""
+    """All trainable tensors, of float ``dtype``, in the flat groups ``user``
+    and ``item``; with no ``rng`` the weights are unset, for ``load_checkpoint``
+    to assign. The prototypes start i.i.d. normal with std 1/sqrt(dim), item bank first."""
 
     def __init__(self, num_users: int, num_items: int, n_aspects: int, dim: int,
-                 hidden: int, rng: "RngState | None", dtype=np.float64):
+                 hidden: int, rng: "RngState | None", dtype):
         self.n_aspects = n_aspects
         self.dim = dim
+        self.dtype = dtype = np.dtype(dtype)
         streams = [None] * 5 if rng is None else [rng.derive(k) for k in range(1, 6)]
         self.enc_u = enc_mod.EncoderParams("enc_u", num_items, hidden, dim, streams[0], dtype)
         self.enc_i = enc_mod.EncoderParams("enc_i", num_users, hidden, dim, streams[1], dtype)
@@ -75,18 +80,18 @@ class Snapshot:
 
 
 def compute_side_state(matrix: InteractionMatrix, side: str, params: ModelParams,
-                       mask_probs: np.ndarray, block: int = 512, dtype=np.float64) -> np.ndarray:
+                       mask_probs: np.ndarray) -> np.ndarray:
     """Evaluation-mode codes [posterior means | decoder images] of one whole
     side, as one (A, N, 2d) array."""
     enc, dec, _, _ = params.side(side)
-    rows = matrix.rows(side)
+    rows, dtype = matrix.rows(side), params.dtype
     n_entities, n_aspects = len(rows), params.n_aspects
     if mask_probs.shape[1] != n_aspects:
         raise ShapeError("mask probability column count != aspect count")
 
     codes = np.empty((n_aspects, n_entities, 2 * params.dim), dtype=dtype)
-    for start in range(0, n_entities, block):
-        idx = np.arange(start, min(start + block, n_entities))
+    for start in range(0, n_entities, _REFRESH_BLOCK):
+        idx = np.arange(start, min(start + _REFRESH_BLOCK, n_entities))
         # one encoder pass over the block's (A * b) aspect-major rows
         mu, _, _ = enc_mod.encode(enc_mod.mask_aspects(rows.select(idx, dtype), mask_probs), enc)
         block_codes = T.concat_cols([mu, gen.decode(mu, dec)]).value
@@ -95,26 +100,26 @@ def compute_side_state(matrix: InteractionMatrix, side: str, params: ModelParams
 
 
 def refresh(matrix: InteractionMatrix, params: ModelParams, C: np.ndarray, P: np.ndarray,
-            temp: float, pinned=(), dtype=np.float64) -> Snapshot:
+            temp: float, pinned=()) -> Snapshot:
     """Recompute both sides' codes under the current masks, then the probs;
     the probabilities of a side named in ``pinned`` stay uniform."""
-    item_codes = compute_side_state(matrix, "item", params, P, dtype=dtype)
-    user_codes = compute_side_state(matrix, "user", params, C, dtype=dtype)
+    item_codes = compute_side_state(matrix, "item", params, P)
+    user_codes = compute_side_state(matrix, "user", params, C)
     if "item" in pinned:
-        new_C = aspects.uniform_probs(matrix.num_items, params.n_aspects, dtype)
+        new_C = aspects.uniform_probs(matrix.num_items, params.n_aspects, params.dtype)
     else:
-        new_C = aspects.item_aspect_probs(item_codes, params.item_protos.value, temp).astype(dtype)
+        new_C = aspects.item_aspect_probs(item_codes, params.item_protos.value, temp)
     if "user" in pinned:
-        new_P = aspects.uniform_probs(matrix.num_users, params.n_aspects, dtype)
+        new_P = aspects.uniform_probs(matrix.num_users, params.n_aspects, params.dtype)
     else:
-        new_P = aspects.user_aspect_probs(user_codes, params.user_protos.value, temp).astype(dtype)
+        new_P = aspects.user_aspect_probs(user_codes, params.user_protos.value, temp)
     return Snapshot(new_C, new_P, user_codes, item_codes)
 
 
-def bootstrap(matrix: InteractionMatrix, params: ModelParams, dtype=np.float64) -> Snapshot:
+def bootstrap(matrix: InteractionMatrix, params: ModelParams) -> Snapshot:
     """First-pass snapshot: a refresh under uniform aspect probabilities with
     both sides pinned, which breaks the circular dependency between latents
     and aspect assignments. No temperature is read."""
-    C0 = aspects.uniform_probs(matrix.num_items, params.n_aspects, dtype)
-    P0 = aspects.uniform_probs(matrix.num_users, params.n_aspects, dtype)
-    return refresh(matrix, params, C0, P0, None, pinned=("user", "item"), dtype=dtype)
+    C0 = aspects.uniform_probs(matrix.num_items, params.n_aspects, params.dtype)
+    P0 = aspects.uniform_probs(matrix.num_users, params.n_aspects, params.dtype)
+    return refresh(matrix, params, C0, P0, None, pinned=("user", "item"))

@@ -82,10 +82,6 @@ class TrainConfig:
                 raise ConfigError(f"unknown ablation {name!r}; known: {', '.join(_ABLATIONS)}")
         return self
 
-    @property
-    def np_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
-
     def pinned(self, side: str) -> bool:
         """Whether ``side``'s aspect probabilities (P for "user", C for
         "item") stay uniform under the ablations."""
@@ -196,7 +192,7 @@ def train_phase(side: str, train: InteractionMatrix, params: ModelParams, snap: 
     frozen_group.zero_grad()
 
     beta = cfg.beta_at(epoch)
-    dtype = cfg.np_dtype
+    dtype = params.dtype
     noise_rng = rng.derive(epoch, 0 if side == "user" else 1)
 
     side_rows = train.rows(side)
@@ -241,9 +237,9 @@ def train_epoch_pair(split: DatasetSplit, params: ModelParams, opt_u: Adam, opt_
     """
     pinned = [side for side in ("user", "item") if cfg.pinned(side)]
     user_stats = train_phase("user", split.train, params, snap, opt_u, cfg, epoch, rng)
-    snap = model_mod.refresh(split.train, params, snap.C, snap.P, cfg.temp, pinned, cfg.np_dtype)
+    snap = model_mod.refresh(split.train, params, snap.C, snap.P, cfg.temp, pinned)
     item_stats = train_phase("item", split.train, params, snap, opt_i, cfg, epoch, rng)
-    snap = model_mod.refresh(split.train, params, snap.C, snap.P, cfg.temp, pinned, cfg.np_dtype)
+    snap = model_mod.refresh(split.train, params, snap.C, snap.P, cfg.temp, pinned)
     return snap, user_stats, item_stats
 
 
@@ -288,14 +284,13 @@ def fit(split: DatasetSplit, cfg: TrainConfig, log_path=None, verbose: bool = Fa
     epoch's validation ranks at ``cutoffs`` and 20, which selects the best."""
     _pin_heap()
     cfg.validate()
-    dtype = cfg.np_dtype
     train = split.train
     rng = RngState(cfg.seed)
     params = ModelParams(train.num_users, train.num_items, cfg.aspects, cfg.dim,
-                         cfg.hidden, rng.derive(0), dtype)
+                         cfg.hidden, rng.derive(0), cfg.dtype)
     opt_u = Adam(params.user, cfg.lr)
     opt_i = Adam(params.item, cfg.lr)
-    snap = model_mod.bootstrap(train, params, dtype)
+    snap = model_mod.bootstrap(train, params)
 
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     if log_fh:
@@ -469,12 +464,12 @@ def load_checkpoint(path, dtype: "str | None" = None) -> Checkpoint:
         if np.dtype(dtype) not in (np.dtype(cfg.dtype), np.dtype(np.float64)):
             raise CheckpointError("only float32 -> float64 widening is supported")
         cfg.dtype = np.dtype(dtype).name
-    tensors = {k: v.astype(cfg.np_dtype if v.dtype.kind == "f" else np.int64, copy=False)
+    tensors = {k: v.astype(cfg.dtype if v.dtype.kind == "f" else np.int64, copy=False)
                for k, v in tensors.items()}
 
     user_ids, item_ids = header["user_ids"], header["item_ids"]
     m, n, A, d = len(user_ids), len(item_ids), cfg.aspects, cfg.dim
-    params = ModelParams(m, n, A, d, cfg.hidden, None, cfg.np_dtype)
+    params = ModelParams(m, n, A, d, cfg.hidden, None, cfg.dtype)
     shapes = {p.name: p.value.shape for p in params.all_params()}
     shapes.update({"state.C": (n, A), "state.P": (m, A),
                    "state.user_codes": (A, m, 2 * d), "state.item_codes": (A, n, 2 * d)})

@@ -441,6 +441,8 @@ def slow_read_pairs(path, fmt=None):
         u, i = toks[0].strip(), toks[1].strip()
         if not u or not i:
             raise DataError(f"{path}:{lineno}: empty user or item token")
+        if "\t" in u + i:  # only a CSV token can hold one
+            raise DataError(f"{path}:{lineno}: tab inside a user or item token")
         pairs.append((u, i))
     return pairs
 

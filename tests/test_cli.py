@@ -120,6 +120,15 @@ def test_non_utf8_dataset_exit_code_2(tmp_path):
         assert "Traceback" not in out.stderr
 
 
+def test_csv_id_with_a_tab_exit_code_2(tmp_path):
+    path = tmp_path / "inter.csv"
+    path.write_text("a\tb,x\nc,y\nc,x\n")
+    out = run_cli("ingest", str(path), "--out", str(tmp_path / "data"))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith(f"data error: {path}:1: tab inside")
+    assert not (tmp_path / "data" / "interactions.tsv").exists()
+
+
 def test_bad_config_value_exit_code_1(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[train]\nlr = 0.9\n")
@@ -619,6 +628,25 @@ def test_sweep_out_of_range_grid_point_fails_before_any_fit(workspace, tmp_path,
     assert err.startswith("config error: lr 0.5")
     assert "A=" not in out
     assert not (tmp_path / "sw" / "sweep.tsv").exists()
+
+
+@pytest.mark.parametrize("aspects, dim, grid, trained", [
+    (3, 16, "", [16]),       # 100 is not divisible by 3
+    (4, 16, "", [16]),       # derived it would be 25
+    (2, 0, "2,4", [50, 25]),  # 0 derives the dim per grid point
+], ids=["indivisible", "explicit", "derived"])
+def test_sweep_trains_the_configured_dim(workspace, tmp_path, capsys, monkeypatch, aspects, dim,
+                                         grid, trained):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text((workspace / "run.ini").read_text().replace(
+        "aspects = 2\ndim = 6\n", f"aspects = {aspects}\ndim = {dim}\n"))
+    dims, fit = [], trainer.fit
+    monkeypatch.setattr(trainer, "fit", lambda split, c: dims.append(c.dim) or fit(split, c))
+    code, _, err = run_main(capsys, "sweep", "--config", str(cfg), "--lr-grid", "1e-2",
+                            "--gamma-grid", "0.1", "--aspects-grid", grid, "--epochs", "1",
+                            "--out", str(tmp_path / "sw"))
+    assert code == 0, err
+    assert dims == trained
 
 
 def test_train_float32_mode_smoke(workspace, tmp_path):

@@ -49,12 +49,12 @@ def kcore_pairs(pairs, ku, ki):
 
 def test_ingest_full_bipartite_survives_2core(tmp_path):
     lines = "\n".join(f"u{u}\ti{i}" for u in range(3) for i in range(3))
-    m = data.ingest(write(tmp_path, lines), min_user_core=2, min_item_core=2)
+    m = data.ingest(write(tmp_path, lines), None, 2, 2)
     assert (m.num_users, m.num_items, m.nnz) == (3, 3, 9)
 
 
 def test_ingest_dedups_pairs(tmp_path):
-    m = data.ingest(write(tmp_path, "a\tx\na\tx\nb\tx\n"))
+    m = data.ingest(write(tmp_path, "a\tx\na\tx\nb\tx\n"), None, 1, 1)
     assert m.nnz == 2
 
 
@@ -65,11 +65,11 @@ def test_ingest_chain_matches_kcore_oracle(tmp_path):
     got = kcore_pairs(raw, 2, 2)
     assert got == expect
     if expect:
-        m = data.ingest(write(tmp_path, text), min_user_core=2, min_item_core=2)
+        m = data.ingest(write(tmp_path, text), None, 2, 2)
         assert m.nnz == len(expect)
     else:
         with pytest.raises(DataError):
-            data.ingest(write(tmp_path, text), min_user_core=2, min_item_core=2)
+            data.ingest(write(tmp_path, text), None, 2, 2)
 
 
 def test_kcore_random_instances_match_oracle():
@@ -85,43 +85,56 @@ def test_kcore_random_instances_match_oracle():
 
 
 def test_ingest_header_detection(tmp_path):
-    m = data.ingest(write(tmp_path, "user\titem\n1\t10\n2\t10\n"))
+    m = data.ingest(write(tmp_path, "user\titem\n1\t10\n2\t10\n"), None, 1, 1)
     assert m.num_users == 2 and m.nnz == 2
 
 
 def test_ingest_csv_and_extra_columns(tmp_path):
-    m = data.ingest(write(tmp_path, "1,5,4.0,t\n2,5,3.5,t\n", name="r.csv"))
+    m = data.ingest(write(tmp_path, "1,5,4.0,t\n2,5,3.5,t\n", name="r.csv"), None, 1, 1)
     assert m.num_users == 2 and m.num_items == 1
 
 
 def test_ingest_bad_line_reports_number(tmp_path):
     with pytest.raises(DataError, match=":2"):
-        data.ingest(write(tmp_path, "1\t2\nonlyonecolumn\n"))
+        data.ingest(write(tmp_path, "1\t2\nonlyonecolumn\n"), None, 1, 1)
+
+
+def test_csv_token_with_a_tab_is_a_data_error_at_its_line(tmp_path):
+    # written back tab-separated, "a<TAB>b,x" would read as user a with item b
+    path = write(tmp_path, "c,y\na\tb,x\nc,x\n", name="inter.csv")
+    with pytest.raises(DataError, match=r"inter\.csv:2: tab inside a user or item token"):
+        data.ingest(path, None, 1, 1)
+    path = write(tmp_path, "a\tb,x\nc,y\nc,x\n", name="inter.csv")
+    with pytest.raises(DataError, match=r"inter\.csv:1: tab inside"):
+        data.read_pairs(path, None)
+    path = write(tmp_path, "c,y\na,x\tz\n", name="inter.csv")  # in the item token
+    with pytest.raises(DataError, match=r"inter\.csv:2: tab inside"):
+        data.read_pairs(path, None)
 
 
 def test_non_utf8_file_is_a_data_error_at_its_byte_offset(tmp_path):
     p = tmp_path / "inter.tsv"
     p.write_bytes("é\t1\n".encode() + b"\xff\xfe\t2\n")  # é is two bytes
     with pytest.raises(DataError, match=r"inter\.tsv: not UTF-8 text \(byte offset 5\)"):
-        data.read_pairs(p)
+        data.read_pairs(p, None)
     with pytest.raises(DataError, match="byte offset 5"):
-        data.ingest(p)
+        data.ingest(p, None, 1, 1)
 
 
 def test_ingest_missing_file():
     with pytest.raises(DataError):
-        data.ingest("/nonexistent/file.tsv")
+        data.ingest("/nonexistent/file.tsv", None, 1, 1)
 
 
 def test_ingest_roundtrip_via_id_maps(tmp_path):
     rng = np.random.default_rng(3)
     lines = {(f"user{u}", f"thing{i}") for u, i in zip(rng.integers(0, 9, 50), rng.integers(0, 9, 50))}
-    m1 = data.ingest(write(tmp_path, "\n".join(f"{u}\t{i}" for u, i in sorted(lines))))
+    m1 = data.ingest(write(tmp_path, "\n".join(f"{u}\t{i}" for u, i in sorted(lines))), None, 1, 1)
     # serialize using the retained id maps, re-ingest, expect identical matrix
     m1.write_tsv(tmp_path / "maps")
     want = "".join(f"{m1.user_ids[u]}\t{m1.item_ids[i]}\n" for u, i in pairs(m1))
     assert (tmp_path / "maps" / "interactions.tsv").read_text() == want
-    m2 = data.ingest(tmp_path / "maps" / "interactions.tsv")
+    m2 = data.ingest(tmp_path / "maps" / "interactions.tsv", None, 1, 1)
     assert m1.digest() == m2.digest()
     lines = (tmp_path / "maps" / "user_ids.tsv").read_text().splitlines()
     assert lines[0].split("\t") == [m1.user_ids[0], "0"]
@@ -183,11 +196,11 @@ def test_batch_sizes_300_users():
 def test_batch_dense_matches_sparse_rows():
     m = make_matrix(seed=2)
     batch = next(data.make_batches(m.num_users, 7, seed=3))
-    slab = m.rows("user").select(batch).toarray()
+    slab = m.rows("user").select(batch, np.float64).toarray()
     for k, u in enumerate(batch):
         np.testing.assert_array_equal(np.nonzero(slab[k])[0], m.user_items[u])
     ib = next(data.make_batches(m.num_items, 5, seed=3))
-    islab = m.rows("item").select(ib).toarray()
+    islab = m.rows("item").select(ib, np.float64).toarray()
     for k, i in enumerate(ib):
         np.testing.assert_array_equal(np.nonzero(islab[k])[0], m.item_users[i])
 
@@ -319,9 +332,10 @@ def assert_same_matrix(got, want):
 # random interaction files for the bulk parser: blank lines, CRLF and lone
 # CR, whitespace (non-ASCII too) around tokens, extra columns (some long),
 # a header or an all-string first line, "01" beside "1", non-ASCII ids and
-# ids with NULs, and lines with one column or an empty token
+# ids with NULs or a tab, and lines with one column or an empty token
 _ids = st.sampled_from(["1", "01", "10", "9", "1.5", "nan", "a", "user", "item", "é", "中",
-                        "😀", "a\0", "\0", "\0b", "\x01", "\x01\x02", "\0\x01", "x y", "B"])
+                        "😀", "a\0", "\0", "\0b", "\x01", "\x01\x02", "\0\x01", "x y", "B",
+                        "a\tb"])
 _pads = st.sampled_from(["", " ", "  ", "\u3000", "\xa0", "\x1c", "\x85", "\u2028", "\x0b"])
 _extras = st.sampled_from(["", "{d}4", "{d}4{d}t", "{d}" + "r" * 300, "{d}"])
 
@@ -356,20 +370,20 @@ def test_read_pairs_and_ingest_match_line_by_line_oracle(tmp_path_factory, case)
     try:
         want = slow_read_pairs(path)
     except DataError as exc:
-        for parse in (data.read_pairs, data.ingest):
+        for parse in (lambda p: data.read_pairs(p, None), lambda p: data.ingest(p, None, 1, 1)):
             with pytest.raises(DataError) as got:
                 parse(path)
             assert str(got.value) == str(exc)
         return
     if not want:
         with pytest.raises(DataError, match="no interactions parsed"):
-            data.ingest(path)
+            data.ingest(path, None, 1, 1)
         return
-    (user_ids, users), (item_ids, items) = data.read_pairs(path)
+    (user_ids, users), (item_ids, items) = data.read_pairs(path, None)
     assert users.dtype == items.dtype == np.int64
     assert (user_ids, item_ids) == (sorted({u for u, _ in want}), sorted({i for _, i in want}))
     assert [(user_ids[u], item_ids[i]) for u, i in zip(users.tolist(), items.tolist())] == want
-    assert_same_matrix(data.ingest(path), slow_ingest(path))
+    assert_same_matrix(data.ingest(path, None, 1, 1), slow_ingest(path))
 
 
 def test_parser_strip_is_str_strip_on_every_codepoint():

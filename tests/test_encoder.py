@@ -13,7 +13,7 @@ RNG = np.random.default_rng(31)
 
 
 def make_encoder(input_dim=6, hidden=5, latent=3, seed=0):
-    return encoder.EncoderParams("enc", input_dim, hidden, latent, T.RngState(seed))
+    return encoder.EncoderParams("enc", input_dim, hidden, latent, T.RngState(seed), np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def test_evaluate_ranking_memory_does_not_grow_with_users():
                               rng.standard_normal((2, m, 4)), rng.standard_normal((2, 2000, 4)))
         tracemalloc.start()
         try:
-            ev.evaluate_ranking(None, snap, split, target="valid")
+            ev.evaluate_ranking(None, snap, split, "valid", (20, 50))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -199,7 +199,7 @@ def scored_world(seed=0, m=12, n=15):
     dense[:, 0] = 1.0
     matrix = from_dense(dense)
     split = data.split(matrix, 0.7, 0.1, seed=seed)
-    params = model.ModelParams(m, n, 2, 3, 4, T.RngState(seed))
+    params = model.ModelParams(m, n, 2, 3, 4, T.RngState(seed), np.float64)
     snap = model.bootstrap(matrix, params)
     snap = model.refresh(split.train, params, snap.C, snap.P, temp=0.5)
     return matrix, split, params, snap
@@ -239,10 +239,10 @@ def test_training_and_ranking_score_the_same_pairs():
     # evaluation-mode scores and ranking's must agree
     rng = np.random.default_rng(4)
     matrix = from_dense((rng.random((9, 11)) < 0.4).astype(float))
-    params = model.ModelParams(9, 11, 3, 4, 5, T.RngState(4))
+    params = model.ModelParams(9, 11, 3, 4, 5, T.RngState(4), np.float64)
     snap = model.bootstrap(matrix, params)
     users = np.array([0, 3, 4, 8])
-    rows = matrix.rows("user").select(users)
+    rows = matrix.rows("user").select(users, np.float64)
     terms, fwd = gen.side_loss(
         rows, rows, params.enc_u, params.dec_u,
         None, snap.frozen("item"), temp=0.5, beta=1.0, eps=None, tape=None,
@@ -287,7 +287,7 @@ def test_evaluate_ranking_shapes_and_bounds():
 
 def test_metrics_tsv_format(tmp_path):
     _, split, params, snap = scored_world(seed=6)
-    out = ev.evaluate_ranking(params, snap, split, cutoffs=(5, 10))
+    out = ev.evaluate_ranking(params, snap, split, "test", (5, 10))
     path = tmp_path / "metrics.tsv"
     ev.write_metrics_tsv(path, out, cutoffs=(5, 10))
     lines = path.read_text().splitlines()

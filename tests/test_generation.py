@@ -22,7 +22,7 @@ def tiny_world(m=4, n=6, A=2, d=3, hidden=4, seed=0, density=0.5):
     dense[:, 0] = 1.0
     dense[0, :] = 1.0
     matrix = from_dense(dense)
-    params = model.ModelParams(m, n, A, d, hidden, T.RngState(seed))
+    params = model.ModelParams(m, n, A, d, hidden, T.RngState(seed), np.float64)
     snap = model.bootstrap(matrix, params)
     snap = model.refresh(matrix, params, snap.C, snap.P, temp=0.5)
     return matrix, params, snap
@@ -45,14 +45,14 @@ def one_aspect_addends(za, zb, dec_a, dec_b):
 
 
 def test_skip_zero_latents_zero_bias():
-    dec_a = gen.DecoderParams("da", 3, T.RngState(1))
-    dec_b = gen.DecoderParams("db", 3, T.RngState(2))
+    dec_a = gen.DecoderParams("da", 3, T.RngState(1), np.float64)
+    dec_b = gen.DecoderParams("db", 3, T.RngState(2), np.float64)
     out = one_aspect_addends(np.zeros((2, 3)), np.zeros((2, 3)), dec_a, dec_b)
     np.testing.assert_allclose(out, np.full((2, 2), 0.5))  # skip score 0
 
 
 def test_skip_reduces_to_inner_product_when_mapped_path_zeroed():
-    dec = gen.DecoderParams("d", 3, T.RngState(1))
+    dec = gen.DecoderParams("d", 3, T.RngState(1), np.float64)
     dec.w.value[...] = 0.0  # tanh(0 + 0) = 0 kills the nonlinear path
     za, zb = RNG.standard_normal((5, 3)), RNG.standard_normal((5, 3))
     out = one_aspect_addends(za, zb, dec, dec)
@@ -63,8 +63,8 @@ def test_skip_reduces_to_inner_product_when_mapped_path_zeroed():
 def test_skip_gradient_wrt_latent():
     # with no interactions the likelihood is -(1/b) * sum of the scores, and
     # with one aspect and p = c = 1 each score is sigmoid(skip)
-    dec_a = gen.DecoderParams("da", 3, T.RngState(3))
-    dec_b = gen.DecoderParams("db", 3, T.RngState(4))
+    dec_a = gen.DecoderParams("da", 3, T.RngState(3), np.float64)
+    dec_b = gen.DecoderParams("db", 3, T.RngState(4), np.float64)
     za = T.Parameter("za", RNG.standard_normal((4, 3)))
     zb = RNG.standard_normal((4, 3))
     frozen = one_aspect_frozen(zb, dec_b)
@@ -241,7 +241,7 @@ def test_user_loss_kl_is_sum_of_per_aspect_kls():
     matrix, params, snap = tiny_world(seed=5)
     users = [0, 1]
     slab = matrix.densify_users(users)
-    rows = matrix.rows("user").select(users)
+    rows = matrix.rows("user").select(users, np.float64)
     terms, fwd = gen.side_loss(
         rows, rows, params.enc_u, params.dec_u, params.user_protos,
         snap.frozen("item"), temp=0.5, beta=1.0, eps=None, tape=None,
@@ -256,7 +256,7 @@ def test_user_loss_kl_is_sum_of_per_aspect_kls():
 
 def test_elbo_terms_sign_convention():
     matrix, params, snap = tiny_world(seed=6)
-    rows = matrix.rows("user").select([0, 1, 2])
+    rows = matrix.rows("user").select([0, 1, 2], np.float64)
     terms, _ = gen.side_loss(
         rows, rows, params.enc_u, params.dec_u, params.user_protos,
         snap.frozen("item"), temp=0.5, beta=0.7, eps=None, tape=None,
@@ -268,7 +268,7 @@ def test_elbo_terms_sign_convention():
 
 def test_user_loss_gradient_matches_finite_differences():
     matrix, params, snap = tiny_world(m=4, n=6, A=2, d=3, hidden=4, seed=8)
-    rows = matrix.rows("user").select([0, 1, 2, 3])
+    rows = matrix.rows("user").select([0, 1, 2, 3], np.float64)
     eps = RNG.standard_normal((2 * 4, 3))  # A = 2 aspects of 4 users, aspect-major
     frozen = snap.frozen("item")
     live = params.user
@@ -291,7 +291,7 @@ def test_user_loss_gradient_matches_finite_differences():
 
 def test_frozen_side_gets_zero_gradient():
     matrix, params, snap = tiny_world(seed=9)
-    rows = matrix.rows("user").select([0, 1])
+    rows = matrix.rows("user").select([0, 1], np.float64)
     for p in params.all_params():
         p.grad[...] = 0.0
     tape = T.Tape()
@@ -316,9 +316,9 @@ def test_item_loss_equals_user_loss_on_transposed_data():
     matrix = from_dense(dense)
     matrix_t = from_dense(dense.T)
 
-    params = model.ModelParams(m, n, A, d, hidden, T.RngState(3))
+    params = model.ModelParams(m, n, A, d, hidden, T.RngState(3), np.float64)
     # build the transposed-world parameters by swapping the sides wholesale
-    params_t = model.ModelParams(n, m, A, d, hidden, T.RngState(4))
+    params_t = model.ModelParams(n, m, A, d, hidden, T.RngState(4), np.float64)
     for dst, src in (
         (params_t.enc_u, params.enc_i), (params_t.enc_i, params.enc_u),
     ):
@@ -337,14 +337,14 @@ def test_item_loss_equals_user_loss_on_transposed_data():
     snap_t = model.refresh(matrix_t, params_t, snap_t.C, snap_t.P, temp=0.5)
 
     items = list(range(n))
+    rows, rows_t = (m.rows(side).select(items, np.float64)
+                    for m, side in ((matrix, "item"), (matrix_t, "user")))
     terms_item, _ = gen.side_loss(
-        matrix.rows("item").select(items), matrix.rows("item").select(items),
-        params.enc_i, params.dec_i, params.item_protos,
+        rows, rows, params.enc_i, params.dec_i, params.item_protos,
         snap.frozen("user"), temp=0.5, beta=1.0, eps=None, tape=None,
     )
     terms_user_t, _ = gen.side_loss(
-        matrix_t.rows("user").select(items), matrix_t.rows("user").select(items),
-        params_t.enc_u, params_t.dec_u, params_t.user_protos,
+        rows_t, rows_t, params_t.enc_u, params_t.dec_u, params_t.user_protos,
         snap_t.frozen("item"), temp=0.5, beta=1.0, eps=None, tape=None,
     )
     assert abs(terms_item.loss.item() - terms_user_t.loss.item()) < 1e-9
@@ -352,7 +352,7 @@ def test_item_loss_equals_user_loss_on_transposed_data():
 
 def test_eval_mode_scores_are_deterministic():
     matrix, params, snap = tiny_world(seed=13)
-    rows = matrix.rows("user").select([0, 1])
+    rows = matrix.rows("user").select([0, 1], np.float64)
     args = (rows, rows, params.enc_u, params.dec_u, params.user_protos, snap.frozen("item"))
     _, fwd1 = gen.side_loss(*args, temp=0.5, beta=1.0, eps=None, tape=None)
     _, fwd2 = gen.side_loss(*args, temp=0.5, beta=1.0, eps=None, tape=None)
@@ -364,7 +364,7 @@ def test_frozen_perturbation_moves_loss_but_not_accumulators():
     # wiggling a frozen-side parameter changes the objective value (through
     # the frozen pack) while its gradient accumulator stays exactly zero
     matrix, params, snap = tiny_world(seed=21)
-    rows = matrix.rows("user").select([0, 1, 2])
+    rows = matrix.rows("user").select([0, 1, 2], np.float64)
 
     def loss_with_current_item_side():
         s = model.refresh(matrix, params, snap.C, snap.P, temp=0.5)
@@ -432,7 +432,7 @@ def test_side_loss_tape_does_not_grow_with_aspects():
     nodes = []
     for A in (1, 2, 4):
         matrix, params, snap = tiny_world(A=A, seed=2)
-        rows = matrix.rows("user").select([0, 1, 2])
+        rows = matrix.rows("user").select([0, 1, 2], np.float64)
         tape = T.Tape()
         gen.side_loss(rows, rows, params.enc_u, params.dec_u, params.user_protos,
                       snap.frozen("item"), temp=0.5, beta=1.0,
@@ -442,14 +442,15 @@ def test_side_loss_tape_does_not_grow_with_aspects():
 
 
 @pytest.mark.parametrize("side", ["user", "item"])
-def test_stacked_side_state_matches_single_aspect_encodes(side):
+def test_stacked_side_state_matches_single_aspect_encodes(side, monkeypatch):
     matrix, params, snap = tiny_world(m=7, n=9, A=3, d=2, seed=31)
+    monkeypatch.setattr(model, "_REFRESH_BLOCK", 4)  # several blocks, the last one short
     n_entities = matrix.num_users if side == "user" else matrix.num_items
     mask_probs, enc, dec = ((snap.C, params.enc_u, params.dec_u) if side == "user"
                             else (snap.P, params.enc_i, params.dec_i))
-    codes = model.compute_side_state(matrix, side, params, mask_probs, block=4)
+    codes = model.compute_side_state(matrix, side, params, mask_probs)
     d = params.dim
-    rows = matrix.rows(side).select(np.arange(n_entities))
+    rows = matrix.rows(side).select(np.arange(n_entities), np.float64)
     for a in range(3):
         col = mask_probs[:, a]
         masked = sp.csr_matrix((rows.data * col[rows.indices], rows.indices, rows.indptr),
@@ -484,6 +485,18 @@ def test_aspect_weight_bound_equality_only_for_matching_one_hots():
             assert p.max() == 1.0 and c.max() == 1.0 and p.argmax() == c.argmax()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_model_builders_take_the_parameters_dtype(dtype):
+    matrix, _, _ = tiny_world(m=5, n=7, A=2, seed=33)
+    params = model.ModelParams(5, 7, 2, 3, 4, T.RngState(2), dtype)
+    boot = model.bootstrap(matrix, params)
+    snap = model.refresh(matrix, params, boot.C, boot.P, temp=0.5)  # C and P not pinned
+    codes = model.compute_side_state(matrix, "item", params, snap.P)
+    for arr in (boot.C, boot.P, boot.user_codes, boot.item_codes,
+                snap.C, snap.P, snap.user_codes, snap.item_codes, codes):
+        assert arr.dtype == dtype
+
+
 def test_float32_batch_records_only_float32_nodes():
     from dualvae import contrast
 
@@ -493,8 +506,8 @@ def test_float32_batch_records_only_float32_nodes():
     dense[0, :] = 1.0
     matrix = from_dense(dense)
     params = model.ModelParams(m, n, A, d, hidden, T.RngState(1), f32)
-    snap = model.bootstrap(matrix, params, dtype=f32)
-    snap = model.refresh(matrix, params, snap.C, snap.P, temp=0.5, dtype=f32)
+    snap = model.bootstrap(matrix, params)
+    snap = model.refresh(matrix, params, snap.C, snap.P, temp=0.5)
     users = [0, 1, 2, 3]
     rows = matrix.rows("user").select(users, f32)
     frozen = snap.frozen("item")

@@ -12,7 +12,7 @@ SRC = ROOT / "src" / "dualvae"
 # "module.name" -> why it stays without a caller
 ALLOWED = {
     "aspects.aspect_entropy_report": "the per-aspect entropy summary that run telemetry "
-                                     "(ROADMAP item 5) is to report; only tests call it yet",
+                                     "(ROADMAP item 7) is to report; only tests call it yet",
 }
 
 

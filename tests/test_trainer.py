@@ -175,10 +175,10 @@ def setup_run(cfg, split):
 
     rng = RngState(cfg.seed)
     params = trainer.ModelParams(split.train.num_users, split.train.num_items,
-                                 cfg.aspects, cfg.dim, cfg.hidden, rng.derive(0), cfg.np_dtype)
+                                 cfg.aspects, cfg.dim, cfg.hidden, rng.derive(0), cfg.dtype)
     opt_u = trainer.Adam(params.user, cfg.lr)
     opt_i = trainer.Adam(params.item, cfg.lr)
-    snap = model_mod.bootstrap(split.train, params, cfg.np_dtype)
+    snap = model_mod.bootstrap(split.train, params)
     return rng, params, opt_u, opt_i, snap
 
 
@@ -277,9 +277,9 @@ def test_training_and_gradcheck_differentiate_one_batch_loss(monkeypatch):
     assert len(calls) == n_batches and all(c is cfg for c, _ in calls)
     assert stats.loss == pytest.approx(np.mean([loss.item() for _, loss in calls]), rel=1e-12)
     calls.clear()
-    gradcheck.run_gradcheck(num_users=4, num_items=5, aspects=2, dim=2, hidden=3)
+    gradcheck.run_gradcheck(0, num_users=4, num_items=5, aspects=2, dim=2, hidden=3)
     # one taped pass per side, then two evaluations per perturbed weight
-    weights = trainer.ModelParams(4, 5, 2, 2, 3, None)
+    weights = trainer.ModelParams(4, 5, 2, 2, 3, None, np.float64)
     assert len(calls) == 2 + 2 * (weights.user.value.size + weights.item.value.size)
     assert all(c.effective_gamma > 0 for c, _ in calls)
 
