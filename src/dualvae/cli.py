@@ -32,26 +32,27 @@ def _pin_single_thread():
         os.environ[var] = "1"
 
 
-def _config_epilog() -> str:
-    from .config import _SCHEMA
-
+def _config_epilog(schema) -> str:
     lines = ["configuration file keys (INI sections):"]
-    for section, keys in _SCHEMA.items():
+    for section, keys in schema.items():
         lines.append(f"  [{section}] " + ", ".join(keys))
     return "\n".join(lines)
 
 
 def build_parser() -> _Parser:
+    from .config import _SCHEMA
+
     parser = _Parser(prog="dualvae", description=__doc__.splitlines()[0],
-                     epilog=_config_epilog(),
+                     epilog=_config_epilog(_SCHEMA),
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ingest = sub.add_parser("ingest", help="build and export a canonical dataset")
     p_ingest.add_argument("path", nargs="?", help="interaction file (tsv/csv)")
-    p_ingest.add_argument("--format", choices=("tsv", "csv"), default=None)
-    p_ingest.add_argument("--min-user-core", type=int, default=1)
-    p_ingest.add_argument("--min-item-core", type=int, default=1)
+    data_keys = _SCHEMA["data"]  # their defaults; "" is the suffix's format, as in _ini_args
+    p_ingest.add_argument("--format", choices=("tsv", "csv"), default=data_keys["format"][2] or None)
+    p_ingest.add_argument("--min-user-core", type=int, default=data_keys["min_user_core"][2])
+    p_ingest.add_argument("--min-item-core", type=int, default=data_keys["min_item_core"][2])
     p_ingest.add_argument("--synthetic", action="store_true",
                           help="generate planted-aspect data instead of reading a file")
     p_ingest.add_argument("--users", type=int, default=400)

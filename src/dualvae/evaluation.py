@@ -9,8 +9,9 @@ row tasks on the aspect pool. ``pair_addends`` gives the same addends of
 single pairs, which ``recommend`` prints beside each score. Items the user
 interacted with in masked splits are pushed to -inf before ranking so they
 can never be recommended back. Ties are broken by ascending item index so
-results reproduce across runs. ``rank`` scores and ranks users in chunks,
-keeping each chunk's n best, so no array spans all users and all items.
+results reproduce across runs. ``rank`` keeps each chunk's n best, and
+``evaluate_ranking`` ranks the held items within a chunk row's K best, so
+no array spans all users and all items.
 """
 
 from __future__ import annotations
@@ -129,6 +130,21 @@ def top_n(score_rows: np.ndarray, n: int) -> np.ndarray:
 _MASKS = {"valid": ("train",), "test": ("train", "valid"), "train": ()}
 
 
+def _best_values(scores: np.ndarray, top: int, scratch: np.ndarray) -> np.ndarray:
+    """Each row's ``top`` largest scores, the top-th first: near-equal parts of the rows are
+    copied to the lanes of the caller's ``scratch`` and value-partitioned there."""
+    lanes, items = len(scratch), scores.shape[1]
+    parts = [k * len(scores) // lanes for k in range(lanes + 1)]
+
+    def task(k, lane):
+        part = scratch[lane, :parts[k + 1] - parts[k]]
+        np.copyto(part, scores[parts[k]:parts[k + 1]])
+        part.partition(items - top, axis=1)
+        return part[:, items - top:].copy()
+
+    return np.concatenate(gen._map(task, lanes, lanes))
+
+
 def evaluate_ranking(params: ModelParams, snap: Snapshot, split: DatasetSplit, target: str,
                      cutoffs) -> dict:
     """Macro-averaged capped Recall@N and NDCG@N on the validation, test or
@@ -139,7 +155,9 @@ def evaluate_ranking(params: ModelParams, snap: Snapshot, split: DatasetSplit, t
     The held-out matrix is ``split.<target>``. Validation ranking masks only
     train items, test ranking additionally masks validation items, and train
     ranking (a diagnostic) masks nothing. Users without target interactions
-    are skipped.
+    are skipped. No top-N list is built: held items within a row's K best (K
+    the largest cutoff) get their exact rank, and each user's discounts are
+    summed in rank order, as a cumulative sum over the list is.
     """
     if target not in _MASKS:
         raise ValueError(f"unknown target {target!r}")
@@ -151,27 +169,38 @@ def evaluate_ranking(params: ModelParams, snap: Snapshot, split: DatasetSplit, t
     n_held = n_held[users]
     result = {"n_users": len(users)}
     if not len(users):
-        for n in cutoffs:
-            result[f"recall@{n}"] = float("nan")
-            result[f"ndcg@{n}"] = float("nan")
-        return result
+        return {**result, **{f"{m}@{n}": float("nan") for n in cutoffs for m in ("recall", "ndcg")}}
 
-    ranked = rank(snap, users, masks, max(cutoffs))[0]
-    hits = np.empty(ranked.shape, dtype=bool)
-    for lo in range(0, len(users), _RANK_USERS):  # one chunk's held mask at a time
-        rows = slice(lo, lo + _RANK_USERS)
-        is_held = np.zeros((len(users[rows]), held.num_items), dtype=bool)
-        is_held[held.user_items.gather(users[rows])] = True
-        hits[rows] = np.take_along_axis(is_held, ranked[rows], axis=1)
-    # the scalar discounts 1 / log2(rank + 1), summed in rank order
-    discounts = np.array([1.0 / np.log2(r + 1) for r in range(1, ranked.shape[1] + 1)])
-    dcg = np.cumsum(hits * discounts, axis=1)
+    frozen, items, top = snap.frozen("item"), held.num_items, min(max(cutoffs), held.num_items)
+    bounds = _even_bounds(len(users), _RANK_USERS)
+    buf = np.empty((max(bounds[-1] - bounds[-2], 2), items), frozen.codes.dtype)
+    lanes = gen._lanes(2, -(-len(buf) // 2) * items)  # the partition's, gated as score_block's
+    scratch = np.empty((lanes, -(-len(buf) // lanes), items), buf.dtype)
+    ranked = []  # per chunk, each held item ranked within K: its user's position, its rank
+    for lo, hi in zip(bounds, bounds[1:]):
+        scores = score_all(snap, users[lo:hi], masks, frozen, buf)
+        best = _best_values(scores, top, scratch)
+        row, col = held.user_items.gather(users[lo:hi])
+        row, col = np.compress(scores[row, col] >= best[row, 0], [row, col], axis=1)
+        s, rank = scores[row, col][:, None], np.empty(len(row), np.int64)
+        # rank 1 + #(row > s) + #(row[:col] == s): among the K best, or on a tie over the row
+        for at in np.split(np.arange(len(row)), np.arange(len(scores), len(row), len(scores))):
+            vals = best[row[at]]
+            rank[at] = 1 + (vals > s[at]).sum(axis=1)
+            tied = at[(s[at, 0] == vals[:, 0]) | ((vals == s[at]).sum(axis=1) > 1)]
+            full, before = scores[row[tied]], np.arange(items) < col[tied, None]
+            rank[tied] = 1 + (full > s[tied]).sum(axis=1) + ((full == s[tied]) & before).sum(axis=1)
+        order = np.argsort(rank, kind="stable")  # each user's hits in rank order
+        ranked.append((lo + row[order], rank[order]))
+    owner, rank = map(np.concatenate, zip(*ranked))
+    # the scalar discounts 1 / log2(rank + 1)
+    discounts = np.array([1.0 / np.log2(r + 1) for r in range(1, top + 1)])
     ideal = np.cumsum(discounts)
     for n in cutoffs:
-        width = min(n, ranked.shape[1])
-        denom = np.minimum(n, n_held)
-        result[f"recall@{n}"] = float(np.mean(hits[:, :width].sum(axis=1) / denom))
-        result[f"ndcg@{n}"] = float(np.mean(dcg[:, width - 1] / ideal[denom - 1]))
+        hit, denom = rank <= n, np.minimum(n, n_held)
+        dcg = np.bincount(owner[hit], discounts[rank[hit] - 1], minlength=len(users))
+        result[f"recall@{n}"] = float(np.mean(np.bincount(owner[hit], minlength=len(users)) / denom))
+        result[f"ndcg@{n}"] = float(np.mean(dcg / ideal[denom - 1]))
     return result
 
 

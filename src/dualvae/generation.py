@@ -142,10 +142,10 @@ def side_loss(
 # the aspect pool
 #
 # The per-aspect dense kernels of ``poisson_loglik``, and the row blocks of
-# ``evaluation.score_block``, run on one thread pool; numpy releases the GIL
-# in BLAS and in ufuncs. Every cross-aspect sum runs in aspect order after the
-# join, so the bytes do not depend on the pool's width. A task run by ``_map``
-# may be on a worker thread, so it
+# ``evaluation.score_block`` and ``_best_values``, run on one thread pool; numpy
+# releases the GIL in BLAS, ufuncs and partitions. Every cross-aspect sum runs
+# in aspect order after the join, so the bytes do not depend on the pool's
+# width. A task run by ``_map`` may be on a worker thread, so it
 # - calls no function that ``benchmarks/layers.py`` wraps (``decode``,
 #   ``evaluation.score_block``, ...), since its tracer keeps one
 #   unsynchronised span stack;

@@ -128,6 +128,35 @@ def whole_matrix_rank(snap, users, masks, n):
     return ranked, np.take_along_axis(scores, ranked, 1)
 
 
+def stable_top_n(scores, n):
+    """Reference for ``evaluation.top_n``: a stable sort of every row."""
+    return np.argsort(-scores, axis=1, kind="stable")[:, :n]
+
+
+def loop_ranking(params, snap, split, target, cutoffs):
+    """Reference for ``evaluation.evaluate_ranking``: every held user's masked
+    scores in one (users, items) matrix, ranked by ``stable_top_n``, and a
+    per-user loop over ``recall_at_n`` / ``ndcg_at_n``."""
+    held = getattr(split, target)
+    masks = {"valid": [split.train], "test": [split.train, split.valid], "train": []}[target]
+    users = [u for u in range(held.num_users) if len(held.user_items[u]) > 0]
+    result = {"n_users": len(users)}
+    if not users:
+        return {**result, **{f"{metric}@{n}": float("nan")
+                             for metric in ("recall", "ndcg") for n in cutoffs}}
+    scores = evaluation.score_block(snap, users)
+    for k, u in enumerate(users):
+        for m in masks:
+            scores[k, m.user_items[u]] = -np.inf
+    ranked = stable_top_n(scores, max(cutoffs))
+    for n in cutoffs:
+        result[f"recall@{n}"] = float(np.mean(
+            [recall_at_n(ranked[k], held.user_items[u], n) for k, u in enumerate(users)]))
+        result[f"ndcg@{n}"] = float(np.mean(
+            [ndcg_at_n(ranked[k], held.user_items[u], n) for k, u in enumerate(users)]))
+    return result
+
+
 def kind_unbroadcast(g, shape):
     """Reference for ``tensor._unbroadcast``: the gradient reduction for the
     scalar-, row- and column-vs-matrix cases, classified by hand."""

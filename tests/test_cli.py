@@ -66,6 +66,16 @@ def test_schema_holds_each_train_config_field_once_with_its_default():
     assert config_mod.RunConfig().train_config() == trainer.TrainConfig().validate()
 
 
+def test_ingest_flags_default_to_the_data_section(monkeypatch):
+    # the file ingest and an INI-driven train read the same [data] defaults
+    for key in ("min_user_core", "min_item_core"):
+        monkeypatch.setitem(config_mod._SCHEMA["data"], key, (int, str, 5))
+    args = cli.build_parser().parse_args(["ingest", "f.tsv", "--out", "o"])
+    assert (args.min_user_core, args.min_item_core, args.format) == (5, 5, None)
+    monkeypatch.setitem(config_mod._SCHEMA["data"], "format", (str, str, "csv"))
+    assert cli.build_parser().parse_args(["ingest", "f.tsv", "--out", "o"]).format == "csv"
+
+
 def test_readme_default_block_equals_schema():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from dualvae import data, evaluation as ev, generation as gen, model, tensor as T
 
-from helpers import aspect_addends, from_dense, ndcg_at_n, recall_at_n, snapshot_addends
+from helpers import (aspect_addends, from_dense, loop_ranking, ndcg_at_n, recall_at_n,
+                     snapshot_addends, stable_top_n)
 
 
 def brute_force_metrics(order, test_set, n):
@@ -88,10 +89,6 @@ def test_top_n_tie_break_by_index():
     np.testing.assert_array_equal(ev.top_n(scores, 4)[0], [1, 3, 0, 2])
 
 
-def stable_top_n(scores, n):
-    return np.argsort(-scores, axis=1, kind="stable")[:, :n]
-
-
 _score = st.one_of(st.sampled_from([-np.inf, 0.0, -0.0, 0.5, 1.0]), st.floats(-2.0, 2.0))
 
 
@@ -120,29 +117,6 @@ def test_top_n_equals_stable_argsort_on_wide_rows():
     np.testing.assert_array_equal(ev.top_n(distinct, 20), stable_top_n(distinct, 20))
 
 
-def loop_ranking(params, snap, split, target, cutoffs):
-    """Per-user loop over recall_at_n / ndcg_at_n, the reference for
-    ``evaluate_ranking``."""
-    held = getattr(split, target)
-    masks = {"valid": [split.train], "test": [split.train, split.valid], "train": []}[target]
-    users = [u for u in range(held.num_users) if len(held.user_items[u]) > 0]
-    result = {"n_users": len(users)}
-    if not users:
-        return {**result, **{f"{metric}@{n}": float("nan")
-                             for metric in ("recall", "ndcg") for n in cutoffs}}
-    scores = ev.score_block(snap, users)
-    for k, u in enumerate(users):
-        for m in masks:
-            scores[k, m.user_items[u]] = -np.inf
-    ranked = stable_top_n(scores, max(cutoffs))
-    for n in cutoffs:
-        result[f"recall@{n}"] = float(np.mean(
-            [recall_at_n(ranked[k], held.user_items[u], n) for k, u in enumerate(users)]))
-        result[f"ndcg@{n}"] = float(np.mean(
-            [ndcg_at_n(ranked[k], held.user_items[u], n) for k, u in enumerate(users)]))
-    return result
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 14), st.integers(2, 25),
        st.sampled_from(["valid", "test", "train"]),
@@ -162,6 +136,33 @@ def test_evaluate_ranking_matches_per_user_loop(seed, m, n, target, cutoffs, chu
             # bit-equal: validation Recall@20 is stored as the checkpoint's
             # best_metric, and NDCG sums the same discounts in the same order
             assert result[key] == want[key] or np.isnan(result[key]) and np.isnan(want[key]), key
+
+
+def test_evaluate_ranking_builds_no_top_n_list(monkeypatch):
+    # the metrics come from held-item ranks; rank and top_n serve recommend
+    _, split, params, snap = scored_world(3, 12, 15)
+    want = ev.evaluate_ranking(params, snap, split, "test", (5, 10))
+
+    def refuse(*args):
+        raise AssertionError("evaluate_ranking built a top-N list")
+
+    monkeypatch.setattr(ev, "rank", refuse)
+    monkeypatch.setattr(ev, "top_n", refuse)
+    assert ev.evaluate_ranking(params, snap, split, "test", (5, 10)) == want
+
+
+def test_a_fully_held_list_scores_exactly_one():
+    # every item held: the hits are ranks 1..N, whose discounts summed in rank
+    # order are the ideal cumulative sum bit for bit (in reverse order, the
+    # 20 discounts round apart)
+    rng = np.random.default_rng(2)
+    m, n = 7, 60
+    full = data.InteractionMatrix(m, n, np.repeat(np.arange(m), n), np.tile(np.arange(n), m))
+    snap = model.Snapshot(rng.dirichlet(np.ones(2), n), rng.dirichlet(np.ones(2), m),
+                          rng.standard_normal((2, m, 4)), rng.standard_normal((2, n, 4)))
+    result = ev.evaluate_ranking(None, snap, data.DatasetSplit(full, full, full, {}), "train",
+                                 (20, 50))
+    assert [result[f"{metric}@{n}"] for metric in ("recall", "ndcg") for n in (20, 50)] == [1.0] * 4
 
 
 def test_evaluate_ranking_memory_does_not_grow_with_users():

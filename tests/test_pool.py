@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from dualvae import data, evaluation as ev, generation as gen, model, synth, tensor as T, trainer
 from dualvae.errors import DomainError
 
-from helpers import stacked_codes, whole_matrix_rank
+from helpers import loop_ranking, stacked_codes, whole_matrix_rank
 
 
 @contextlib.contextmanager
@@ -146,6 +146,55 @@ def test_streamed_rank_is_bytewise_the_whole_matrix_rank(seed, m, n, A, chunk, b
         assert g.tobytes() == w.tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 23), st.integers(1, 13), st.integers(1, 4),
+       st.sampled_from(["valid", "test", "train"]),
+       st.sampled_from([(1,), (3, 8), (20,), (2, 50), (5, 12, 13)]), st.integers(1, 5),
+       st.booleans(), st.sampled_from([np.float64, np.float32]))
+def test_held_ranks_are_bytewise_the_whole_matrix_metrics(seed, m, n, A, target, cutoffs, chunk,
+                                                          on, dtype):
+    # codes on a grid of 1/4 and items with all-zero aspect probabilities make
+    # many scores tie, at the K-th best value too; dense random splits leave
+    # some users fewer unmasked items than K and mask some held items; most
+    # cutoffs pass the item count
+    snap = snapshot(seed, m, n, A, 2, dtype)
+    for codes in (snap.user_codes, snap.item_codes):
+        codes[...] = np.round(4.0 * codes) / 4.0
+    rng = np.random.default_rng(seed)
+    snap.C[rng.random(n) < 0.3] = 0.0
+
+    def pairs(k):
+        return data.InteractionMatrix(m, n, rng.integers(0, m, k * m), rng.integers(0, n, k * m))
+
+    split = data.DatasetSplit(pairs(3), pairs(1), pairs(2), {})
+    with pool(False):
+        want = loop_ranking(None, snap, split, target, cutoffs)
+    with pytest.MonkeyPatch.context() as mp, pool(on):
+        mp.setattr(ev, "_RANK_USERS", chunk)
+        got = ev.evaluate_ranking(None, snap, split, target, cutoffs)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes(), key
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 9), st.integers(1, 13), st.integers(1, 13),
+       st.sampled_from([np.float64, np.float32]))
+def test_pooled_partition_is_bytewise_the_serial_one(seed, rows, items, top, dtype):
+    rng = np.random.default_rng(seed)
+    scores = (np.round(4.0 * rng.standard_normal((rows, items))) / 4.0).astype(dtype)
+    scores[rng.random((rows, items)) < 0.3] = -np.inf
+    top = min(top, items)
+    want = ev._best_values(scores, top, np.empty((1, rows, items), dtype))
+    with pool(True):
+        got = ev._best_values(scores, top, np.empty((2, -(-rows // 2), items), dtype))
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+    ordered = np.sort(scores, axis=1)
+    assert (want[:, 0] == ordered[:, items - top]).all()
+    assert (np.sort(want, axis=1) == ordered[:, items - top:]).all()
+
+
 def test_pooled_ranking_lanes_keep_their_own_scratch():
     # blocks large enough that the two lanes' BLAS and ufunc calls overlap,
     # with frequent thread switches: a scratch array shared between lanes
@@ -186,6 +235,21 @@ def test_ranking_uses_the_pool_only_from_the_gate_up(recording_pool, m, n, lanes
     # 20 users (what recommend ranks) are one task; 300 users are three
     # 100-row tasks, and 100 * 1311 is the first width past 2 ** 17 cells
     ev.score_all(snapshot(0, m, n, 4, 2, np.float64), np.arange(m), [])
+    assert recording_pool.lanes == lanes
+
+
+@pytest.mark.parametrize("m, n, lanes", [(256, 400, 0), (512, 1025, 4)])
+def test_held_ranks_partition_on_the_pool_only_from_the_gate_up(recording_pool, m, n, lanes):
+    # a planted-size pass (256 users, 400 items) partitions in a plain loop;
+    # 512 users are two chunks, whose 128-row halves of 1,025 items are past
+    # 2 ** 17 cells, so each chunk runs two lanes. One score task per chunk,
+    # which runs no lane, leaves the partition's lanes alone on the count.
+    rng = np.random.default_rng(0)
+    held = data.InteractionMatrix(m, n, np.arange(m), rng.integers(0, n, m))
+    split = data.DatasetSplit(held, held, held, {})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ev, "_SCORE_BLOCK", m)
+        ev.evaluate_ranking(None, snapshot(0, m, n, 4, 2, np.float64), split, "train", (20, 50))
     assert recording_pool.lanes == lanes
 
 
